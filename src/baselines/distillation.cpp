@@ -12,7 +12,6 @@ DistillationFAT::DistillationFAT(fed::FedEnv& env, DistillationConfig cfg)
     : FederatedAlgorithm(env, cfg.fl),
       init_rng_(cfg.fl.seed ^ 0xd15717),
       cfg2_(std::move(cfg)),
-      clients_(env, cfg2_.fl.seed),
       public_rng_(cfg2_.fl.seed + 404) {
   if (cfg2_.family.empty())
     throw std::invalid_argument("DistillationFAT: empty model family");

@@ -12,7 +12,6 @@
 
 #include "baselines/local_at.hpp"
 #include "fed/algorithm.hpp"
-#include "fed/client_pool.hpp"
 
 namespace fp::baselines {
 
@@ -62,7 +61,6 @@ class DistillationFAT final : public fed::FederatedAlgorithm {
   DistillationConfig cfg2_;
   std::vector<std::unique_ptr<models::BuiltModel>> prototypes_;
   std::vector<std::int64_t> family_mem_;
-  fed::ClientPool clients_;
   Rng public_rng_;
   std::optional<data::BatchIterator> public_batches_;
 

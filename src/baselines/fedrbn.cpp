@@ -11,8 +11,7 @@ FedRbn::FedRbn(fed::FedEnv& env, FedRbnConfig cfg)
       model_(cfg.model_spec, init_rng_),
       full_mem_bytes_(sys::module_train_mem_bytes(
           cfg.model_spec, 0, cfg.model_spec.atoms.size(), cfg.fl.batch_size,
-          false)),
-      clients_(env, cfg.fl.seed) {}
+          false)) {}
 
 void FedRbn::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
   clients_.begin_round(tasks);

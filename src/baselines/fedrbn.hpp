@@ -12,7 +12,6 @@
 
 #include "baselines/local_at.hpp"
 #include "fed/algorithm.hpp"
-#include "fed/client_pool.hpp"
 
 namespace fp::baselines {
 
@@ -57,7 +56,6 @@ class FedRbn final : public fed::FederatedAlgorithm {
   FedRbnConfig cfg2_;
   models::BuiltModel model_;
   std::int64_t full_mem_bytes_;
-  fed::ClientPool clients_;
   std::int64_t selections_ = 0, at_selections_ = 0;
 
   // Dispatch/aggregation state owned by the engine pipeline.

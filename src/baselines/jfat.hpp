@@ -6,7 +6,6 @@
 
 #include "baselines/local_at.hpp"
 #include "fed/algorithm.hpp"
-#include "fed/client_pool.hpp"
 
 namespace fp::baselines {
 
@@ -16,7 +15,7 @@ struct JFatConfig {
   bool adversarial = true;  ///< false gives plain FedAvg (diagnostics)
 };
 
-class JFat final : public fed::FederatedAlgorithm {
+class JFat final : public fed::FederatedAlgorithm, public fed::NetMethod {
  public:
   JFat(fed::FedEnv& env, JFatConfig cfg);
 
@@ -32,35 +31,21 @@ class JFat final : public fed::FederatedAlgorithm {
                     fed::ApplyMode mode, float mix) override;
   void finalize_round(std::int64_t t) override;
 
-  // Distributed-runtime hooks (DESIGN.md §10): context = the encoded
-  // broadcast + round lr; uploads travel as the channel-encoded WireMessage
-  // (worker mode) or the dense decoded blob (net.codec=identity).
-  bool net_capable() const override { return true; }
-  void net_save_context(comm::FrameWriter& out) const override;
-  void net_load_context(comm::FrameReader& in) override;
-  void net_begin_group(const std::vector<fed::TaskSpec>& owned) override;
-  void net_end_group() override;
-  void net_encode_upload(const fed::Upload& up,
-                         comm::FrameWriter& out) const override;
-  fed::Upload net_decode_upload(const fed::TaskSpec& task,
-                                comm::FrameReader& in) override;
-  void net_set_worker_mode(bool on) override { net_worker_ = on; }
+  // Distributed runtime (DESIGN.md §10): state = the broadcast, its wire
+  // bytes and the round lr; the upload payload is the trained blob.
+  void net_state(comm::StateIO& io) override;
+  void net_upload(fed::Upload& up, comm::StateIO& io) override;
 
   Rng init_rng_;  ///< seeds weight init (deterministic per cfg.fl.seed)
   models::BuiltModel model_;
   bool adversarial_;
-  fed::ClientPool clients_;
 
   // Dispatch/aggregation state owned by the engine pipeline.
   nn::ParamBlob broadcast_;            ///< as decoded by clients (wire codec)
   std::int64_t broadcast_bytes_ = 0;   ///< wire size of one broadcast download
-  LocalAtConfig at_;
-  nn::SgdConfig round_sgd_;
+  LocalAtConfig at_;                   ///< fixed by the config
+  nn::SgdConfig round_sgd_;            ///< cfg.sgd at the dispatch round's lr
   fed::BlobAverager averager_;
-
-  // Distributed runtime (DESIGN.md §10).
-  bool net_worker_ = false;  ///< stage encoded uplinks instead of blobs
-  comm::WireMessage net_bcast_msg_;  ///< root: the broadcast as encoded
 };
 
 }  // namespace fp::baselines

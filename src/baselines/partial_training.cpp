@@ -14,7 +14,6 @@ PartialTrainingFAT::PartialTrainingFAT(fed::FedEnv& env, PartialTrainingConfig c
       full_mem_bytes_(sys::module_train_mem_bytes(
           cfg.model_spec, 0, cfg.model_spec.atoms.size(), cfg.fl.batch_size,
           /*with_aux_head=*/false)),
-      clients_(env, cfg.fl.seed),
       acc_(model_) {
   acc_.reset();
 }

@@ -8,7 +8,6 @@
 
 #include "baselines/local_at.hpp"
 #include "fed/algorithm.hpp"
-#include "fed/client_pool.hpp"
 #include "models/slicing.hpp"
 
 namespace fp::baselines {
@@ -57,7 +56,6 @@ class PartialTrainingFAT final : public fed::FederatedAlgorithm {
   PartialTrainingConfig cfg2_;
   models::BuiltModel model_;
   std::int64_t full_mem_bytes_;
-  fed::ClientPool clients_;
 
   // Dispatch/aggregation state owned by the engine pipeline.
   std::vector<double> ratios_;             ///< per-slot width ratio

@@ -1,74 +1,21 @@
 #include "comm/channel.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace fp::comm {
 
-Channel::Channel(const CommConfig& cfg)
-    : cfg_(cfg), codec_(make_codec(cfg)), net_(cfg.model_network) {}
+namespace {
 
-std::int64_t Channel::dense_wire_bytes(const nn::ParamBlob& blob) {
-  return static_cast<std::int64_t>(blob.size() * sizeof(float)) +
-         static_cast<std::int64_t>(WireMessage::kHeaderBytes);
-}
+thread_local CaptureScope* g_capture = nullptr;
 
-nn::ParamBlob Channel::downlink(nn::ParamBlob blob,
-                                std::int64_t* wire_bytes) const {
-  obs::PhaseTimer encode_phase(obs::Phase::kEncode);
-  FP_TRACE_SCOPE_ARG("downlink", "comm", "floats",
-                     static_cast<std::int64_t>(blob.size()));
-  const bool dense = !cfg_.compress_downlink ||
-                     codec_->kind() == CodecKind::kIdentity ||
-                     codec_->kind() == CodecKind::kTopK;
-  if (dense) {
-    // Identity framing: skip the encode/decode copy, the bytes are the
-    // dense fp32 payload either way and the values are bit-identical.
-    if (wire_bytes) *wire_bytes += dense_wire_bytes(blob);
-    return blob;
-  }
-  const WireMessage msg = codec_->encode(blob, nullptr);
-  if (wire_bytes) *wire_bytes += msg.wire_bytes();
-  return codec_->decode(msg, nullptr);
-}
-
-nn::ParamBlob Channel::uplink(nn::ParamBlob blob, const nn::ParamBlob* ref,
-                              std::int64_t* wire_bytes) const {
-  obs::PhaseTimer encode_phase(obs::Phase::kEncode);
-  FP_TRACE_SCOPE_ARG("uplink", "comm", "floats",
-                     static_cast<std::int64_t>(blob.size()));
-  if (codec_->kind() == CodecKind::kIdentity) {
-    if (wire_bytes) *wire_bytes += dense_wire_bytes(blob);
-    return blob;  // bit-identical fast path keeps golden hashes exact
-  }
-  const WireMessage msg = codec_->encode(blob, ref);
-  if (wire_bytes) *wire_bytes += msg.wire_bytes();
-  return codec_->decode(msg, ref);
-}
-
-WireMessage Channel::encode_down(const nn::ParamBlob& blob) const {
-  obs::PhaseTimer encode_phase(obs::Phase::kEncode);
-  FP_TRACE_SCOPE("encode_down", "comm");
-  const bool dense = !cfg_.compress_downlink ||
-                     codec_->kind() == CodecKind::kIdentity ||
-                     codec_->kind() == CodecKind::kTopK;
-  if (dense) return IdentityCodec().encode(blob);
-  return codec_->encode(blob, nullptr);
-}
-
-WireMessage Channel::encode_up(const nn::ParamBlob& blob,
-                               const nn::ParamBlob* ref) const {
-  obs::PhaseTimer encode_phase(obs::Phase::kEncode);
-  FP_TRACE_SCOPE("encode_up", "comm");
-  if (codec_->kind() == CodecKind::kIdentity)
-    return IdentityCodec().encode(blob);
-  return codec_->encode(blob, ref);
-}
-
-nn::ParamBlob Channel::decode(const WireMessage& msg,
-                              const nn::ParamBlob* ref) const {
+/// Decodes any message by its own codec kind — messages are self-describing,
+/// so the receiver needs no channel or codec agreement. `ref` must be the
+/// reference blob the encoder used (nullptr for none).
+nn::ParamBlob decode(const WireMessage& msg, const nn::ParamBlob* ref) {
   obs::PhaseTimer encode_phase(obs::Phase::kEncode);
   FP_TRACE_SCOPE("decode", "comm");
   switch (msg.kind) {
@@ -81,9 +28,117 @@ nn::ParamBlob Channel::decode(const WireMessage& msg,
     case CodecKind::kTopK:
       // The fraction only steers encode-side selection; decode reads the
       // kept pairs and the delta flag off the message itself.
-      return TopKCodec(cfg_.topk_fraction, msg.delta).decode(msg, ref);
+      return TopKCodec(1.0, msg.delta).decode(msg, ref);
   }
-  throw std::invalid_argument("Channel::decode: unknown codec kind");
+  throw std::invalid_argument("Channel: unknown codec kind on the wire");
+}
+
+}  // namespace
+
+CaptureScope::CaptureScope() : prev_(g_capture) { g_capture = this; }
+CaptureScope::~CaptureScope() { g_capture = prev_; }
+
+Channel::Channel(const CommConfig& cfg)
+    : cfg_(cfg), codec_(make_codec(cfg)), net_(cfg.model_network) {}
+
+nn::ParamBlob Channel::downlink(nn::ParamBlob blob,
+                                std::int64_t* wire_bytes) const {
+  obs::PhaseTimer encode_phase(obs::Phase::kEncode);
+  FP_TRACE_SCOPE_ARG("downlink", "comm", "floats",
+                     static_cast<std::int64_t>(blob.size()));
+  const bool dense = !cfg_.compress_downlink ||
+                     codec_->kind() == CodecKind::kIdentity ||
+                     codec_->kind() == CodecKind::kTopK;
+  return transfer(dense ? nullptr : codec_.get(), std::move(blob), nullptr,
+                  wire_bytes);
+}
+
+nn::ParamBlob Channel::uplink(nn::ParamBlob blob, const nn::ParamBlob* ref,
+                              std::int64_t* wire_bytes) const {
+  obs::PhaseTimer encode_phase(obs::Phase::kEncode);
+  FP_TRACE_SCOPE_ARG("uplink", "comm", "floats",
+                     static_cast<std::int64_t>(blob.size()));
+  const bool dense = codec_->kind() == CodecKind::kIdentity;
+  return transfer(dense ? nullptr : codec_.get(), std::move(blob), ref,
+                  wire_bytes);
+}
+
+nn::ParamBlob Channel::transfer(const BlobCodec* codec, nn::ParamBlob blob,
+                                const nn::ParamBlob* ref,
+                                std::int64_t* wire_bytes) {
+  if (g_capture) {
+    WireMessage msg =
+        codec ? codec->encode(blob, ref) : IdentityCodec().encode(blob);
+    if (wire_bytes) *wire_bytes += msg.wire_bytes();
+    if (codec) blob = codec->decode(msg, ref);
+    g_capture->msgs_.push_back(std::move(msg));
+    return blob;
+  }
+  if (!codec) {
+    // Identity framing: skip the encode/decode copy, the bytes are the
+    // dense fp32 payload either way and the values are bit-identical.
+    if (wire_bytes)
+      *wire_bytes += static_cast<std::int64_t>(blob.size() * sizeof(float) +
+                                               WireMessage::kHeaderBytes);
+    return blob;
+  }
+  const WireMessage msg = codec->encode(blob, ref);
+  if (wire_bytes) *wire_bytes += msg.wire_bytes();
+  return codec->decode(msg, ref);
+}
+
+// ---- StateIO ----------------------------------------------------------------
+
+void StateIO::operator()(bool& v) {
+  if (in_)
+    v = in_->u8() != 0;
+  else
+    out_->u8(v ? 1 : 0);
+}
+void StateIO::operator()(float& v) {
+  if (in_)
+    v = in_->f32();
+  else
+    out_->f32(v);
+}
+void StateIO::operator()(double& v) {
+  if (in_)
+    v = in_->f64();
+  else
+    out_->f64(v);
+}
+void StateIO::operator()(std::int64_t& v) {
+  if (in_)
+    v = in_->i64();
+  else
+    out_->i64(v);
+}
+void StateIO::operator()(std::uint64_t& v) {
+  if (in_)
+    v = in_->u64();
+  else
+    out_->u64(v);
+}
+
+void StateIO::msg(nn::ParamBlob& blob, const nn::ParamBlob* ref) {
+  if (in_) {
+    blob = decode(in_->wire_msg(), ref);
+    return;
+  }
+  if (next_ >= captured_->size() ||
+      (*captured_)[next_].num_elems != blob.size())
+    throw std::logic_error(
+        "StateIO: blob " + std::to_string(next_) +
+        " does not match the channel's captured messages (state functions "
+        "must emit blobs in the order the channel carried them)");
+  out_->wire_msg((*captured_)[next_++]);
+}
+
+void StateIO::finish() const {
+  if (next_ != captured_->size())
+    throw std::logic_error("StateIO: " + std::to_string(next_) + " of " +
+                           std::to_string(captured_->size()) +
+                           " captured messages written");
 }
 
 }  // namespace fp::comm

@@ -36,6 +36,7 @@ void FrameWriter::wire_msg(const WireMessage& msg) {
 // ---- FrameReader ------------------------------------------------------------
 
 void FrameReader::raw(void* p, std::size_t n) {
+  if (n == 0) return;  // empty containers may have null data pointers
   if (size_ - off_ < n) throw WireError("frame truncated");
   std::memcpy(p, p_ + off_, n);
   off_ += n;

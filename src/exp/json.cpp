@@ -160,14 +160,4 @@ FlatJson parse_json_relaxed(const std::string& text) {
   return Parser(text, /*allow_arrays=*/true).parse();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace fp::exp

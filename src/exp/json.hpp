@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace fp::exp {
 
 /// One flattened leaf: dotted key path -> scalar literal. String values are
@@ -28,7 +30,7 @@ FlatJson parse_json_object(const std::string& text);
 /// artifacts like Chrome trace JSON with the same parser.
 FlatJson parse_json_relaxed(const std::string& text);
 
-/// Escapes `s` for embedding in a JSON string literal (quotes not included).
-std::string json_escape(const std::string& s);
+/// JSON string escaping: the one copy lives in obs (its lowest caller).
+using obs::json_escape;
 
 }  // namespace fp::exp

@@ -442,16 +442,6 @@ std::vector<KeyDef> build_schema() {
                 [](ExperimentSpec& s) -> std::int64_t& {
                   return s.net_workers;
                 }));
-  add(string_key(
-      "net.codec",
-      "upload form on the wire: auto (ship comm.codec's encoding) or "
-      "identity (dense fp32)",
-      [](ExperimentSpec& s) -> std::string& { return s.net_codec; },
-      [](const std::string& v) {
-        if (v != "auto" && v != "identity")
-          throw SpecError(
-              unknown_name_message("net.codec", v, {"auto", "identity"}));
-      }));
   add(field_key("net.timeout_s",
                 "root-side receive timeout per frame (seconds; <= 0 = none)",
                 [](ExperimentSpec& s) -> double& { return s.net_timeout_s; }));

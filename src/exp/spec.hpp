@@ -70,8 +70,6 @@ struct ExperimentSpec {
   std::string net_host = "127.0.0.1";  ///< root endpoint host
   std::int64_t net_port = 7171;     ///< root endpoint port (0 = ephemeral)
   std::int64_t net_workers = 2;     ///< workers the root waits for
-  std::string net_codec = "auto";   ///< auto = ship comm.codec's encoding;
-                                    ///< identity = dense fp32 uploads
   double net_timeout_s = 120.0;     ///< root-side per-frame receive timeout
   double net_retry_s = 10.0;        ///< worker connect retry window (seconds)
 

@@ -4,8 +4,12 @@
 
 namespace fp::fed {
 
-FederatedAlgorithm::FederatedAlgorithm(FedEnv& env, FlConfig cfg)
-    : env_(&env), cfg_(cfg), engine_(std::make_unique<RoundEngine>(env, cfg_)) {}
+FederatedAlgorithm::FederatedAlgorithm(FedEnv& env, FlConfig cfg,
+                                       std::uint64_t client_stream_base)
+    : env_(&env),
+      cfg_(cfg),
+      clients_(env, cfg_.seed, client_stream_base),
+      engine_(std::make_unique<RoundEngine>(env, cfg_)) {}
 
 FederatedAlgorithm::~FederatedAlgorithm() = default;
 

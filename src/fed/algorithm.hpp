@@ -13,6 +13,7 @@
 
 #include "attack/evaluate.hpp"
 #include "fed/aggregator.hpp"
+#include "fed/client_pool.hpp"
 #include "fed/env.hpp"
 #include "fed/runtime/engine.hpp"
 
@@ -20,7 +21,10 @@ namespace fp::fed {
 
 class FederatedAlgorithm : public RoundMethod {
  public:
-  FederatedAlgorithm(FedEnv& env, FlConfig cfg);
+  /// Client k's runtime streams are seeded from cfg.seed +
+  /// client_stream_base + k (ClientPool).
+  FederatedAlgorithm(FedEnv& env, FlConfig cfg,
+                     std::uint64_t client_stream_base = 5000);
   ~FederatedAlgorithm() override;
 
   virtual std::string name() const = 0;
@@ -39,6 +43,10 @@ class FederatedAlgorithm : public RoundMethod {
   const History& history() const { return history_; }
   const TimeBreakdown& sim_time() const { return sim_time_; }
   RoundEngine& engine() { return *engine_; }
+  /// Per-client runtime state. Methods bracket each dispatch with
+  /// begin_round (begin_dispatch) and end_round (finalize_round); a
+  /// distributed worker brackets each group over the tasks it owns.
+  ClientPool& clients() { return clients_; }
   const RoundStats& last_round_stats() const { return last_stats_; }
   /// Dispatch/apply/drop counters accumulated over every round so far
   /// (time stays zero here — the running clock is sim_time()).
@@ -57,6 +65,7 @@ class FederatedAlgorithm : public RoundMethod {
 
   FedEnv* env_;
   FlConfig cfg_;
+  ClientPool clients_;
   History history_;
   TimeBreakdown sim_time_;
   RoundStats last_stats_;

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "obs/trace.hpp"
+
 namespace fp::fed {
 
 namespace {
@@ -15,16 +17,6 @@ std::FILE* open_creating_dirs(const std::string& path) {
     std::filesystem::create_directories(p.parent_path(), ec);
   if (ec) return nullptr;
   return std::fopen(path.c_str(), "w");
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -54,7 +46,7 @@ bool write_history_json(const std::string& path, const std::string& method,
   std::FILE* f = open_creating_dirs(path);
   if (!f) return false;
   std::fprintf(f, "{\"method\": \"%s\", \"history\": [",
-               json_escape(method).c_str());
+               obs::json_escape(method).c_str());
   for (std::size_t i = 0; i < history.size(); ++i) {
     const auto& rec = history[i];
     std::fprintf(f,

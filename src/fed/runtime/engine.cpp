@@ -1,6 +1,7 @@
 #include "fed/runtime/engine.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "fed/runtime/scheduler.hpp"
 #include "mem/arena.hpp"
@@ -9,66 +10,10 @@
 
 namespace fp::fed {
 
-// ---- RoundMethod distributed-runtime hooks ----------------------------------
-
-namespace {
-[[noreturn]] void not_net_capable() {
-  throw std::logic_error(
-      "this method does not implement the distributed runtime's net_* hooks "
-      "(net_capable() is false)");
-}
-}  // namespace
-
-void RoundMethod::net_save_context(comm::FrameWriter&) const {
-  not_net_capable();
-}
-void RoundMethod::net_load_context(comm::FrameReader&) { not_net_capable(); }
-void RoundMethod::net_begin_group(const std::vector<TaskSpec>&) {}
-void RoundMethod::net_end_group() {}
-void RoundMethod::net_encode_upload(const Upload&, comm::FrameWriter&) const {
-  not_net_capable();
-}
-Upload RoundMethod::net_decode_upload(const TaskSpec&, comm::FrameReader&) {
-  not_net_capable();
-}
-void RoundMethod::net_custom_op(std::uint32_t, comm::FrameReader&, std::size_t,
-                                comm::FrameWriter&) {
-  not_net_capable();
-}
-void RoundMethod::net_set_worker_mode(bool) {}
-
-void RoundMethod::write_upload_base(const Upload& up, comm::FrameWriter& out) {
-  out.u64(up.work.atom_begin);
-  out.u64(up.work.atom_end);
-  out.u8(up.work.with_aux ? 1 : 0);
-  out.i64(up.work.pgd_steps);
-  out.f64(up.work.mem_scale);
-  out.f64(up.work.flops_scale);
-  out.i64(up.work.planned_mem_bytes);
-  out.i64(up.work.budget_mem_bytes);
-  out.f64(up.work.recompute_fwd_frac);
-  out.f32(up.weight);
-  out.i64(up.bytes_down);
-  out.i64(up.bytes_up);
-  out.i64(up.peak_mem_bytes);
-  out.u8(up.over_budget ? 1 : 0);
-}
-
-void RoundMethod::read_upload_base(Upload& up, comm::FrameReader& in) {
-  up.work.atom_begin = in.u64();
-  up.work.atom_end = in.u64();
-  up.work.with_aux = in.u8() != 0;
-  up.work.pgd_steps = static_cast<int>(in.i64());
-  up.work.mem_scale = in.f64();
-  up.work.flops_scale = in.f64();
-  up.work.planned_mem_bytes = in.i64();
-  up.work.budget_mem_bytes = in.i64();
-  up.work.recompute_fwd_frac = in.f64();
-  up.weight = in.f32();
-  up.bytes_down = in.i64();
-  up.bytes_up = in.i64();
-  up.peak_mem_bytes = in.i64();
-  up.over_budget = in.u8() != 0;
+void NetMethod::net_custom_op(std::uint32_t op, comm::FrameReader&,
+                              std::size_t, comm::FrameWriter&) {
+  throw std::logic_error("this method has no net custom op " +
+                         std::to_string(op));
 }
 
 RoundEngine::RoundEngine(FedEnv& env, const FlConfig& cfg)

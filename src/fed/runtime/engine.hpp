@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "comm/channel.hpp"
-#include "comm/wire.hpp"
 #include "fed/churn.hpp"
 #include "fed/config.hpp"
 #include "fed/env.hpp"
@@ -116,46 +115,6 @@ class RoundMethod : public ClientTaskFactory, public UpdateApplier {
   virtual const sys::ModelSpec& time_spec(const FedEnv& env) const {
     return env.cost_spec;
   }
-
-  // ---- Distributed-runtime hooks (src/net/, DESIGN.md §10) ----------------
-  // A net-capable method can split one dispatch across processes: the root
-  // serializes its per-round context (broadcast WireMessages + scalars), a
-  // worker installs it and runs train_client for its owned tasks, and the
-  // finished uploads travel back as the channel-encoded WireMessages the
-  // worker captured — which the root decodes against its own broadcast
-  // references, reproducing exactly what the fused single-process uplink
-  // would have handed apply_update. Defaults throw: the net layer refuses
-  // methods that don't implement the codecs.
-
-  /// True when the net_* hooks below are implemented (jFAT/FedAvg,
-  /// FedProphet).
-  virtual bool net_capable() const { return false; }
-  /// Root: serialize the dispatch context workers need. Called after
-  /// begin_dispatch, once per dispatch group.
-  virtual void net_save_context(comm::FrameWriter& out) const;
-  /// Worker: install a received dispatch context (the counterpart of
-  /// begin_dispatch's snapshot work; per-client pool bookkeeping runs in
-  /// net_begin_group over the worker's OWNED tasks only).
-  virtual void net_load_context(comm::FrameReader& in);
-  /// Worker: dispatch-lifecycle bracket around one received group.
-  virtual void net_begin_group(const std::vector<TaskSpec>& owned_tasks);
-  virtual void net_end_group();
-  /// Worker -> root: one finished upload as a frame (base scalars via
-  /// write_upload_base, then the method's payload).
-  virtual void net_encode_upload(const Upload& up,
-                                 comm::FrameWriter& out) const;
-  /// Root <- worker: the inverse of net_encode_upload.
-  virtual Upload net_decode_upload(const TaskSpec& task, comm::FrameReader& in);
-  /// Worker: method-specific auxiliary op (RemoteDispatcher::run_custom).
-  virtual void net_custom_op(std::uint32_t op, comm::FrameReader& ctx,
-                             std::size_t client, comm::FrameWriter& out);
-  /// Worker harness toggle: in worker mode train_client stages the encoded
-  /// WireMessages for upload instead of (or alongside) decoded blobs.
-  virtual void net_set_worker_mode(bool on);
-
-  /// Everything in an Upload except the payload, in a fixed field order.
-  static void write_upload_base(const Upload& up, comm::FrameWriter& out);
-  static void read_upload_base(Upload& up, comm::FrameReader& in);
 };
 
 /// What one engine round did (one barrier round, or one async aggregation
@@ -206,14 +165,9 @@ class RoundEngine {
   /// uplink concurrently from train_client.
   const comm::Channel& channel() const { return channel_; }
 
-  /// The distributed dispatcher of a root run (nullptr otherwise). Owned by
-  /// the net layer, carried on the environment.
+  /// The distributed dispatcher of a root run, with its workers connected
+  /// (nullptr otherwise). Owned by the net layer, carried on the environment.
   RemoteDispatcher* remote() const { return env_->remote; }
-  /// True on a distributed root with at least one connected worker: methods
-  /// use this to capture encoded broadcasts for net_save_context.
-  bool remote_active() const {
-    return env_->remote != nullptr && env_->remote->num_workers() > 0;
-  }
 
   float lr_at(std::int64_t t) const {
     return cfg_.lr0 * std::pow(cfg_.lr_decay, static_cast<float>(t));

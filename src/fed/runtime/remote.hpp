@@ -8,11 +8,18 @@
 // through the root's own broadcast references, so aggregation is
 // bit-identical to the single-process run. src/net/ implements this
 // interface over TCP; everything above it is transport-agnostic.
+//
+// A method runs distributed by also implementing NetMethod: one symmetric
+// function for its dispatch state and one for its upload payload. The
+// channel captures the encoded messages at both ends (comm::CaptureScope),
+// so a method carries no wire-format code of its own.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "comm/channel.hpp"
 
 namespace fp::fed {
 
@@ -20,19 +27,48 @@ class RoundMethod;
 struct TaskSpec;
 struct Upload;
 
+/// A method that can split a dispatch across processes (DESIGN.md §10).
+/// serve_root/run_worker detect it with dynamic_cast.
+class NetMethod {
+ public:
+  /// The dispatch state train_client reads. The root writes it once per
+  /// dispatch after begin_dispatch (blobs as the broadcast messages
+  /// begin_dispatch's downlinks encoded); a worker reads it in place of
+  /// begin_dispatch before training its owned tasks.
+  virtual void net_state(comm::StateIO& io) = 0;
+
+  /// One upload's payload. A worker writes it after train_client (blobs as
+  /// the messages its uplinks encoded); the root reads it, decoding against
+  /// its own broadcast references, into what the fused uplink would have
+  /// handed apply_update. The Upload's base fields travel separately.
+  virtual void net_upload(Upload& up, comm::StateIO& io) = 0;
+
+  /// Worker: method-specific auxiliary op (RemoteDispatcher::run_custom).
+  /// The default rejects every op.
+  virtual void net_custom_op(std::uint32_t op, comm::FrameReader& ctx,
+                             std::size_t client, comm::FrameWriter& out);
+
+ protected:
+  ~NetMethod() = default;
+};
+
 class RemoteDispatcher {
  public:
   virtual ~RemoteDispatcher() = default;
 
-  /// Connected workers. Client k of every dispatch is owned by worker
-  /// (k % num_workers()): sticky ownership keeps each client's persistent
-  /// state (RNG stream, shuffling batch iterator) advancing on exactly one
-  /// worker, which is what makes distributed runs hash-match single-process.
-  virtual std::size_t num_workers() const = 0;
+  /// Runs m.begin_dispatch(tasks) with its downlinks captured and records
+  /// the method's dispatch state for the groups that follow. A dispatch
+  /// that reuses the previous snapshot (no downlink) ships the previous
+  /// dispatch's messages.
+  virtual void begin_dispatch(RoundMethod& m,
+                              const std::vector<TaskSpec>& tasks) = 0;
 
-  /// Ships tasks[begin, end) to their owning workers (context from
-  /// m.net_save_context, uploads back through m.net_decode_upload), filling
-  /// uploads[i - begin] for every i. Returns the group's measured transfer
+  /// Ships tasks[begin, end) and the dispatch state to their owning
+  /// workers (client k -> worker k % W: sticky ownership keeps each
+  /// client's RNG stream and shuffling batch iterator advancing on exactly
+  /// one worker, which is what makes distributed runs hash-match
+  /// single-process), filling uploads[i - begin] for every i (payloads read back
+  /// through NetMethod::net_upload). Returns the group's measured transfer
   /// seconds: group wall time minus the slowest worker's self-reported
   /// compute time — the number the modeled comm_s is checked against.
   /// Throws net::NetError when a worker disconnects or times out mid-group.
@@ -42,18 +78,11 @@ class RemoteDispatcher {
 
   /// Method-specific auxiliary fan-out (e.g. FedProphet's ||Delta z|| probe):
   /// ships (op, ctx) to the owners of `clients` — each owner runs
-  /// m.net_custom_op per owned client — and returns one result frame per
-  /// client, in the order of `clients`.
+  /// NetMethod::net_custom_op per owned client — and returns one result
+  /// frame per client, in the order of `clients`.
   virtual std::vector<std::vector<std::uint8_t>> run_custom(
       std::uint32_t op, const std::vector<std::uint8_t>& ctx,
       const std::vector<std::size_t>& clients) = 0;
-
-  /// Real socket byte counters (sum over worker connections) and the
-  /// cumulative measured transfer seconds — what the [net] summary reports
-  /// next to the modeled bytes/comm_s.
-  virtual std::int64_t tx_bytes() const = 0;
-  virtual std::int64_t rx_bytes() const = 0;
-  virtual double measured_comm_s() const = 0;
 };
 
 }  // namespace fp::fed

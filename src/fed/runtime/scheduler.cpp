@@ -44,7 +44,10 @@ RoundStats SyncScheduler::run_round(RoundEngine& eng, RoundMethod& m,
   {
     obs::PhaseTimer train_phase(obs::Phase::kTrain);
     FP_TRACE_SCOPE("begin_dispatch", "engine");
-    m.begin_dispatch(tasks);
+    if (RemoteDispatcher* remote = eng.remote())
+      remote->begin_dispatch(m, tasks);
+    else
+      m.begin_dispatch(tasks);
   }
 
   const std::size_t n = tasks.size();
@@ -80,14 +83,13 @@ RoundStats SyncScheduler::run_round(RoundEngine& eng, RoundMethod& m,
       obs::PhaseTimer train_phase(obs::Phase::kTrain);
       FP_TRACE_SCOPE_ARG("wave", "engine", "group",
                          static_cast<std::int64_t>(g));
-      if (eng.remote_active()) {
+      if (RemoteDispatcher* remote = eng.remote()) {
         // Distributed root (DESIGN.md §10): the group trains on the connected
         // workers. The dispatcher returns the same slot-ordered uploads the
         // local loop would have produced (decoded against this process's own
         // broadcast references), so everything below — byte accounting, sim
         // time, apply order — is unchanged and the round is bit-identical.
-        st.measured_comm_s +=
-            eng.remote()->run_group(m, tasks, begin, end, uploads);
+        st.measured_comm_s += remote->run_group(m, tasks, begin, end, uploads);
       } else {
         core::parallel_tasks(static_cast<std::int64_t>(end - begin),
                              [&](std::int64_t ti) {
@@ -160,7 +162,7 @@ void AsyncScheduler::dispatch(RoundEngine& eng, RoundMethod& m, std::int64_t t,
                               std::int64_t count, RoundStats& st) {
   // The net layer validates this up front (fp_run exits with a SpecError);
   // this guard catches direct engine users.
-  if (eng.remote_active())
+  if (eng.remote())
     throw std::runtime_error(
         "distributed runtime: the async scheduler is not supported "
         "(net.role=root requires fl.scheduler=sync)");

@@ -9,7 +9,9 @@
 namespace fp::fedprophet {
 
 FedProphet::FedProphet(fed::FedEnv& env, FedProphetConfig cfg)
-    : FederatedAlgorithm(env, cfg.fl),
+    // Client streams Rng(seed + 1000 + k): the historical FedProphet seeds,
+    // distinct from the baselines' 5000.
+    : FederatedAlgorithm(env, cfg.fl, /*client_stream_base=*/1000),
       init_rng_(cfg.fl.seed ^ 0xfedbeef),
       cfg2_(std::move(cfg)),
       model_(cfg2_.model_spec, init_rng_),
@@ -18,7 +20,6 @@ FedProphet::FedProphet(fed::FedEnv& env, FedProphetConfig cfg)
                                         cfg2_.fl.batch_size),
                init_rng_),
       apa_(cfg2_.alpha_init, cfg2_.delta_alpha, cfg2_.gamma, cfg2_.apa),
-      clients_(env, cfg2_.fl.seed, /*stream_base=*/1000),
       acc_(model_) {
   acc_.reset();
   aux_acc_.resize(cascade_.num_modules());
@@ -32,8 +33,6 @@ data::BatchIterator& FedProphet::client_batches(std::size_t k) {
 }
 
 float FedProphet::current_epsilon() const {
-  // Worker replicas have no APA state: eps arrives with the dispatch context.
-  if (net_ctx_) return net_eps_;
   // Module 1 always trains at the fixed input budget eps_0 (paper footnote 3).
   if (stage_ == 0) return cfg2_.fl.epsilon0;
   return apa_.epsilon();
@@ -47,6 +46,7 @@ std::int64_t FedProphet::input_dim_of_stage() const {
 void FedProphet::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
   clients_.begin_round(tasks);
   round_lr_ = tasks.empty() ? lr_at(global_round_) : tasks.front().lr;
+  round_eps_ = current_epsilon();
 
   // Minimum available performance among the cohort (Eq. 15): the last
   // clients_per_round dispatched devices. A sync barrier round dispatches
@@ -74,27 +74,11 @@ void FedProphet::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
     const std::size_t num_modules = cascade_.num_modules();
     const auto& channel = engine().channel();
     broadcast_bytes_ = 0;
-    if (engine().remote_active()) {
-      // Distributed root: capture the encoded broadcast so net_save_context
-      // ships the exact messages; decoding them here is bit- and
-      // byte-identical to the fused downlink both ends run single-process.
-      net_bcast_msg_ = channel.encode_down(model_.save_all());
-      broadcast_bytes_ += net_bcast_msg_.wire_bytes();
-      broadcast_ = channel.decode(net_bcast_msg_);
-      net_aux_msgs_.assign(num_modules, {});
-      broadcast_aux_.assign(num_modules, {});
-      for (std::size_t j = stage_; j < num_modules; ++j) {
-        net_aux_msgs_[j] = channel.encode_down(cascade_.save_aux(j));
-        broadcast_bytes_ += net_aux_msgs_[j].wire_bytes();
-        broadcast_aux_[j] = channel.decode(net_aux_msgs_[j]);
-      }
-    } else {
-      broadcast_ = channel.downlink(model_.save_all(), &broadcast_bytes_);
-      broadcast_aux_.assign(num_modules, {});
-      for (std::size_t j = stage_; j < num_modules; ++j)
-        broadcast_aux_[j] = channel.downlink(cascade_.save_aux(j),
-                                             &broadcast_bytes_);
-    }
+    broadcast_ = channel.downlink(model_.save_all(), &broadcast_bytes_);
+    broadcast_aux_.assign(num_modules, {});
+    for (std::size_t j = stage_; j < num_modules; ++j)
+      broadcast_aux_[j] =
+          channel.downlink(cascade_.save_aux(j), &broadcast_bytes_);
     rebuild_atom_slices();
   }
 }
@@ -113,7 +97,6 @@ void FedProphet::rebuild_atom_slices() {
 
 fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   const std::size_t num_modules = cascade_.num_modules();
-  const float eps = current_epsilon();
   const std::size_t k = task.client;
   Rng build_rng(0);  // replica init is overwritten by the global snapshot
   models::BuiltModel local_model(model_.spec(), build_rng);
@@ -169,7 +152,7 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   tcfg.module_begin = stage_;
   tcfg.module_end = module_end;
   tcfg.mu = cfg2_.mu;
-  tcfg.eps_in = eps;
+  tcfg.eps_in = round_eps_;
   tcfg.pgd_steps = cfg2_.fl.pgd_steps;
   tcfg.sgd = cfg2_.fl.sgd;
   tcfg.sgd.lr = round_lr_;
@@ -185,30 +168,6 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   const auto& channel = engine().channel();
   up.weight = task.weight;
   up.bytes_down = broadcast_bytes_;
-  if (net_worker_) {
-    // Worker mode: stage the ENCODED messages — the root decodes them
-    // against its identical broadcast slices, so the aggregated blobs match
-    // the fused uplink bit-for-bit without assuming codec idempotence.
-    NetPayload np;
-    np.atom_begin = trainer.atom_begin();
-    np.atom_end = trainer.atom_end();
-    np.module_end = module_end;
-    np.atoms.reserve(np.atom_end - np.atom_begin);
-    for (std::size_t a = np.atom_begin; a < np.atom_end; ++a) {
-      comm::WireMessage msg =
-          channel.encode_up(local_model.save_atom(a), &broadcast_atoms_[a]);
-      up.bytes_up += msg.wire_bytes();
-      np.atoms.push_back(std::move(msg));
-    }
-    if (local_cascade.aux_head(module_end - 1)) {
-      np.has_aux = true;
-      np.aux = channel.encode_up(local_cascade.save_aux(module_end - 1),
-                                 &broadcast_aux_[module_end - 1]);
-      up.bytes_up += np.aux.wire_bytes();
-    }
-    up.payload = std::move(np);
-    return up;
-  }
   Payload p;
   p.atom_begin = trainer.atom_begin();
   p.atom_end = trainer.atom_end();
@@ -281,7 +240,7 @@ void FedProphet::fix_current_module() {
   const auto probe = std::min<std::size_t>(
       static_cast<std::size_t>(env_->num_clients()),
       5);  // a handful of clients suffices
-  if (engine().remote_active()) {
+  if (fed::RemoteDispatcher* remote = engine().remote()) {
     // The probed clients' data iterators and RNG streams live on their
     // owning workers: fan the probe out as a custom op and sum the per-client
     // statistics in client order, exactly as the local loop below does.
@@ -293,7 +252,7 @@ void FedProphet::fix_current_module() {
     std::vector<std::size_t> clients(probe);
     for (std::size_t k = 0; k < probe; ++k) clients[k] = k;
     const auto frames =
-        engine().remote()->run_custom(kNetOpProbeDz, ctx.data(), clients);
+        remote->run_custom(kNetOpProbeDz, ctx.data(), clients);
     for (const auto& frame : frames) {
       comm::FrameReader in(frame);
       mean_dz += in.f64();
@@ -326,88 +285,33 @@ void FedProphet::fix_current_module() {
   rec.mean_dz_per_dim = mean_dz_dim;
 }
 
-// ---- Distributed-runtime hooks (DESIGN.md §10) ------------------------------
+// ---- Distributed runtime (fed::NetMethod, DESIGN.md §10) --------------------
 
-void FedProphet::net_save_context(comm::FrameWriter& out) const {
-  out.u64(static_cast<std::uint64_t>(stage_));
-  out.f32(current_epsilon());
-  out.f64(perf_min_);
-  out.f32(round_lr_);
-  out.i64(broadcast_bytes_);
-  out.wire_msg(net_bcast_msg_);
-  for (std::size_t j = stage_; j < cascade_.num_modules(); ++j)
-    out.wire_msg(net_aux_msgs_[j]);
-}
-
-void FedProphet::net_load_context(comm::FrameReader& in) {
-  const auto& channel = engine().channel();
-  stage_ = static_cast<std::size_t>(in.u64());
-  net_eps_ = in.f32();
-  net_ctx_ = true;
-  perf_min_ = in.f64();
-  round_lr_ = in.f32();
-  broadcast_bytes_ = in.i64();
-  broadcast_ = channel.decode(in.wire_msg());
+void FedProphet::net_state(comm::StateIO& io) {
+  io(stage_);
+  io(round_eps_);
+  io(perf_min_);
+  io(round_lr_);
+  io(broadcast_bytes_);
+  io.msg(broadcast_);
   const std::size_t num_modules = cascade_.num_modules();
-  broadcast_aux_.assign(num_modules, {});
-  for (std::size_t j = stage_; j < num_modules; ++j)
-    broadcast_aux_[j] = channel.decode(in.wire_msg());
-  rebuild_atom_slices();
+  if (io.reading()) broadcast_aux_.assign(num_modules, {});
+  for (std::size_t j = stage_; j < num_modules; ++j) io.msg(broadcast_aux_[j]);
+  if (io.reading()) rebuild_atom_slices();
 }
 
-void FedProphet::net_begin_group(const std::vector<fed::TaskSpec>& owned) {
-  // Pool bookkeeping over the OWNED tasks only: this worker's per-client
-  // dispatch counts advance exactly as the single-process run's do.
-  clients_.begin_round(owned);
-}
-
-void FedProphet::net_end_group() { clients_.end_round(); }
-
-void FedProphet::net_encode_upload(const fed::Upload& up,
-                                   comm::FrameWriter& out) const {
-  write_upload_base(up, out);
-  if (up.payload.type() == typeid(NetPayload)) {
-    const auto& p = std::any_cast<const NetPayload&>(up.payload);
-    out.u64(p.atom_begin);
-    out.u64(p.atom_end);
-    out.u64(p.module_end);
-    out.u8(1);  // channel-encoded payload
-    for (const auto& msg : p.atoms) out.wire_msg(msg);
-    out.u8(p.has_aux ? 1 : 0);
-    if (p.has_aux) out.wire_msg(p.aux);
-  } else {
-    const auto& p = std::any_cast<const Payload&>(up.payload);
-    out.u64(p.atom_begin);
-    out.u64(p.atom_end);
-    out.u64(p.module_end);
-    out.u8(0);  // dense fp32 payload (net.codec=identity)
-    for (const auto& blob : p.atoms) out.blob(blob);
-    out.u8(p.aux.empty() ? 0 : 1);
-    if (!p.aux.empty()) out.blob(p.aux);
-  }
-}
-
-fed::Upload FedProphet::net_decode_upload(const fed::TaskSpec& /*task*/,
-                                          comm::FrameReader& in) {
-  fed::Upload up;
-  read_upload_base(up, in);
-  Payload p;
-  p.atom_begin = static_cast<std::size_t>(in.u64());
-  p.atom_end = static_cast<std::size_t>(in.u64());
-  p.module_end = static_cast<std::size_t>(in.u64());
-  const bool encoded = in.u8() != 0;
-  const auto& channel = engine().channel();
-  p.atoms.reserve(p.atom_end - p.atom_begin);
+void FedProphet::net_upload(fed::Upload& up, comm::StateIO& io) {
+  if (io.reading()) up.payload = Payload{};
+  auto& p = std::any_cast<Payload&>(up.payload);
+  io(p.atom_begin);
+  io(p.atom_end);
+  io(p.module_end);
+  bool has_aux = !p.aux.empty();
+  io(has_aux);
+  p.atoms.resize(p.atom_end - p.atom_begin);
   for (std::size_t a = p.atom_begin; a < p.atom_end; ++a)
-    p.atoms.push_back(encoded
-                          ? channel.decode(in.wire_msg(), &broadcast_atoms_[a])
-                          : in.blob());
-  if (in.u8() != 0)
-    p.aux = encoded ? channel.decode(in.wire_msg(),
-                                     &broadcast_aux_[p.module_end - 1])
-                    : in.blob();
-  up.payload = std::move(p);
-  return up;
+    io.msg(p.atoms[a - p.atom_begin], &broadcast_atoms_[a]);
+  if (has_aux) io.msg(p.aux, &broadcast_aux_[p.module_end - 1]);
 }
 
 void FedProphet::net_custom_op(std::uint32_t op, comm::FrameReader& ctx,

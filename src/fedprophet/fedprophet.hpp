@@ -16,7 +16,6 @@
 
 #include "cascade/trainer.hpp"
 #include "fed/algorithm.hpp"
-#include "fed/client_pool.hpp"
 #include "fedprophet/coordinator.hpp"
 
 namespace fp::fedprophet {
@@ -41,7 +40,8 @@ struct FedProphetConfig {
   std::int64_t val_samples = 256;     ///< validation subset for C_m / A_m
 };
 
-class FedProphet final : public fed::FederatedAlgorithm {
+class FedProphet final : public fed::FederatedAlgorithm,
+                         public fed::NetMethod {
  public:
   FedProphet(fed::FedEnv& env, FedProphetConfig cfg);
 
@@ -80,16 +80,6 @@ class FedProphet final : public fed::FederatedAlgorithm {
     nn::ParamBlob aux;
   };
 
-  /// Worker-mode wire payload: the same structure as Payload, but each blob
-  /// is still the channel-encoded WireMessage captured at uplink time (the
-  /// root decodes against its own broadcast slices).
-  struct NetPayload {
-    std::size_t atom_begin = 0, atom_end = 0, module_end = 0;
-    std::vector<comm::WireMessage> atoms;
-    bool has_aux = false;
-    comm::WireMessage aux;
-  };
-
   /// RemoteDispatcher custom op: the fix_current_module ||Delta z|| probe.
   static constexpr std::uint32_t kNetOpProbeDz = 1;
 
@@ -101,22 +91,14 @@ class FedProphet final : public fed::FederatedAlgorithm {
                     fed::ApplyMode mode, float mix) override;
   void finalize_round(std::int64_t t) override;
 
-  // Distributed-runtime hooks (DESIGN.md §10): context = stage + eps +
-  // perf_min + lr + the encoded broadcast (model and live aux heads);
-  // uploads are per-atom/aux WireMessages; the dz probe fans out as a
-  // custom op so worker-owned client streams advance exactly once.
-  bool net_capable() const override { return true; }
-  void net_save_context(comm::FrameWriter& out) const override;
-  void net_load_context(comm::FrameReader& in) override;
-  void net_begin_group(const std::vector<fed::TaskSpec>& owned) override;
-  void net_end_group() override;
-  void net_encode_upload(const fed::Upload& up,
-                         comm::FrameWriter& out) const override;
-  fed::Upload net_decode_upload(const fed::TaskSpec& task,
-                                comm::FrameReader& in) override;
+  // Distributed runtime (DESIGN.md §10): state = stage + eps + perf_min +
+  // lr + the broadcast (model and live aux heads); the upload payload is
+  // the trained atoms and aux head; the dz probe fans out as a custom op so
+  // worker-owned client streams advance exactly once.
+  void net_state(comm::StateIO& io) override;
+  void net_upload(fed::Upload& up, comm::StateIO& io) override;
   void net_custom_op(std::uint32_t op, comm::FrameReader& ctx,
                      std::size_t client, comm::FrameWriter& out) override;
-  void net_set_worker_mode(bool on) override { net_worker_ = on; }
   /// FedProphet prices its ClientWork on the trainable backbone (atom ranges
   /// index the cascade partition), not the paper-shape cost spec.
   const sys::ModelSpec& time_spec(const fed::FedEnv&) const override {
@@ -135,9 +117,6 @@ class FedProphet final : public fed::FederatedAlgorithm {
   models::BuiltModel model_;
   cascade::CascadeState cascade_;
   AdaptivePerturbation apa_;
-  /// Shared client runtime pool, stream base 1000 (the historical FedProphet
-  /// per-client seeds Rng(seed + 1000 + k), distinct from the baselines' 5000).
-  fed::ClientPool clients_;
   std::vector<StageRecord> stages_;
   std::vector<double> eps_trace_;
 
@@ -148,17 +127,11 @@ class FedProphet final : public fed::FederatedAlgorithm {
   std::vector<std::size_t> atom_blob_elems_;  ///< save_atom sizes (slicing)
   std::int64_t broadcast_bytes_ = 0;  ///< wire size of one client's download
   float round_lr_ = 0.0f;
+  float round_eps_ = 0.0f;  ///< current_epsilon() at begin_dispatch
   double perf_min_ = 1.0;  ///< Eq. 15's min available performance
   std::vector<double> perf_window_;  ///< last clients_per_round device speeds
   fed::PartialAccumulator acc_;
   std::vector<fed::BlobAverager> aux_acc_;
-
-  // Distributed runtime (DESIGN.md §10).
-  bool net_worker_ = false;   ///< stage encoded uplinks instead of blobs
-  bool net_ctx_ = false;      ///< a dispatch context has been loaded (worker)
-  float net_eps_ = 0.0f;      ///< eps from context: APA state lives root-side
-  comm::WireMessage net_bcast_msg_;  ///< root: the model broadcast as encoded
-  std::vector<comm::WireMessage> net_aux_msgs_;  ///< root: aux heads encoded
 
   std::size_t stage_ = 0;           ///< current module index m
   std::int64_t global_round_ = 0;   ///< t across all stages

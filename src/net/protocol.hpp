@@ -6,9 +6,9 @@
 //   worker -> root   kMsgHello        {version u32}
 //   root -> worker   kMsgWelcome      {version u32, rank u32, workers u32,
 //                                      resolved_spec_json str}
-//   root -> worker   kMsgGroup        {ctx bytes, ntasks u32, tasks...}
+//   root -> worker   kMsgGroup        {state bytes, ntasks u32, tasks...}
 //   worker -> root   kMsgGroupResult  {ntasks u32, compute_s f64,
-//                                      per-task upload bytes...}
+//                                      per-task {upload base, payload} bytes}
 //   root -> worker   kMsgCustom       {op u32, ctx bytes, n u32, clients u64...}
 //   worker -> root   kMsgCustomResult {n u32, per-client result bytes...}
 //   worker -> root   kMsgTrace        {obs::serialize_new_events stream}
@@ -21,6 +21,10 @@
 // per-worker process lane (DESIGN.md §11). Both ends decide whether the
 // extra frame exists from the SAME resolved spec (the root ships it in
 // kMsgWelcome), so framing never desynchronizes.
+//
+// The dispatch state and each upload payload are written by the method's
+// fed::NetMethod functions through a comm::StateIO: scalars as-is, blobs as
+// the WireMessages the sender's channel captured.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +34,7 @@
 
 namespace fp::net {
 
-constexpr std::uint32_t kProtocolVersion = 2;
+constexpr std::uint32_t kProtocolVersion = 3;
 
 enum MsgType : std::uint32_t {
   kMsgHello = 1,
@@ -49,5 +53,10 @@ enum MsgType : std::uint32_t {
 /// the root's scheduler drew.
 void write_task(const fed::TaskSpec& task, comm::FrameWriter& out);
 fed::TaskSpec read_task(comm::FrameReader& in);
+
+/// Everything in an Upload except the method's payload, in a fixed field
+/// order (the payload follows, written by NetMethod::net_upload).
+void write_upload_base(const fed::Upload& up, comm::FrameWriter& out);
+fed::Upload read_upload_base(comm::FrameReader& in);
 
 }  // namespace fp::net

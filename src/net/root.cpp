@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "net/protocol.hpp"
 #include "obs/trace.hpp"
@@ -14,6 +15,13 @@ double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+fed::NetMethod& net_method(fed::RoundMethod& m) {
+  auto* net = dynamic_cast<fed::NetMethod*>(&m);
+  if (!net)
+    throw std::logic_error("remote dispatch of a method without fed::NetMethod");
+  return *net;
 }
 
 }  // namespace
@@ -81,18 +89,30 @@ Frame RootServer::recv_checked(std::size_t rank, std::uint32_t expect_type) {
   return f;
 }
 
+void RootServer::begin_dispatch(fed::RoundMethod& m,
+                                const std::vector<fed::TaskSpec>& tasks) {
+  {
+    comm::CaptureScope capture;
+    m.begin_dispatch(tasks);
+    std::vector<comm::WireMessage> msgs = capture.take();
+    // No downlink = the method reused its previous snapshot, whose messages
+    // are still the ones its state refers to.
+    if (!msgs.empty()) dispatch_msgs_ = std::move(msgs);
+  }
+  comm::FrameWriter out;
+  comm::StateIO io(out, dispatch_msgs_);
+  net_method(m).net_state(io);
+  io.finish();
+  state_ = out.take();
+}
+
 double RootServer::run_group(fed::RoundMethod& m,
                              const std::vector<fed::TaskSpec>& tasks,
                              std::size_t begin, std::size_t end,
                              std::vector<fed::Upload>& uploads) {
+  fed::NetMethod& net = net_method(m);
   const std::size_t W = conns_.size();
   const double t0 = now_s();
-
-  // Serialize the dispatch context once; every owning worker gets the same
-  // bytes.
-  comm::FrameWriter ctxw;
-  m.net_save_context(ctxw);
-  const std::vector<std::uint8_t>& ctx = ctxw.data();
 
   // Sticky ownership: client k -> worker (k % W), global indices ascending
   // per worker so each worker's per-client bookkeeping runs in slot order.
@@ -103,7 +123,7 @@ double RootServer::run_group(fed::RoundMethod& m,
   for (std::size_t w = 0; w < W; ++w) {
     if (owned[w].empty()) continue;
     comm::FrameWriter out;
-    out.bytes(ctx);
+    out.bytes(state_);
     out.u32(static_cast<std::uint32_t>(owned[w].size()));
     for (const std::size_t i : owned[w]) write_task(tasks[i], out);
     try {
@@ -128,12 +148,14 @@ double RootServer::run_group(fed::RoundMethod& m,
     for (const std::size_t i : owned[w]) {
       const std::vector<std::uint8_t> frame = in.bytes();
       comm::FrameReader ur(frame);
-      uploads[i - begin] = m.net_decode_upload(tasks[i], ur);
+      fed::Upload& up = uploads[i - begin];
+      up = read_upload_base(ur);
+      comm::StateIO io(ur);
+      net.net_upload(up, io);
     }
   }
 
   const double measured = std::max(0.0, (now_s() - t0) - max_compute_s);
-  measured_s_ += measured;
 
   // Trace piggyback (DESIGN.md §11): each dispatched worker ships its fresh
   // span events right after its group result; merge them under a per-worker

@@ -2,12 +2,14 @@
 // registrations and implements fed::RemoteDispatcher over their connections.
 //
 // The root owns ALL server state (model, accumulators, schedulers, device
-// sampling); workers only ever hold per-round replicas. One dispatch group
-// flows as: net_save_context once -> kMsgGroup to every owning worker (all
-// sends complete before any receive, so workers compute concurrently) ->
-// kMsgGroupResult per worker, decoded through the method's own broadcast
-// references in global slot order. A worker that disconnects or exceeds
-// net.timeout_s mid-round fails the round with a NetError naming the worker.
+// sampling); workers only ever hold per-round replicas. Each dispatch runs
+// begin_dispatch under a comm::CaptureScope and writes the method's state
+// once (NetMethod::net_state); each group then flows as: kMsgGroup with that
+// state to every owning worker (all sends complete before any receive, so
+// workers compute concurrently) -> kMsgGroupResult per worker, read through
+// NetMethod::net_upload against the root's own broadcast references in
+// global slot order. A worker that disconnects or exceeds net.timeout_s
+// mid-round fails the round with a NetError naming the worker.
 #pragma once
 
 #include <cstdint>
@@ -44,17 +46,21 @@ class RootServer final : public fed::RemoteDispatcher {
   /// Best-effort kMsgShutdown to every worker, then closes.
   void shutdown();
 
+  std::size_t num_workers() const { return conns_.size(); }
+  /// Real socket byte counters (sum over worker connections) — what the
+  /// [net] summary reports next to the modeled bytes.
+  std::int64_t tx_bytes() const;
+  std::int64_t rx_bytes() const;
+
   // fed::RemoteDispatcher
-  std::size_t num_workers() const override { return conns_.size(); }
+  void begin_dispatch(fed::RoundMethod& m,
+                      const std::vector<fed::TaskSpec>& tasks) override;
   double run_group(fed::RoundMethod& m,
                    const std::vector<fed::TaskSpec>& tasks, std::size_t begin,
                    std::size_t end, std::vector<fed::Upload>& uploads) override;
   std::vector<std::vector<std::uint8_t>> run_custom(
       std::uint32_t op, const std::vector<std::uint8_t>& ctx,
       const std::vector<std::size_t>& clients) override;
-  std::int64_t tx_bytes() const override;
-  std::int64_t rx_bytes() const override;
-  double measured_comm_s() const override { return measured_s_; }
 
  private:
   /// recv_frame bounded by cfg.timeout_s; kMsgError becomes a NetError and
@@ -64,7 +70,9 @@ class RootServer final : public fed::RemoteDispatcher {
   NetConfig cfg_;
   TcpListener listener_;
   std::vector<TcpConn> conns_;  ///< index = worker rank
-  double measured_s_ = 0.0;
+  /// The latest dispatch's captured downlinks and its serialized state.
+  std::vector<comm::WireMessage> dispatch_msgs_;
+  std::vector<std::uint8_t> state_;
 };
 
 }  // namespace fp::net

@@ -47,7 +47,7 @@ exp::RunResult serve_root(exp::ExperimentSpec spec,
   const exp::MethodFactory& factory =
       exp::method_registry().resolve(setup.spec.method);
   exp::MethodRun run = factory(setup);
-  if (!run.algo->net_capable())
+  if (!dynamic_cast<fed::NetMethod*>(run.algo.get()))
     throw exp::SpecError(
         "method " + setup.spec.method +
         " does not implement the distributed-runtime hooks; net-capable "
@@ -111,25 +111,26 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
   const exp::MethodFactory& factory =
       exp::method_registry().resolve(setup.spec.method);
   exp::MethodRun run = factory(setup);
-  fed::RoundMethod& m = *run.algo;
-  if (!m.net_capable()) {
+  fed::FederatedAlgorithm& algo = *run.algo;
+  auto* net = dynamic_cast<fed::NetMethod*>(&algo);
+  if (!net) {
     comm::FrameWriter err;
     err.str("method " + setup.spec.method + " has no distributed hooks");
     conn.send_frame(kMsgError, err.take());
     throw NetError("root shipped a method without distributed hooks: " +
                    setup.spec.method);
   }
-  // net.codec=auto ships the comm codec's encoded messages; identity ships
-  // dense fp32 blobs. Both decode to the same values root-side.
-  m.net_set_worker_mode(setup.spec.net_codec != "identity");
 
   // Observability follows the root's resolved spec, so both ends agree on
   // whether kMsgTrace frames exist. A worker never writes its own trace
-  // file: its spans ship to the root and land in the merged trace.
+  // file: its spans ship to the root and land in the merged trace. A worker
+  // sharing its root's process (tests, benchmarks) finds tracing already on
+  // and must not restart the epoch, which would drop the root's spans.
   obs::ObsSettings obs_settings;
   obs_settings.trace = setup.spec.obs_trace;
   obs_settings.sample_kernels = setup.spec.obs_sample_kernels;
-  obs::configure(obs_settings);
+  if (!(obs_settings.trace && obs::tracing_enabled()))
+    obs::configure(obs_settings);
   obs::set_thread_name("fp-net-worker");
   obs::logf(obs::LogLevel::kInfo, "[net] worker %u/%u serving %s for %s:%d",
             rank, num_workers, setup.spec.method.c_str(), cfg.host.c_str(),
@@ -145,34 +146,44 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
           // below, so each group's frame carries its own serving span.
           FP_TRACE_SCOPE("serve_group", "net");
           comm::FrameReader gin(f.body);
-          const std::vector<std::uint8_t> ctx = gin.bytes();
+          const std::vector<std::uint8_t> state = gin.bytes();
           {
-            comm::FrameReader cr(ctx);
-            m.net_load_context(cr);
+            comm::FrameReader sr(state);
+            comm::StateIO io(sr);
+            net->net_state(io);
           }
           const std::uint32_t n = gin.u32();
           std::vector<fed::TaskSpec> tasks;
           tasks.reserve(n);
           for (std::uint32_t i = 0; i < n; ++i) tasks.push_back(read_task(gin));
-          m.net_begin_group(tasks);
-          std::vector<fed::Upload> uploads(n);
+          // Pool bookkeeping over the OWNED tasks only: this worker's
+          // per-client dispatch counts advance as the single-process run's.
+          algo.clients().begin_round(tasks);
+          // Each client's uplinks are captured on its own thread and its
+          // upload is staged as bytes right away, so decoded payloads never
+          // pile up across the group.
+          std::vector<std::vector<std::uint8_t>> staged(n);
           const double t0 = now_s();
           core::parallel_tasks(static_cast<std::int64_t>(n),
-                               [&](std::int64_t i) {
-                                 uploads[static_cast<std::size_t>(i)] =
-                                     run.algo->engine().run_client(
-                                         m, tasks[static_cast<std::size_t>(i)]);
+                               [&](std::int64_t ti) {
+                                 const auto i = static_cast<std::size_t>(ti);
+                                 comm::CaptureScope capture;
+                                 fed::Upload up =
+                                     algo.engine().run_client(algo, tasks[i]);
+                                 const auto sent = capture.take();
+                                 comm::FrameWriter uw;
+                                 write_upload_base(up, uw);
+                                 comm::StateIO io(uw, sent);
+                                 net->net_upload(up, io);
+                                 io.finish();
+                                 staged[i] = uw.take();
                                });
           const double compute_s = now_s() - t0;
-          m.net_end_group();
+          algo.clients().end_round();
           comm::FrameWriter out;
           out.u32(n);
           out.f64(compute_s);
-          for (std::uint32_t i = 0; i < n; ++i) {
-            comm::FrameWriter uw;
-            m.net_encode_upload(uploads[i], uw);
-            out.bytes(uw.data());
-          }
+          for (const auto& upload : staged) out.bytes(upload);
           conn.send_frame(kMsgGroupResult, out.take());
         }
         if (obs::tracing_enabled()) {
@@ -191,7 +202,7 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
           const auto client = static_cast<std::size_t>(cin.u64());
           comm::FrameReader cr(ctx);
           comm::FrameWriter res;
-          m.net_custom_op(op, cr, client, res);
+          net->net_custom_op(op, cr, client, res);
           out.bytes(res.data());
         }
         conn.send_frame(kMsgCustomResult, out.take());

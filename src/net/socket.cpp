@@ -219,8 +219,17 @@ Frame TcpConn::recv_frame(double timeout_s) {
                    std::to_string(hdr.body_len) + " bytes)");
   Frame f;
   f.type = hdr.type;
-  f.body.resize(static_cast<std::size_t>(hdr.body_len));
-  if (hdr.body_len > 0) read_all(f.body.data(), f.body.size(), deadline);
+  // Grow with the bytes that arrive, not the peer-declared length: a header
+  // promising 1 GiB followed by EOF must not commit 1 GiB. Doubling steps
+  // keep the copies linear in the body size.
+  const auto len = static_cast<std::size_t>(hdr.body_len);
+  constexpr std::size_t kFirstStep = std::size_t{1} << 20;
+  while (f.body.size() < len) {
+    const std::size_t got = f.body.size();
+    const std::size_t step = std::min(len - got, std::max(kFirstStep, got));
+    f.body.resize(got + step);
+    read_all(f.body.data() + got, step, deadline);
+  }
   return f;
 }
 

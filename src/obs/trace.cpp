@@ -109,16 +109,6 @@ ThreadBuffer& this_thread_buffer() {
   return *tls_buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// Reads the publishable events of `buf` in order, calling fn(event). Caller
 /// holds registry_mu() (for the name; the event walk itself is lock-free).
 template <class Fn>
@@ -315,6 +305,16 @@ bool write_trace_json(const std::string& path) {
   }
   std::fprintf(f, "\n], \"displayTimeUnit\": \"ms\"}\n");
   return std::fclose(f) == 0;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out;
 }
 
 void serialize_new_events(comm::FrameWriter& out) {

@@ -142,6 +142,10 @@ std::int64_t dropped_events();
 /// on I/O failure.
 bool write_trace_json(const std::string& path);
 
+/// Escapes `s` for embedding in a JSON string literal (quotes not included).
+/// The one copy every JSON writer in the library uses.
+std::string json_escape(const std::string& s);
+
 // ---- Distributed merge (net kMsgTrace, DESIGN.md §11) -----------------------
 
 /// Worker side: serializes every local event not yet drained (plus the

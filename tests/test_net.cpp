@@ -2,18 +2,23 @@
 //
 // * Transport: framed messages round-trip over loopback including partial
 //   reads (multi-MB frame through finite socket buffers) and a frame dribbled
-//   one byte at a time; timeout, EOF, and corrupt headers throw NetError.
-// * Wire frames: every FrameWriter field type round-trips; truncation throws
-//   WireError at the field that broke.
+//   one byte at a time; timeout, EOF, and corrupt headers throw NetError; a
+//   header declaring ~1 GiB followed by EOF allocates only what arrived.
+// * Wire frames: every FrameWriter field type round-trips, empty containers
+//   included; truncation throws WireError at the field that broke.
 // * Spec surface: net.* keys round-trip through JSON and typos get nearest-
 //   name suggestions; serve_root rejects unsupported specs before listening.
 // * Equivalence (the acceptance bar): a root + 2 loopback workers produces a
 //   history and final metrics IDENTICAL to the single-process run — for jFAT
-//   and FedProphet, under identity and int8 wire codecs — because the worker
-//   ships the encoded messages the fused path would have produced.
+//   and FedProphet, under identity, int8 and top-k wire codecs, and with two
+//   aggregation waves sharing one dispatch — because each end ships the
+//   encoded messages its channel captured.
+// * Tracing: a traced distributed run with in-process workers keeps every
+//   root round span.
 // * Failure: a worker that drops mid-round fails the round with a diagnostic
 //   naming the worker, within net.timeout_s.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,6 +34,7 @@
 #include "net/protocol.hpp"
 #include "net/service.hpp"
 #include "net/socket.hpp"
+#include "obs/trace.hpp"
 
 namespace fp {
 namespace {
@@ -53,6 +59,10 @@ TEST(WireFrame, EveryFieldTypeRoundTrips) {
   w.bytes({9, 8, 7});
   w.blob(nn::ParamBlob{0.5f, -0.5f, 3.0f});
   w.wire_msg(msg);
+  w.str("");
+  w.bytes({});
+  w.blob(nn::ParamBlob{});
+  w.wire_msg(comm::WireMessage{});
 
   comm::FrameReader r(w.data());
   EXPECT_EQ(r.u8(), 0xab);
@@ -69,6 +79,12 @@ TEST(WireFrame, EveryFieldTypeRoundTrips) {
   EXPECT_EQ(back.delta, msg.delta);
   EXPECT_EQ(back.num_elems, msg.num_elems);
   EXPECT_EQ(back.payload, msg.payload);
+  EXPECT_EQ(r.str(), "");
+  EXPECT_TRUE(r.bytes().empty());
+  EXPECT_TRUE(r.blob().empty());
+  const comm::WireMessage empty = r.wire_msg();
+  EXPECT_EQ(empty.num_elems, 0u);
+  EXPECT_TRUE(empty.payload.empty());
   EXPECT_TRUE(r.done());
 }
 
@@ -212,6 +228,30 @@ TEST(Socket, TimeoutEofAndCorruptHeaderThrow) {
   }
 }
 
+TEST(Socket, DeclaredBodyLengthDoesNotPreallocate) {
+  // A peer declares a ~1 GiB body, then closes without sending it. The read
+  // must fail without first committing the declared size.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  net::TcpConn reader(sv[1], "lying-peer");
+  const std::uint32_t magic = 0x314e5046u, type = 1u;
+  const std::uint64_t len = (1ull << 30) - 1;
+  std::uint8_t hdr[16];
+  std::memcpy(hdr, &magic, 4);
+  std::memcpy(hdr + 4, &type, 4);
+  std::memcpy(hdr + 8, &len, 8);
+  ASSERT_EQ(::send(sv[0], hdr, 16, 0), 16);
+  ::close(sv[0]);
+
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  EXPECT_THROW(reader.recv_frame(5.0), net::NetError);
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)  // KiB
+      << "peak RSS grew by " << (after.ru_maxrss - before.ru_maxrss) << " KiB";
+}
+
 // ---- spec surface -----------------------------------------------------------
 
 /// The test_exp tiny scenario plus a cheap final evaluation (distributed runs
@@ -238,7 +278,6 @@ TEST(NetSpec, KeysRoundTripThroughJson) {
   exp::apply_override(spec, "net.host=10.0.0.7");
   exp::apply_override(spec, "net.port=9999");
   exp::apply_override(spec, "net.workers=4");
-  exp::apply_override(spec, "net.codec=identity");
   exp::apply_override(spec, "net.timeout_s=7.5");
   exp::apply_override(spec, "net.retry_s=3.25");
   const std::string json = exp::spec_to_json(spec);
@@ -246,7 +285,6 @@ TEST(NetSpec, KeysRoundTripThroughJson) {
   EXPECT_TRUE(exp::specs_equal(spec, reparsed));
   EXPECT_EQ(json, exp::spec_to_json(reparsed));
   EXPECT_EQ(reparsed.net_port, 9999);
-  EXPECT_EQ(reparsed.net_codec, "identity");
 }
 
 TEST(NetSpec, TyposSuggestNearestName) {
@@ -263,13 +301,6 @@ TEST(NetSpec, TyposSuggestNearestName) {
     FAIL() << "expected SpecError";
   } catch (const exp::SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("root"), std::string::npos)
-        << e.what();
-  }
-  try {
-    exp::set_key(spec, "net.codec", "gzip");
-    FAIL() << "expected SpecError";
-  } catch (const exp::SpecError& e) {
-    EXPECT_NE(std::string(e.what()).find("identity"), std::string::npos)
         << e.what();
   }
 }
@@ -376,12 +407,11 @@ TEST(NetEquivalence, JfatInt8Wire) {
   expect_equivalent(local, dist);
 }
 
-TEST(NetEquivalence, JfatInt8CodecDenseWire) {
-  // net.codec=identity ships decoded fp32 blobs while the comm accounting
-  // still models int8 — the history must STILL match single-process exactly.
+TEST(NetEquivalence, JfatTwoAggregatorWaves) {
+  // Two edge-aggregator waves per round: both groups ship the state of the
+  // round's single dispatch.
   exp::ExperimentSpec spec = tiny_net_spec("jFAT");
-  exp::apply_override(spec, "comm.codec=int8");
-  exp::apply_override(spec, "net.codec=identity");
+  exp::apply_override(spec, "env.aggregators=2");
   const exp::RunResult local = exp::run_experiment(spec);
   const exp::RunResult dist = run_distributed(spec, 2);
   expect_equivalent(local, dist);
@@ -400,6 +430,32 @@ TEST(NetEquivalence, FedProphetInt8Wire) {
   const exp::RunResult local = exp::run_experiment(spec);
   const exp::RunResult dist = run_distributed(spec, 2);
   expect_equivalent(local, dist);
+}
+
+TEST(NetEquivalence, FedProphetTopKWire) {
+  // Top-k uploads decode against the receiver's reference (the per-atom and
+  // aux-head broadcast slices), unlike int8, which takes none.
+  exp::ExperimentSpec spec = tiny_net_spec("FedProphet");
+  exp::apply_override(spec, "comm.codec=topk");
+  const exp::RunResult local = exp::run_experiment(spec);
+  const exp::RunResult dist = run_distributed(spec, 2);
+  expect_equivalent(local, dist);
+}
+
+// ---- tracing ----------------------------------------------------------------
+
+TEST(NetTrace, InProcessWorkersKeepEveryRootRoundSpan) {
+  // In-process workers share the root's trace buffers: setting up tracing
+  // on a worker must not restart the epoch the root's spans are kept from.
+  exp::ExperimentSpec spec = tiny_net_spec("jFAT");
+  exp::apply_override(spec, "obs.trace=1");
+  spec.obs_trace_path = ::testing::TempDir() + "net_trace_rounds.json";
+  run_distributed(spec, 2);
+  std::int64_t root_rounds = 0;
+  for (const obs::TraceEvent& e : obs::trace_snapshot())
+    if (e.pid == 0 && e.name == "round") ++root_rounds;
+  obs::configure(obs::ObsSettings{});
+  EXPECT_EQ(root_rounds, spec.fl.rounds);
 }
 
 // ---- failure semantics ------------------------------------------------------
