@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels that dominate
 // training time on this substrate: GEMM (blocked vs reference), conv2d
 // forward/backward (batched vs per-sample), a full train step, BatchNorm,
-// one PGD attack step, and partial-average aggregation.
+// one PGD attack step, the attack-step backward with and without
+// parameter gradients, and partial-average aggregation.
 //
 // Thread count is controlled by FP_NUM_THREADS (see core/parallel.hpp), so
 // the before/after numbers the ISSUE asks for are, e.g.:
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -341,6 +343,29 @@ void BM_PgdStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PgdStep);
+
+// The backward of one attack step on Tiny-VGG at batch 32: Arg(0) is the full
+// backward_range (parameter gradients accumulated), Arg(1) the same call
+// under InputGradScope, as attack::pgd/apgd/fgsm run it. The gap is the
+// parameter-gradient work (weight GEMMs, bias and BN reductions) it skips.
+void BM_AttackBackward(benchmark::State& state) {
+  Rng rng(9);
+  models::BuiltModel model(models::tiny_vgg_spec(), rng);
+  const std::int64_t batch = 32;
+  const Tensor x = Tensor::rand_uniform({batch, 3, 16, 16}, rng, 0, 1);
+  std::vector<std::int64_t> y(batch);
+  for (std::int64_t i = 0; i < batch; ++i) y[i] = i % 10;
+  const Tensor glogits = cross_entropy_grad(model.forward(x, false), y);
+  std::optional<compute::InputGradScope> scope;
+  if (state.range(0) == 1) scope.emplace();
+  for (auto _ : state) {
+    Tensor gx = model.backward_range(0, model.num_atoms(), glogits);
+    benchmark::DoNotOptimize(gx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+  state.SetLabel(scope ? "input_grad_only" : "full");
+}
+BENCHMARK(BM_AttackBackward)->Arg(0)->Arg(1);
 
 void BM_PartialAverage(benchmark::State& state) {
   Rng rng(6);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/compute_mode.hpp"
+
 namespace fp::attack {
 
 void project(Tensor& delta, const PgdConfig& cfg) {
@@ -60,6 +62,7 @@ Tensor random_start_delta(const Tensor& x, const PgdConfig& cfg, Rng& rng) {
 
 Tensor fgsm(const LossGradFn& fn, const Tensor& x,
             const std::vector<std::int64_t>& y, const PgdConfig& cfg) {
+  const compute::InputGradScope scope;
   Tensor grad(x.shape());
   fn(x, y, &grad);
   Tensor x_adv = x;
@@ -70,6 +73,7 @@ Tensor fgsm(const LossGradFn& fn, const Tensor& x,
 
 Tensor pgd(const LossGradFn& fn, const Tensor& x,
            const std::vector<std::int64_t>& y, const PgdConfig& cfg, Rng& rng) {
+  const compute::InputGradScope scope;
   Tensor delta = cfg.random_start ? random_start_delta(x, cfg, rng)
                                   : Tensor::zeros(x.shape());
   project(delta, cfg);
@@ -89,6 +93,7 @@ Tensor pgd(const LossGradFn& fn, const Tensor& x,
 
 Tensor apgd(const LossGradFn& fn, const Tensor& x,
             const std::vector<std::int64_t>& y, const PgdConfig& cfg, Rng& rng) {
+  const compute::InputGradScope scope;
   Tensor delta = cfg.random_start ? random_start_delta(x, cfg, rng)
                                   : Tensor::zeros(x.shape());
   project(delta, cfg);

@@ -13,6 +13,8 @@
 namespace fp::attack {
 
 /// Computes loss(x, y) and, if grad_x != nullptr, d loss / d x into *grad_x.
+/// fgsm/pgd/apgd call it under a compute::InputGradScope, so layer backwards
+/// inside it return d loss / d x and leave every parameter gradient as is.
 using LossGradFn = std::function<float(
     const Tensor& x, const std::vector<std::int64_t>& y, Tensor* grad_x)>;
 

@@ -105,8 +105,8 @@ float CascadeLocalTrainer::train_batch(const data::Batch& batch, Rng& rng) {
   const Tensor z_in = block_input(batch.x);
   Tensor z_train = z_in;
   if (cfg_.adversarial && cfg_.eps_in > 0.0f && cfg_.pgd_steps > 0) {
-    // Attack passes run with batch statistics but frozen running stats, and
-    // their parameter-gradient contamination is discarded by zero_grad below.
+    // Attack passes run with batch statistics but frozen running stats; pgd
+    // runs them input-gradient-only, so no parameter gradient is touched.
     auto fn = [this](const Tensor& z, const std::vector<std::int64_t>& yy,
                      Tensor* g) {
       return loss_grad(z, yy, g, /*train_mode=*/true, /*track_stats=*/false);

@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -181,6 +182,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   scratch_iocols_.resize(static_cast<std::size_t>(out_channels_ * batch_cols));
   scratch_grad_cols_.resize(static_cast<std::size_t>(rows * batch_cols));
 
+  // Under an InputGradScope only grad_in is wanted: the grad_bias reduction
+  // and the grad_W GEMM are skipped. Read on this thread, not in a pool body.
+  const bool param_grads = !compute::input_grad_only();
+  const bool bias_grad = param_grads && has_bias_;
+
   // Gather grad_out from NCHW into [out_c, N*oh*ow], folding the grad_bias
   // reduction into the same pass (per channel, samples in fixed order, so the
   // sum is identical for any thread count).
@@ -192,12 +198,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       for (std::int64_t i = 0; i < n; ++i) {
         const float* src = god + i * out_plane + c * ohow;
         float* dst = iocols + c * batch_cols + i * ohow;
-        for (std::int64_t p = 0; p < ohow; ++p) {
-          dst[p] = src[p];
-          s += src[p];
-        }
+        std::copy(src, src + ohow, dst);
+        if (bias_grad)
+          for (std::int64_t p = 0; p < ohow; ++p) s += src[p];
       }
-      if (has_bias_) grad_bias_[c] += static_cast<float>(s);
+      if (bias_grad) grad_bias_[c] += static_cast<float>(s);
     }
   });
 
@@ -207,8 +212,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const float* cols = scratch_cols_.data();
 
   // grad_W += go[out_c, N*oh*ow] * cols^T — one GEMM over the whole batch.
-  gemm(false, true, out_channels_, rows, batch_cols, 1.0f, iocols, cols, 1.0f,
-       grad_weight_.data());
+  if (param_grads)
+    gemm(false, true, out_channels_, rows, batch_cols, 1.0f, iocols, cols, 1.0f,
+         grad_weight_.data());
 
   // grad_cols = W^T * go, then fold each sample's slice back to image space.
   gemm(true, false, rows, batch_cols, out_channels_, 1.0f, weight_.data(),

@@ -3,7 +3,8 @@
 // There is no tape autograd in this library. Each layer caches what it needs
 // during forward and implements backward(grad_out) -> grad_in, accumulating
 // parameter gradients into its grad tensors. The same backward chain yields
-// d(loss)/d(input), which is what PGD-style attacks consume.
+// d(loss)/d(input), which is what PGD-style attacks consume; they run it under
+// a compute::InputGradScope, which skips the parameter-gradient work.
 #pragma once
 
 #include <functional>
@@ -27,7 +28,10 @@ class Layer {
 
   /// Propagates the upstream gradient, accumulating into parameter grads,
   /// and returns the gradient w.r.t. the layer input. Must be called after
-  /// a matching forward().
+  /// a matching forward(). While compute::input_grad_only() holds on the
+  /// calling thread, the returned gradient is bit-identical but gradients()
+  /// are neither computed nor written; read the flag once on the calling
+  /// thread, never inside a core::parallel_for body.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   /// Trainable parameters (updated by the optimizer, averaged by FL).

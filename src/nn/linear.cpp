@@ -79,10 +79,13 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
 Tensor Linear::backward(const Tensor& grad_out) {
   if (cached_input_.empty()) throw std::logic_error("Linear::backward before forward");
   const std::int64_t n = cached_input_.dim(0);
+  // Under an InputGradScope only grad_x is wanted (read on this thread).
+  const bool param_grads = !compute::input_grad_only();
   // grad_W += grad_out^T * x : [out, in] = [N, out]^T [N, in]
-  gemm(true, false, out_features_, in_features_, n, 1.0f, grad_out.data(),
-       cached_input_.data(), 1.0f, grad_weight_.data());
-  if (has_bias_) {
+  if (param_grads)
+    gemm(true, false, out_features_, in_features_, n, 1.0f, grad_out.data(),
+         cached_input_.data(), 1.0f, grad_weight_.data());
+  if (param_grads && has_bias_) {
     // Per-output-feature reduction with samples in fixed order: bit-identical
     // for any thread count.
     const float* god = grad_out.data();

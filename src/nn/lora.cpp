@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/compute_mode.hpp"
 #include "tensor/ops.hpp"
 
 namespace fp::nn {
@@ -57,16 +58,20 @@ Tensor LoRaLinear::backward(const Tensor& grad_out) {
   if (cached_input_.empty())
     throw std::logic_error("LoRaLinear::backward before forward");
   const std::int64_t n = cached_input_.dim(0);
+  // Under an InputGradScope only grad_x (which needs g_ax) is wanted.
+  const bool param_grads = !compute::input_grad_only();
   // grad_B += s * grad_out^T (x A^T)        : [out, r]
-  gemm(true, false, out_, rank_, n, scale_, grad_out.data(), cached_ax_.data(),
-       1.0f, grad_b_.data());
+  if (param_grads)
+    gemm(true, false, out_, rank_, n, scale_, grad_out.data(),
+         cached_ax_.data(), 1.0f, grad_b_.data());
   // grad_(xA^T) = s * grad_out B            : [N, r]
   Tensor g_ax({n, rank_});
   gemm(false, false, n, rank_, out_, scale_, grad_out.data(), b_.data(), 0.0f,
        g_ax.data());
   // grad_A += g_ax^T x                      : [r, in]
-  gemm(true, false, rank_, in_, n, 1.0f, g_ax.data(), cached_input_.data(), 1.0f,
-       grad_a_.data());
+  if (param_grads)
+    gemm(true, false, rank_, in_, n, 1.0f, g_ax.data(), cached_input_.data(),
+         1.0f, grad_a_.data());
   // grad_x = grad_out W0 + g_ax A           : [N, in]
   Tensor grad_in({n, in_});
   gemm(false, false, n, in_, out_, 1.0f, grad_out.data(), w0_.data(), 0.0f,

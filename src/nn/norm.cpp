@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/compute_mode.hpp"
+
 namespace fp::nn {
 
 BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
@@ -84,20 +86,27 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   const std::int64_t plane = h * w;
   const std::int64_t count = n * plane;
   Tensor grad_in(cached_shape_);
+  // Under an InputGradScope dgamma/dbeta are not accumulated, and eval mode
+  // (dx = g * inv_std * go) needs neither channel sum.
+  const bool param_grads = !compute::input_grad_only();
+  const bool need_sums = param_grads || cached_train_;
 
   for (std::int64_t ch = 0; ch < c; ++ch) {
-    // Accumulate dgamma = sum(go * xhat), dbeta = sum(go).
+    // dgamma = sum(go * xhat), dbeta = sum(go).
     double sum_go = 0.0, sum_go_xhat = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* go = grad_out.data() + (i * c + ch) * plane;
-      const float* xh = cached_xhat_.data() + (i * c + ch) * plane;
-      for (std::int64_t j = 0; j < plane; ++j) {
-        sum_go += go[j];
-        sum_go_xhat += static_cast<double>(go[j]) * xh[j];
+    if (need_sums)
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float* go = grad_out.data() + (i * c + ch) * plane;
+        const float* xh = cached_xhat_.data() + (i * c + ch) * plane;
+        for (std::int64_t j = 0; j < plane; ++j) {
+          sum_go += go[j];
+          sum_go_xhat += static_cast<double>(go[j]) * xh[j];
+        }
       }
+    if (param_grads) {
+      grad_gamma_[ch] += static_cast<float>(sum_go_xhat);
+      grad_beta_[ch] += static_cast<float>(sum_go);
     }
-    grad_gamma_[ch] += static_cast<float>(sum_go_xhat);
-    grad_beta_[ch] += static_cast<float>(sum_go);
 
     const float g = gamma_[ch];
     const float inv_std = cached_inv_std_[ch];

@@ -6,6 +6,7 @@ namespace fp::compute {
 
 namespace {
 thread_local ComputeConfig g_active{};
+thread_local bool g_input_grad_only = false;
 // Starts at 1 so layers initialised with epoch 0 always revalidate on first
 // use. Global (not thread-local): a layer forwarded from two pool threads
 // must not see the same epoch with different weight generations.
@@ -36,5 +37,13 @@ InferenceScope::InferenceScope(const ComputeConfig& cfg) : prev_(g_active) {
 }
 
 InferenceScope::~InferenceScope() { g_active = prev_; }
+
+bool input_grad_only() { return g_input_grad_only; }
+
+InputGradScope::InputGradScope() : prev_(g_input_grad_only) {
+  g_input_grad_only = true;
+}
+
+InputGradScope::~InputGradScope() { g_input_grad_only = prev_; }
 
 }  // namespace fp::compute

@@ -1,4 +1,5 @@
-// Precision routing for inference-only forwards (DESIGN.md §8).
+// Compute routing: precision for inference-only forwards, and
+// input-gradient-only backwards for attack generation (DESIGN.md §8).
 //
 // The cascade's frozen-prefix forward and every evaluation pass are pure
 // inference: no backward ever runs through them, so they may use the int8
@@ -13,6 +14,13 @@
 // scope is thread-local because client training tasks run concurrently on
 // the shared worker pool — each client's eval must not leak its mode into a
 // neighbour's backward pass.
+//
+// An attack step only needs d loss / d input. attack::fgsm/pgd/apgd open an
+// InputGradScope for their whole run; under it every parameterized layer's
+// backward still returns the exact grad_in but skips its parameter-gradient
+// work (weight GEMMs, bias and BatchNorm reductions) and leaves gradients()
+// untouched. Layers read the flag once on the calling thread, before any
+// core::parallel_for: pool threads do not inherit thread-local scopes.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +66,23 @@ class InferenceScope {
 
  private:
   ComputeConfig prev_;
+};
+
+/// True while an InputGradScope is open on this thread: Layer::backward
+/// must return grad_in but neither compute nor accumulate parameter grads.
+bool input_grad_only();
+
+/// RAII activation of input-gradient-only backwards for the enclosing block.
+/// Restores the previous thread-local state on destruction (scopes nest).
+class InputGradScope {
+ public:
+  InputGradScope();
+  ~InputGradScope();
+  InputGradScope(const InputGradScope&) = delete;
+  InputGradScope& operator=(const InputGradScope&) = delete;
+
+ private:
+  bool prev_;
 };
 
 /// Documented bound on the clean-accuracy delta between an int8(+Winograd)

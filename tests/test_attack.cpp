@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "attack/attacks.hpp"
 #include "attack/evaluate.hpp"
 #include "data/synthetic.hpp"
 #include "models/zoo.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/compute_mode.hpp"
 #include "tensor/ops.hpp"
 
 namespace fp::attack {
@@ -108,6 +111,19 @@ TEST(Apgd, StaysInBallAndBeatsOrMatchesNoAttack) {
   EXPECT_GE(fn(adv, {0, 0}, nullptr), fn(x, {0, 0}, nullptr));
 }
 
+TEST(Pgd, ThrowingLossGradRestoresTheScope) {
+  Rng rng(67);
+  const LossGradFn fn = [](const Tensor&, const std::vector<std::int64_t>&,
+                           Tensor*) -> float {
+    EXPECT_TRUE(compute::input_grad_only());
+    throw std::runtime_error("loss failed");
+  };
+  PgdConfig cfg;
+  EXPECT_THROW(pgd(fn, Tensor::zeros({1, 4}), {0}, cfg, rng),
+               std::runtime_error);
+  EXPECT_FALSE(compute::input_grad_only());
+}
+
 /// Trains a tiny model for a few epochs, then checks attack-evaluation
 /// orderings that must hold for any sane implementation.
 class EvalFixture : public ::testing::Test {
@@ -181,6 +197,42 @@ TEST_F(EvalFixture, DlrLossGradBackpropagates) {
   Tensor grad(b.x.shape());
   fn(b.x, b.y, &grad);
   EXPECT_GT(grad.abs_max(), 0.0f);
+}
+
+TEST_F(EvalFixture, AttacksLeaveParameterGradientsAtZero) {
+  auto& model = *model_;
+  const std::size_t atoms = model.num_atoms();
+  const auto grads = model.gradients_range(0, atoms);
+  const auto all_zero = [&grads] {
+    for (const auto* g : grads)
+      if (g->abs_max() != 0.0f) return false;
+    return true;
+  };
+  const auto b = data::take_batch(data_->test, 0, 16);
+  PgdConfig cfg;
+  cfg.steps = 3;
+  Rng rng(68);
+  model.zero_grad_range(0, atoms);
+  for (const auto& fn : {model_ce_lossgrad(model), model_dlr_lossgrad(model)}) {
+    pgd(fn, b.x, b.y, cfg, rng);
+    EXPECT_TRUE(all_zero()) << "pgd";
+    apgd(fn, b.x, b.y, cfg, rng);
+    EXPECT_TRUE(all_zero()) << "apgd";
+    fgsm(fn, b.x, b.y, cfg);
+    EXPECT_TRUE(all_zero()) << "fgsm";
+  }
+  RobustEvalConfig rcfg;
+  rcfg.pgd_steps = rcfg.aa_steps = 2;
+  rcfg.max_samples = 32;
+  evaluate_robustness(model, data_->test, rcfg);
+  EXPECT_TRUE(all_zero()) << "evaluate_robustness";
+
+  // The scope closed on return: a plain backward accumulates again.
+  EXPECT_FALSE(compute::input_grad_only());
+  const Tensor logits = model.forward(b.x, /*train=*/false);
+  model.backward_range(0, atoms, cross_entropy_grad(logits, b.y));
+  for (const auto* g : grads) EXPECT_GT(g->abs_max(), 0.0f);
+  model.zero_grad_range(0, atoms);
 }
 
 }  // namespace

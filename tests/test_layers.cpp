@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+
+#include "core/parallel.hpp"
 #include "grad_check.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
+#include "nn/lora.hpp"
 #include "nn/norm.hpp"
 #include "nn/pool.hpp"
 #include "nn/sequential.hpp"
+#include "tensor/compute_mode.hpp"
 
 namespace fp {
 namespace {
@@ -256,6 +262,131 @@ TEST(BasicBlock, ForEachBnVisitsAllNorms) {
   int count = 0;
   block.for_each_bn([&count](nn::BatchNorm2d&) { ++count; });
   EXPECT_EQ(count, 3);  // bn1, bn2, shortcut bn
+}
+
+constexpr float kSentinel = 0.375f;
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+bool is_sentinel(const Tensor& g) {
+  return same_bytes(g, Tensor::full(g.shape(), kSentinel));
+}
+
+/// Runs backward(go) after a fresh forward(x) with every gradients() tensor
+/// pre-filled with a sentinel; returns dx and copies the grads to *grads.
+Tensor sentinel_backward(nn::Layer& layer, const Tensor& x, bool train,
+                         const Tensor& go, std::vector<Tensor>* grads) {
+  for (auto* g : layer.gradients()) g->fill(kSentinel);
+  layer.forward(x, train);
+  Tensor dx = layer.backward(go);
+  grads->clear();
+  for (auto* g : layer.gradients()) grads->push_back(*g);
+  return dx;
+}
+
+/// Pool-sized parallel_for regions (4 threads), so a layer that read the
+/// thread-local flag inside a pool body would accumulate parameter grads.
+class InputGradOnly : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    saved_threads_ = core::num_threads();
+    core::set_num_threads(4);
+  }
+  void TearDown() override { core::set_num_threads(saved_threads_); }
+
+  /// Under InputGradScope: dx is byte-equal to the plain backward's and no
+  /// gradients() tensor is written; without it, every one is.
+  static void expect_exact(nn::Layer& layer, const Tensor& x, bool train) {
+    Rng rng(31);
+    const Tensor go = Tensor::randn(layer.forward(x, train).shape(), rng);
+    std::vector<Tensor> full_grads, skipped_grads;
+    const Tensor dx_full = sentinel_backward(layer, x, train, go, &full_grads);
+    ASSERT_FALSE(full_grads.empty());
+    for (std::size_t i = 0; i < full_grads.size(); ++i)
+      EXPECT_FALSE(is_sentinel(full_grads[i]))
+          << layer.name() << " gradient " << i << " not written by backward";
+    // Which chunks the pool threads take varies run to run, so a few
+    // repetitions make a flag read on a pool thread show up reliably.
+    for (int rep = 0; rep < 4; ++rep) {
+      const compute::InputGradScope scope;
+      const Tensor dx_skip =
+          sentinel_backward(layer, x, train, go, &skipped_grads);
+      EXPECT_TRUE(same_bytes(dx_full, dx_skip)) << layer.name();
+      for (std::size_t i = 0; i < skipped_grads.size(); ++i)
+        EXPECT_TRUE(is_sentinel(skipped_grads[i]))
+            << layer.name() << " gradient " << i << " written under the scope";
+    }
+  }
+
+ private:
+  int saved_threads_ = 1;
+};
+
+TEST_F(InputGradOnly, Conv2dWithAndWithoutBias) {
+  Rng rng(32);
+  for (const bool bias : {true, false}) {
+    nn::Conv2d conv(3, 8, 3, 1, 1, rng, bias);
+    expect_exact(conv, Tensor::randn({16, 3, 16, 16}, rng), true);
+  }
+}
+
+TEST_F(InputGradOnly, LinearWithAndWithoutBias) {
+  Rng rng(33);
+  for (const bool bias : {true, false}) {
+    // 4096 outputs make 16 bias-reduction chunks, more than the caller
+    // drains before the pool threads wake.
+    nn::Linear lin(8, 4096, rng, bias);
+    expect_exact(lin, Tensor::randn({256, 8}, rng), true);
+  }
+}
+
+TEST_F(InputGradOnly, BatchNormTrainAndEval) {
+  Rng rng(34);
+  for (const bool train : {true, false}) {
+    nn::BatchNorm2d bn(5);
+    for (auto* p : bn.parameters()) p->add_(Tensor::randn(p->shape(), rng, 0.2f));
+    expect_exact(bn, Tensor::randn({3, 5, 4, 4}, rng), train);
+  }
+}
+
+TEST_F(InputGradOnly, LoRaLinear) {
+  Rng rng(35);
+  nn::LoRaLinear lora(Tensor::randn({6, 9}, rng), Tensor::randn({6}, rng), 3,
+                      3.0f, rng);
+  // Non-zero B, so dx depends on g_ax and both factor gradients are non-zero.
+  for (auto& v : lora.parameters()[1]->span()) v = rng.gaussian(0.0f, 0.3f);
+  expect_exact(lora, Tensor::randn({5, 9}, rng), true);
+}
+
+TEST_F(InputGradOnly, BasicBlockWithProjection) {
+  Rng rng(36);
+  nn::BasicBlock block(3, 8, 2, rng);
+  ASSERT_TRUE(block.has_projection());
+  for (const bool train : {true, false})
+    expect_exact(block, Tensor::randn({4, 3, 8, 8}, rng), train);
+}
+
+TEST(InputGradScope, NestsRestoresAndStaysOnItsThread) {
+  EXPECT_FALSE(compute::input_grad_only());
+  {
+    const compute::InputGradScope outer;
+    EXPECT_TRUE(compute::input_grad_only());
+    {
+      const compute::InputGradScope inner;
+      EXPECT_TRUE(compute::input_grad_only());
+    }
+    EXPECT_TRUE(compute::input_grad_only());
+    bool other_thread = true;
+    std::thread([&other_thread] {
+      other_thread = compute::input_grad_only();
+    }).join();
+    EXPECT_FALSE(other_thread);
+  }
+  EXPECT_FALSE(compute::input_grad_only());
 }
 
 }  // namespace
