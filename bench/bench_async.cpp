@@ -23,14 +23,7 @@ struct Scenario {
   std::vector<const char*> overrides;  ///< spec deltas defining the schedule
 };
 
-/// First simulated second at which clean accuracy reached `target` (<0 = never).
-double time_to_accuracy(const fed::History& h, double target) {
-  for (const auto& rec : h)
-    if (rec.clean_acc >= target) return rec.sim_time_s;
-  return -1.0;
-}
-
-MethodResult run_async_scenario(const Scenario& sc) {
+exp::RunResult run_async_scenario(const Scenario& sc) {
   // A fresh spec per scenario: every schedule sees the same data partition,
   // fleet binding, and degradation streams.
   exp::ExperimentSpec spec;
@@ -40,7 +33,7 @@ MethodResult run_async_scenario(const Scenario& sc) {
   // Matched client-update budget: one sync barrier round trains C clients;
   // one async round applies a single update.
   apply_matched_budget(spec, scaled(12));
-  return run_scenario(std::move(spec), std::string("jFAT-") + sc.label);
+  return exp::run_experiment(std::move(spec), std::string("jFAT-") + sc.label);
 }
 
 }  // namespace
@@ -63,12 +56,13 @@ int main(int argc, char** argv) {
   };
 
   std::printf("=== Async vs sync scheduling: time-to-accuracy ===\n\n");
+  const auto& cifar = fp::exp::workload_registry().resolve("cifar");
   std::printf("-- %s, balanced fleet, persistent client-device binding --\n",
-              workload_name(Workload::kCifar));
+              cifar.display_name.c_str());
   std::printf("%-14s %10s %10s %8s %8s %8s %14s\n", "schedule", "Clean",
               "PGD-10", "sim (s)", "access%", "dropped", "t@0.9*final");
 
-  std::vector<MethodResult> results;
+  std::vector<fp::exp::RunResult> results;
   for (const auto& sc : scenarios) results.push_back(run_async_scenario(sc));
 
   // Time-to-accuracy target: 90% of the sync run's final clean accuracy,

@@ -50,10 +50,11 @@ int main(int argc, char** argv) {
   };
 
   std::printf("=== Wire codecs x schedulers: accuracy vs bytes ===\n\n");
+  const auto& cifar = fp::exp::workload_registry().resolve("cifar");
   std::printf("-- %s, balanced fleet, persistent binding, network model on --\n",
-              workload_name(Workload::kCifar));
+              cifar.display_name.c_str());
 
-  std::vector<MethodResult> results;
+  std::vector<fp::exp::RunResult> results;
   std::vector<std::string> labels;
   for (const auto& sc : scenarios) {
     // A fresh spec per cell: every codec/scheduler pair sees the same data
@@ -61,8 +62,9 @@ int main(int argc, char** argv) {
     labels.push_back(std::string(sc.codec) + "-" + sc.scheduler);
     auto spec = comm_scenario_spec(sc.codec, sc.scheduler);
     const fp::fed::FlConfig fl = spec.fl;
-    auto r = run_scenario(std::move(spec), "jFAT-comm-" + labels.back());
-    print_comm_summary(r, fl);
+    auto r =
+        fp::exp::run_experiment(std::move(spec), "jFAT-comm-" + labels.back());
+    fp::exp::print_comm_line(r, fl);
     results.push_back(std::move(r));
   }
 

@@ -1,44 +1,9 @@
 #include "bench_common.hpp"
 
+#include <cstdio>
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
-#include "cascade/partitioner.hpp"
-#include "fed/env.hpp"
-#include "fedprophet/coordinator.hpp"
-
 namespace fp::bench {
-
-BenchSetup make_setup(Workload w, sys::Heterogeneity het,
-                      const std::vector<std::string>& overrides) {
-  exp::ExperimentSpec spec;
-  spec.workload = workload_key(w);
-  spec.heterogeneity =
-      het == sys::Heterogeneity::kUnbalanced ? "unbalanced" : "balanced";
-  for (const auto& kv : overrides) exp::apply_override(spec, kv);
-  return exp::build_setup(std::move(spec));
-}
-
-MethodResult run_method(const std::string& name, BenchSetup& s,
-                        std::int64_t rounds_other, std::int64_t rounds_jfat,
-                        std::int64_t fp_rounds_per_module) {
-  s.spec.method = name;
-  s.spec.fl.rounds = scaled(name == "jFAT" ? rounds_jfat : rounds_other);
-  s.spec.fp_rounds_per_module = scaled(fp_rounds_per_module) + 1;
-  MethodResult result = exp::run_on_setup(s);
-  print_comm_summary(result, s.spec.fl);
-  print_mem_summary(result, s);
-  print_net_summary(result);
-  return result;
-}
-
-MethodResult run_scenario(exp::ExperimentSpec spec, const std::string& label) {
-  auto setup = exp::build_setup(std::move(spec));
-  return exp::run_on_setup(setup, label);
-}
 
 void apply_matched_budget(exp::ExperimentSpec& spec, std::int64_t sync_rounds,
                           std::int64_t eval_every_sync) {
@@ -66,27 +31,10 @@ exp::ExperimentSpec comm_scenario_spec(const std::string& codec,
   return spec;
 }
 
-double peak_rss_mb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(ru.ru_maxrss) / 1e6;  // bytes
-#else
-  return static_cast<double>(ru.ru_maxrss) / 1e3;  // kilobytes
-#endif
-#else
-  return 0.0;
-#endif
-}
-
-void print_scale_summary(const MethodResult& r, const BenchSetup& s) {
-  std::printf(
-      "    [scale] %-12s pool %lld  unique %lld  agg-saved %8.2f MB  "
-      "peak-rss %8.1f MB\n",
-      r.name.c_str(), static_cast<long long>(s.spec.fl.num_clients),
-      static_cast<long long>(r.unique_participants),
-      static_cast<double>(r.agg_bytes_saved) / 1e6, peak_rss_mb());
+double time_to_accuracy(const fed::History& h, double target) {
+  for (const auto& rec : h)
+    if (rec.clean_acc >= target) return rec.sim_time_s;
+  return -1.0;
 }
 
 int parse_bench_args(int argc, char** argv, const char* name,
@@ -116,133 +64,6 @@ int parse_bench_args(int argc, char** argv, const char* name,
     return 2;
   }
   return -1;
-}
-
-namespace {
-
-struct WorkloadSpecs {
-  sys::ModelSpec full;
-  std::vector<sys::ModelSpec> kd_family;
-  std::int64_t batch;
-};
-
-WorkloadSpecs paper_specs(Workload w) {
-  if (w == Workload::kCifar) {
-    return {models::vgg16_spec(32, 10),
-            {models::cnn3_spec(32, 10), models::vgg11_spec(32, 10),
-             models::vgg13_spec(32, 10), models::vgg16_spec(32, 10)},
-            64};
-  }
-  return {models::resnet34_spec(224, 256),
-          {models::cnn4_spec(224, 256), models::resnet10_spec(224, 256),
-           models::resnet18_spec(224, 256), models::resnet34_spec(224, 256)},
-          32};
-}
-
-}  // namespace
-
-fed::TimeBreakdown simulate_training_time(TimingMethod method,
-                                          const TimingScenario& sc) {
-  const auto specs = paper_specs(sc.workload);
-  const auto& pool = sc.workload == Workload::kCifar ? sys::cifar_device_pool()
-                                                     : sys::caltech_device_pool();
-  sys::DeviceSampler sampler(pool, sc.het, sc.seed);
-
-  const std::int64_t full_mem = sys::module_train_mem_bytes(
-      specs.full, 0, specs.full.atoms.size(), specs.batch, false);
-  std::vector<std::int64_t> family_mem;
-  for (const auto& m : specs.kd_family)
-    family_mem.push_back(sys::module_train_mem_bytes(m, 0, m.atoms.size(),
-                                                     specs.batch, false));
-  const auto partition =
-      cascade::partition_model(specs.full, full_mem / 5, specs.batch);
-  const std::size_t num_modules = partition.num_modules();
-
-  // Paper protocol: jFAT 500 rounds; memory-efficient baselines 1000;
-  // FedProphet up to 500/module with early stop (~350 effective; Fig. 10
-  // shows ~2500 rounds over 7 modules on CIFAR).
-  std::int64_t rounds = 1000;
-  if (method == TimingMethod::kJfat) rounds = 500;
-  if (method == TimingMethod::kFedProphet ||
-      method == TimingMethod::kFedProphetNoDma)
-    rounds = static_cast<std::int64_t>(num_modules) * 350;
-
-  sys::TrainCostConfig cost_cfg;
-  cost_cfg.batch_size = specs.batch;
-  cost_cfg.pgd_steps = sc.pgd_steps;
-
-  fed::TimeBreakdown total;
-  for (std::int64_t t = 0; t < rounds; ++t) {
-    auto devices =
-        sampler.sample_n(static_cast<std::size_t>(sc.clients_per_round));
-    // Paper §6.1: every client reserves at least Rmin (= 20% of full-model
-    // memory) for training; degradation cannot take availability below it.
-    for (auto& d : devices)
-      d.avail_mem_bytes = std::max(d.avail_mem_bytes, full_mem / 5);
-    double perf_min = devices[0].avail_flops;
-    for (const auto& d : devices) perf_min = std::min(perf_min, d.avail_flops);
-
-    std::vector<fed::ClientWork> work;
-    work.reserve(devices.size());
-    for (const auto& d : devices) {
-      fed::ClientWork w;
-      w.pgd_steps = sc.pgd_steps;
-      switch (method) {
-        case TimingMethod::kJfat:
-          w.atom_begin = 0;
-          w.atom_end = specs.full.atoms.size();
-          break;
-        case TimingMethod::kKnowledgeDistill: {
-          // Largest family member that fits the available memory.
-          std::size_t arch = 0;
-          for (std::size_t a = 0; a < family_mem.size(); ++a)
-            if (family_mem[a] <= d.avail_mem_bytes) arch = a;
-          const double scale = static_cast<double>(family_mem[arch]) /
-                               static_cast<double>(full_mem);
-          w.atom_begin = 0;
-          w.atom_end = specs.full.atoms.size();
-          w.mem_scale = scale;
-          w.flops_scale = scale;
-          break;
-        }
-        case TimingMethod::kPartialTraining: {
-          const double ratio = std::clamp(
-              static_cast<double>(d.avail_mem_bytes) /
-                  static_cast<double>(full_mem),
-              0.25, 1.0);
-          w.atom_begin = 0;
-          w.atom_end = specs.full.atoms.size();
-          w.mem_scale = ratio;
-          w.flops_scale = ratio * ratio;
-          break;
-        }
-        case TimingMethod::kFedRbn:
-          w.atom_begin = 0;
-          w.atom_end = specs.full.atoms.size();
-          // Memory-poor clients do standard training (1 fwd + 1 bwd).
-          w.pgd_steps = d.avail_mem_bytes >= full_mem ? sc.pgd_steps : 0;
-          break;
-        case TimingMethod::kFedProphet:
-        case TimingMethod::kFedProphetNoDma: {
-          const auto stage = static_cast<std::size_t>(
-              std::min<std::int64_t>(t / 350,
-                                     static_cast<std::int64_t>(num_modules) - 1));
-          const std::size_t end = fedprophet::assign_modules(
-              specs.full, partition, stage, specs.batch, d.avail_mem_bytes,
-              d.avail_flops, perf_min,
-              method == TimingMethod::kFedProphet);
-          w.atom_begin = partition.modules[stage].begin;
-          w.atom_end = partition.modules[end - 1].end;
-          w.with_aux = !partition.modules[end - 1].is_last;
-          break;
-        }
-      }
-      work.push_back(w);
-    }
-    total += fed::simulate_round_time(specs.full, devices, work, cost_cfg,
-                                      sc.local_iters);
-  }
-  return total;
 }
 
 }  // namespace fp::bench

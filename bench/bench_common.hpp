@@ -1,107 +1,24 @@
-// Shared scaffolding for the per-table / per-figure benchmark binaries.
-//
-// Two planes (DESIGN.md §1):
-//  * Accuracy plane — real federated training of Tiny models on synthetic
-//    data, driven entirely by the declarative experiment API (src/exp/):
-//    `make_setup` builds an exp::Setup from an ExperimentSpec, `run_method`
-//    resolves any of the paper's eight methods from the method registry and
-//    trains/evaluates it, and `run_scenario` runs one spec end to end — the
-//    same path the `fp_run` CLI uses.
-//  * Systems plane — `simulate_training_time` replays each method's
-//    per-round device work on the paper's exact VGG16/ResNet34 shapes and
-//    round protocols, producing the latency/memory numbers analytically
-//    (as the paper's own simulator does).
+// Shared scaffolding for the benchmark binaries: the CLI banner, and the
+// scenario benches' spec builders and time-to-accuracy readout. Training and
+// reporting go through the declarative experiment API directly
+// (exp::build_setup, exp::run_experiment, exp::print_*_line; DESIGN.md §7).
 //
 // Set FP_BENCH_FAST=1 to shrink every training run ~4x (CI smoke).
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
+#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "attack/evaluate.hpp"
-#include "baselines/distillation.hpp"
-#include "baselines/fedrbn.hpp"
-#include "baselines/jfat.hpp"
-#include "baselines/partial_training.hpp"
-#include "data/synthetic.hpp"
 #include "exp/runner.hpp"
-#include "fed/history_io.hpp"
-#include "fedprophet/fedprophet.hpp"
-#include "models/zoo.hpp"
 
 namespace fp::bench {
 
 using exp::fast_mode;
 using exp::scaled;
 
-enum class Workload { kCifar, kCaltech };
-
-inline const char* workload_key(Workload w) {
-  return w == Workload::kCifar ? "cifar" : "caltech";
-}
-
-inline const char* workload_name(Workload w) {
-  return w == Workload::kCifar ? "CIFAR-10 (synthetic)" : "Caltech-256 (synthetic)";
-}
-
-/// Everything an accuracy-plane run needs (see exp::Setup).
-using BenchSetup = exp::Setup;
-using MethodResult = exp::RunResult;
-
-/// Builds the historical bench scenario for a workload/heterogeneity pair,
-/// with optional spec overrides ("model.name=tiny_cnn", "fl.batch_size=32", ...)
-/// applied before resolution.
-BenchSetup make_setup(Workload w, sys::Heterogeneity het,
-                      const std::vector<std::string>& overrides = {});
-
-/// One communication-volume summary line per trained scenario.
-inline void print_comm_summary(const MethodResult& r, const fed::FlConfig& fl) {
-  exp::print_comm_line(r, fl);
-}
-
-/// One memory-plane summary line per trained scenario.
-inline void print_mem_summary(const MethodResult& r, const BenchSetup& s) {
-  exp::print_mem_line(r, s);
-}
-
-/// One measured-vs-modeled transfer line per distributed-root scenario
-/// (silent for single-process results, so it is safe to call unconditionally).
-inline void print_net_summary(const MethodResult& r) { exp::print_net_line(r); }
-
-/// Process-lifetime peak resident set size in MB (getrusage; 0 if the
-/// platform reports nothing). A whole-process measure, so the interesting
-/// quantity for scale runs is its growth between scenarios, not its level.
-double peak_rss_mb();
-
-/// One [scale] pool-residency summary line per trained scenario: pool size,
-/// distinct clients ever dispatched, edge-merged backbone savings, peak RSS.
-void print_scale_summary(const MethodResult& r, const BenchSetup& s);
-
-inline attack::RobustEvalConfig bench_eval_config(float epsilon0) {
-  attack::RobustEvalConfig e;
-  e.epsilon = epsilon0;
-  e.pgd_steps = 10;
-  e.aa_steps = 12;
-  e.aa_restarts = 1;
-  e.max_samples = scaled(128);
-  return e;
-}
-
-/// Trains one method end to end (via the exp method registry) and evaluates
-/// the three paper metrics. Names: jFAT, FedDF-AT, FedET-AT, HeteroFL-AT,
-/// FedDrop-AT, FedRolex-AT, FedRBN, FedProphet.
-MethodResult run_method(const std::string& name, BenchSetup& s,
-                        std::int64_t rounds_other = 16,
-                        std::int64_t rounds_jfat = 12,
-                        std::int64_t fp_rounds_per_module = 5);
-
-/// Builds a fresh setup from `spec` and trains its method; `label` names the
-/// result and its FP_BENCH_OUT export. The scenario benches define their
-/// sweeps as spec deltas and run every cell through this.
-MethodResult run_scenario(exp::ExperimentSpec spec, const std::string& label);
+/// First simulated second at which clean accuracy reached `target`
+/// (<0 = never).
+double time_to_accuracy(const fed::History& h, double target);
 
 /// Matched client-update budget for scheduler comparisons: one sync barrier
 /// round trains C clients; one async round applies a single update. Sets
@@ -123,31 +40,5 @@ exp::ExperimentSpec comm_scenario_spec(const std::string& codec,
 /// return immediately, or -1 to continue into the bench.
 int parse_bench_args(int argc, char** argv, const char* name,
                      const char* description);
-
-// ---- systems plane ----------------------------------------------------------
-
-enum class TimingMethod {
-  kJfat,
-  kKnowledgeDistill,
-  kPartialTraining,
-  kFedRbn,
-  kFedProphet,
-  kFedProphetNoDma,
-};
-
-struct TimingScenario {
-  Workload workload = Workload::kCifar;
-  sys::Heterogeneity het = sys::Heterogeneity::kBalanced;
-  std::int64_t clients_per_round = 10;  ///< paper: C = 10
-  std::int64_t local_iters = 30;        ///< paper: E = 30
-  int pgd_steps = 10;
-  std::uint64_t seed = 9;
-};
-
-/// Total simulated training time of a method under the paper's protocol
-/// (rounds: 500 jFAT, 1000 memory-efficient baselines, ~350/module
-/// FedProphet). Pure cost-model computation on the paper-shape specs.
-fed::TimeBreakdown simulate_training_time(TimingMethod method,
-                                          const TimingScenario& sc);
 
 }  // namespace fp::bench

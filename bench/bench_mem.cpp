@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "fed/history_io.hpp"
+#include "models/zoo.hpp"
 
 namespace fp::bench {
 namespace {
@@ -24,15 +26,9 @@ namespace {
 struct Cell {
   std::string label;
   bool checkpointing = false;
-  MethodResult method;
+  exp::RunResult method;
   std::int64_t budget_bytes = 0;
 };
-
-double time_to_accuracy(const fed::History& h, double target) {
-  for (const auto& rec : h)
-    if (rec.clean_acc >= target) return rec.sim_time_s;
-  return -1.0;
-}
 
 /// The budget-sweep spec: jFAT with measurement on; > 0 budget bytes enforce
 /// the budget in the requested execution mode. A fresh spec/env per cell:
@@ -67,7 +63,7 @@ int main(int argc, char** argv) {
       rc >= 0)
     return rc;
   std::printf("=== Memory-budget sweep: jFAT under enforced client budgets ===\n\n");
-  const auto base = make_setup(Workload::kCifar, fp::sys::Heterogeneity::kBalanced);
+  const auto base = fp::exp::build_setup(fp::exp::ExperimentSpec{});
   const std::int64_t full_plan =
       fp::exp::planned_full_peak(base.model, base.spec.fl.batch_size);
 
@@ -76,7 +72,8 @@ int main(int argc, char** argv) {
   // maps it onto the paper-shape analytic requirement.
   std::vector<Cell> cells;
   cells.push_back({"unbudgeted", false, {}, 0});
-  cells.front().method = run_scenario(budgeted_spec(0, false, 0.0), "jFAT");
+  cells.front().method =
+      fp::exp::run_experiment(budgeted_spec(0, false, 0.0), "jFAT");
   const std::int64_t ref_peak = cells.front().method.peak_mem_bytes;
   const auto paper = fp::models::vgg16_spec(32, 10);
   const std::int64_t paper_mem = fp::sys::module_train_mem_bytes(
@@ -107,9 +104,9 @@ int main(int argc, char** argv) {
   for (auto& c : cells) {
     if (c.budget_bytes == 0 && !c.checkpointing && c.label == "unbudgeted")
       continue;  // reference already ran
-    c.method = run_scenario(budgeted_spec(c.budget_bytes, c.checkpointing,
-                                          mem_scale),
-                            "jFAT-mem-" + fp::fed::sanitize_filename(c.label));
+    c.method = fp::exp::run_experiment(
+        budgeted_spec(c.budget_bytes, c.checkpointing, mem_scale),
+        "jFAT-mem-" + fp::fed::sanitize_filename(c.label));
   }
 
   // Time-to-accuracy target: 90% of the unbudgeted run's final clean

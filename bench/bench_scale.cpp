@@ -16,10 +16,42 @@
 #include <string>
 #include <vector>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
+
 #include "bench_common.hpp"
 
 namespace fp::bench {
 namespace {
+
+/// Process-lifetime peak resident set size in MB (getrusage; 0 if the
+/// platform reports nothing). A whole-process measure, so the interesting
+/// quantity is its growth between scenarios, not its level.
+double peak_rss_mb() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
+#if defined(__APPLE__)
+  return static_cast<double>(ru.ru_maxrss) / 1e6;  // bytes
+#else
+  return static_cast<double>(ru.ru_maxrss) / 1e3;  // kilobytes
+#endif
+#else
+  return 0.0;
+#endif
+}
+
+/// One [scale] pool-residency summary line per trained scenario: pool size,
+/// distinct clients ever dispatched, edge-merged backbone savings, peak RSS.
+void print_scale_summary(const exp::RunResult& r, const exp::Setup& s) {
+  std::printf(
+      "    [scale] %-12s pool %lld  unique %lld  agg-saved %8.2f MB  "
+      "peak-rss %8.1f MB\n",
+      r.name.c_str(), static_cast<long long>(s.spec.fl.num_clients),
+      static_cast<long long>(r.unique_participants),
+      static_cast<double>(r.agg_bytes_saved) / 1e6, peak_rss_mb());
+}
 
 struct ScaleScenario {
   const char* label;

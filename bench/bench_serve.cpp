@@ -31,6 +31,7 @@
 
 #include "bench_common.hpp"
 #include "exp/json.hpp"
+#include "fed/history_io.hpp"
 #include "obs/trace.hpp"
 #include "net/http.hpp"
 #include "serve/model_host.hpp"

@@ -1,6 +1,8 @@
 #include "exp/json.hpp"
 
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 
 #include "exp/registry.hpp"
 
@@ -158,6 +160,24 @@ FlatJson parse_json_object(const std::string& text) {
 
 FlatJson parse_json_relaxed(const std::string& text) {
   return Parser(text, /*allow_arrays=*/true).parse();
+}
+
+std::string format_float(float v) {
+  char buf[48];
+  for (int prec = 6; prec <= 9; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, static_cast<double>(v));
+    if (std::strtof(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+std::string format_double(double v) {
+  char buf[48];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
 }
 
 }  // namespace fp::exp

@@ -33,4 +33,9 @@ FlatJson parse_json_relaxed(const std::string& text);
 /// JSON string escaping: the one copy lives in obs (its lowest caller).
 using obs::json_escape;
 
+/// Shortest decimal spelling (%g) that parses back to the same binary value:
+/// the number formatter of spec serialization and the serving wire format.
+std::string format_float(float v);
+std::string format_double(double v);
+
 }  // namespace fp::exp

@@ -18,8 +18,7 @@
 
 namespace fp::exp {
 
-/// Everything one experiment run needs, built from a resolved spec. Mirrors
-/// what bench_common::make_setup has always produced.
+/// Everything one experiment run needs, built from a resolved spec.
 struct Setup {
   ExperimentSpec spec;  ///< fully resolved (resolve_spec applied)
   data::TrainTest data;
@@ -72,7 +71,7 @@ using MethodFactory = std::function<MethodRun(Setup&)>;
 /// FedDrop-AT, FedRolex-AT, FedRBN, FedProphet.
 Registry<MethodFactory>& method_registry();
 
-/// What one trained run produced (bench_common::MethodResult is an alias).
+/// What one trained run produced.
 struct RunResult {
   std::string name;
   attack::RobustEvalResult metrics;

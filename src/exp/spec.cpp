@@ -93,25 +93,6 @@ bool parse_bool(const std::string& key, const std::string& value) {
   bad_value(key, value, "a boolean (true/false/1/0)");
 }
 
-/// Shortest decimal spelling that round-trips the binary value exactly.
-std::string fmt_float(float v) {
-  char buf[48];
-  for (int prec = 6; prec <= 9; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, static_cast<double>(v));
-    if (std::strtof(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-std::string fmt_double(double v) {
-  char buf[48];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
 // ---- KeyDef builders ---------------------------------------------------------
 
 /// One numeric/bool key bound to a member reference. `Ref` maps a spec to the
@@ -134,7 +115,7 @@ KeyDef field_key(std::string key, std::string doc, Ref ref) {
   } else if constexpr (std::is_same_v<Field, float>) {
     def.kind = KeyKind::kFloat;
     def.get = [ref](const ExperimentSpec& s) {
-      return fmt_float(ref(const_cast<ExperimentSpec&>(s)));
+      return format_float(ref(const_cast<ExperimentSpec&>(s)));
     };
     def.set = [ref, key](ExperimentSpec& s, const std::string& v) {
       const float f = static_cast<float>(parse_num(key, v));
@@ -144,7 +125,7 @@ KeyDef field_key(std::string key, std::string doc, Ref ref) {
   } else if constexpr (std::is_same_v<Field, double>) {
     def.kind = KeyKind::kFloat;
     def.get = [ref](const ExperimentSpec& s) {
-      return fmt_double(ref(const_cast<ExperimentSpec&>(s)));
+      return format_double(ref(const_cast<ExperimentSpec&>(s)));
     };
     def.set = [ref, key](ExperimentSpec& s, const std::string& v) {
       ref(s) = parse_num(key, v);

@@ -31,9 +31,9 @@ bool fast_mode();
 std::int64_t scaled(std::int64_t n);
 std::int64_t scaled(std::int64_t n, bool fast);
 
-/// The bench-scenario FlConfig defaults (what bench_common::make_setup has
-/// always produced). Sentinels mark fields resolved later: local_iters = -1,
-/// rounds = 0, seed = 0, mem.device_mem_scale = 0.
+/// The bench-scenario FlConfig defaults (the paper tables' scenario).
+/// Sentinels mark fields resolved later: local_iters = -1, rounds = 0,
+/// seed = 0, mem.device_mem_scale = 0.
 fed::FlConfig default_fl_config();
 
 struct ExperimentSpec {

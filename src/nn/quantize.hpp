@@ -7,7 +7,7 @@
 //    activations at `bits` instead of 32, shrinking the ZeRO terms by
 //    bits/32. `low_bit_mem_bytes` composes with the cascade partitioner so
 //    Rmin budgets can be evaluated under quantized training (the
-//    bench_ablation_extensions harness sweeps this).
+//    `bench_paper extensions` table sweeps this).
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,7 @@
 #include "serve/stats.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace fp::serve {
 
@@ -48,24 +46,6 @@ double LatencyHist::quantile(double q) const {
     }
   }
   return kLoSeconds * std::pow(kRatio, kBuckets);
-}
-
-std::string format_float(float v) {
-  char buf[48];
-  for (int prec = 6; prec <= 9; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, static_cast<double>(v));
-    if (std::strtof(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-std::string format_double(double v) {
-  char buf[48];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
 }
 
 }  // namespace fp::serve

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "exp/json.hpp"
+
 namespace fp::serve {
 
 /// Log-spaced histogram over [1us, 100s): 16 buckets per decade, 8 decades.
@@ -65,8 +67,9 @@ class BatchStats {
 
 /// Round-trippable float spelling (shortest %g that parses back exactly).
 /// The serving wire format's float formatter: offline and served renderings
-/// of the same logits are byte-identical because both go through this.
-std::string format_float(float v);
-std::string format_double(double v);
+/// of the same logits are byte-identical because both go through this. The
+/// one copy lives in exp/json (shared with spec serialization).
+using exp::format_double;
+using exp::format_float;
 
 }  // namespace fp::serve
