@@ -2,7 +2,8 @@
 // training time on this substrate: GEMM (blocked vs reference), conv2d
 // forward/backward (batched vs per-sample), a full train step, BatchNorm,
 // one PGD attack step, the attack-step backward with and without
-// parameter gradients, and partial-average aggregation.
+// parameter gradients, an eval attack step plain vs sample-sharded, and
+// partial-average aggregation.
 //
 // Thread count is controlled by FP_NUM_THREADS (see core/parallel.hpp), so
 // the before/after numbers the ISSUE asks for are, e.g.:
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "attack/attacks.hpp"
+#include "attack/evaluate.hpp"
+#include "attack/sharded.hpp"
 #include "fed/aggregator.hpp"
 #include "models/zoo.hpp"
 #include "nn/conv.hpp"
@@ -366,6 +369,34 @@ void BM_AttackBackward(benchmark::State& state) {
   state.SetLabel(scope ? "input_grad_only" : "full");
 }
 BENCHMARK(BM_AttackBackward)->Arg(0)->Arg(1);
+
+// One eval-mode attack step's loss and input gradient on Tiny-VGG at batch
+// 96: Arg(0) is model_ce_lossgrad on the one model, its kernels parallel
+// inside each GEMM; Arg(1) the sample-sharded LossGradFn, one replica per
+// pool thread over a row shard each (attack/sharded.hpp). Both return the
+// same bytes. Wall time, since the sharded work runs on the pool threads.
+void BM_EvalLossGrad(benchmark::State& state) {
+  Rng rng(10);
+  models::BuiltModel model(models::tiny_vgg_spec(), rng);
+  const std::int64_t batch = 96;
+  const Tensor x = Tensor::rand_uniform({batch, 3, 16, 16}, rng, 0, 1);
+  std::vector<std::int64_t> y(batch);
+  for (std::int64_t i = 0; i < batch; ++i) y[i] = i % 10;
+  const bool sharded = state.range(0) == 1;
+  const attack::LossGradFn fn =
+      sharded ? attack::shard_model(model, attack::eval_shards(batch))
+                    .lossgrad(cross_entropy, cross_entropy_grad)
+              : attack::model_ce_lossgrad(model);
+  const compute::InputGradScope scope;
+  Tensor gx;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fn(x, y, &gx));
+    benchmark::DoNotOptimize(gx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+  state.SetLabel(sharded ? "sharded" : "plain");
+}
+BENCHMARK(BM_EvalLossGrad)->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_PartialAverage(benchmark::State& state) {
   Rng rng(6);

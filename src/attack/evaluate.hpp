@@ -2,6 +2,13 @@
 // AutoAttackLite accuracy (APGD-CE + APGD-DLR with restarts; a sample counts
 // as robust only if it survives every attack) — the paper's three metrics
 // (Clean Acc. / PGD Acc. / AA Acc., §7.1).
+//
+// Each evaluate_* call shards every batch's rows over the pool
+// (attack/sharded.hpp, DESIGN.md §2.5): the model itself plus one eval-mode
+// replica per extra thread, built for the call and freed on return, run the
+// classification forwards and every attack step's forward and backward.
+// The loss, the Rng and AA's survival mask stay on the calling thread, so
+// the accuracies are bit-identical for any FP_NUM_THREADS.
 #pragma once
 
 #include "attack/attacks.hpp"
@@ -11,7 +18,8 @@
 
 namespace fp::attack {
 
-/// Eval-mode cross-entropy loss/grad of a full model (input = images).
+/// Eval-mode cross-entropy loss/grad of a full model (input = images), on
+/// the one model: the unsharded reference the sharded path is tested against.
 LossGradFn model_ce_lossgrad(models::BuiltModel& model);
 /// Eval-mode DLR loss/grad (needs >= 3 classes).
 LossGradFn model_dlr_lossgrad(models::BuiltModel& model);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "mem/arena.hpp"
@@ -150,6 +151,41 @@ CascadeLocalTrainer::DzStats CascadeLocalTrainer::measure_output_perturbation(
   return stats;
 }
 
+namespace {
+/// The prefix ending at module m as a shard network; `keep` holds a replica
+/// alive.
+attack::ShardNet prefix_net(CascadeState& cascade, std::size_t m,
+                            std::shared_ptr<void> keep) {
+  return {[&cascade, m, keep = std::move(keep)](const Tensor& x) {
+            return cascade.prefix_logits(m, x, /*train=*/false);
+          },
+          [&cascade, m](const Tensor& grad_logits) {
+            return cascade.prefix_backward(m, 0, grad_logits);
+          }};
+}
+}  // namespace
+
+attack::ShardedNet shard_prefix(CascadeState& cascade, std::size_t m,
+                                std::size_t shards) {
+  struct Replica {
+    std::unique_ptr<models::BuiltModel> model;
+    std::optional<CascadeState> cascade;
+  };
+  std::vector<attack::ShardNet> nets{prefix_net(cascade, m, nullptr)};
+  const nn::ParamBlob aux = cascade.save_aux(m);
+  for (auto& model :
+       attack::eval_replicas(cascade.model(), shards > 1 ? shards - 1 : 0)) {
+    auto replica = std::make_shared<Replica>();
+    replica->model = std::move(model);
+    Rng build_rng(0);  // aux-head init is overwritten below
+    replica->cascade.emplace(*replica->model, cascade.partition(), build_rng);
+    replica->cascade->load_aux(m, aux);
+    CascadeState& ref = *replica->cascade;
+    nets.push_back(prefix_net(ref, m, std::move(replica)));
+  }
+  return attack::ShardedNet(std::move(nets));
+}
+
 PrefixAccuracy evaluate_prefix(CascadeState& cascade, std::size_t m,
                                const data::Dataset& dataset,
                                const PrefixEvalConfig& cfg) {
@@ -160,29 +196,18 @@ PrefixAccuracy evaluate_prefix(CascadeState& cascade, std::size_t m,
   attack::PgdConfig a;
   a.epsilon = cfg.epsilon0;
   a.steps = cfg.pgd_steps;
-  auto fn = [&cascade, m](const Tensor& x, const std::vector<std::int64_t>& y,
-                          Tensor* g) {
-    const Tensor logits = cascade.prefix_logits(m, x, /*train=*/false);
-    const float loss = cross_entropy(logits, y);
-    if (g) *g = cascade.prefix_backward(m, 0, cross_entropy_grad(logits, y));
-    return loss;
-  };
+  // One replica set for this call, freed on return. The classification
+  // forwards run under the configured compute mode; the attack stays fp32.
+  const attack::ShardedNet net =
+      shard_prefix(cascade, m, attack::eval_shards(std::min(cfg.batch_size, n)));
+  const auto fn = net.lossgrad(cross_entropy, cross_entropy_grad);
   std::int64_t clean_ok = 0, adv_ok = 0;
   for (std::int64_t start = 0; start < n; start += cfg.batch_size) {
     const auto b =
         data::take_batch(dataset, start, std::min(cfg.batch_size, n - start));
-    std::vector<std::int64_t> clean_pred, adv_pred;
-    {
-      // Pure-inference classification forwards run under the configured
-      // compute mode; the attack below (fn) stays fp32.
-      const compute::InferenceScope scope(cfg.compute);
-      clean_pred = cascade.prefix_logits(m, b.x, false).argmax_rows();
-    }
+    const auto clean_pred = net.predict(b.x, cfg.compute);
     const Tensor x_adv = attack::pgd(fn, b.x, b.y, a, rng);
-    {
-      const compute::InferenceScope scope(cfg.compute);
-      adv_pred = cascade.prefix_logits(m, x_adv, false).argmax_rows();
-    }
+    const auto adv_pred = net.predict(x_adv, cfg.compute);
     for (std::size_t i = 0; i < clean_pred.size(); ++i) {
       clean_ok += clean_pred[i] == b.y[i];
       adv_ok += adv_pred[i] == b.y[i];

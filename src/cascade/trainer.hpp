@@ -11,6 +11,7 @@
 #pragma once
 
 #include "attack/attacks.hpp"
+#include "attack/sharded.hpp"
 #include "cascade/cascade.hpp"
 #include "data/dataset.hpp"
 #include "nn/optimizer.hpp"
@@ -88,6 +89,12 @@ struct PrefixEvalConfig {
   /// generation stays fp32 (its forwards feed a backward).
   compute::ComputeConfig compute;
 };
+
+/// The eval-mode prefix ending at module m over `shards` row shards:
+/// `cascade` itself as shard 0, and shards - 1 replicas of its model, each
+/// with module m's aux head (attack/sharded.hpp).
+attack::ShardedNet shard_prefix(CascadeState& cascade, std::size_t m,
+                                std::size_t shards);
 
 PrefixAccuracy evaluate_prefix(CascadeState& cascade, std::size_t m,
                                const data::Dataset& dataset,

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/parallel.hpp"
 #include "fed/budget_exec.hpp"
 
 namespace fp::fedprophet {
@@ -243,7 +244,7 @@ void FedProphet::fix_current_module() {
   if (fed::RemoteDispatcher* remote = engine().remote()) {
     // The probed clients' data iterators and RNG streams live on their
     // owning workers: fan the probe out as a custom op and sum the per-client
-    // statistics in client order, exactly as the local loop below does.
+    // statistics in client order, exactly as the local branch below does.
     comm::FrameWriter ctx;
     ctx.blob(model_.save_all());
     ctx.blob(cascade_.save_aux(stage_));
@@ -260,19 +261,19 @@ void FedProphet::fix_current_module() {
       ++samples;
     }
   } else {
-    cascade::LocalTrainConfig tcfg;
-    tcfg.module_begin = stage_;
-    tcfg.module_end = stage_ + 1;
-    tcfg.mu = cfg2_.mu;
-    tcfg.eps_in = current_epsilon();
-    tcfg.pgd_steps = cfg2_.fl.pgd_steps;
-    tcfg.compute = cfg2_.fl.compute;
-    cascade::CascadeLocalTrainer trainer(cascade_, tcfg);
-    for (std::size_t k = 0; k < probe; ++k) {
-      const auto stats = trainer.measure_output_perturbation(
-          client_batches(k).next(), clients_.rng(k));
-      mean_dz += stats.mean_l2;
-      mean_dz_dim += stats.mean_per_dim;
+    // Each probed client runs on its own replica, exactly as a worker runs
+    // the custom op; the statistics are summed in client order.
+    const nn::ParamBlob model_blob = model_.save_all();
+    const nn::ParamBlob aux_blob = cascade_.save_aux(stage_);
+    const float eps = current_epsilon();
+    std::vector<cascade::CascadeLocalTrainer::DzStats> stats(probe);
+    core::parallel_tasks(static_cast<std::int64_t>(probe), [&](std::int64_t k) {
+      const auto client = static_cast<std::size_t>(k);
+      stats[client] = probe_dz(model_blob, aux_blob, stage_, eps, client);
+    });
+    for (const auto& st : stats) {
+      mean_dz += st.mean_l2;
+      mean_dz_dim += st.mean_per_dim;
       ++samples;
     }
   }
@@ -283,6 +284,30 @@ void FedProphet::fix_current_module() {
   auto& rec = stages_.back();
   rec.mean_dz = mean_dz;
   rec.mean_dz_per_dim = mean_dz_dim;
+}
+
+cascade::CascadeLocalTrainer::DzStats FedProphet::probe_dz(
+    const nn::ParamBlob& model_blob, const nn::ParamBlob& aux_blob,
+    std::size_t stage, float eps, std::size_t client) {
+  // Rebuild the root's exact post-stage state and run the ||Delta z|| probe
+  // on this client's data stream. The batch iterator and RNG advance once
+  // per probed client, whether the probe runs here or on the owning worker.
+  Rng build_rng(0);
+  models::BuiltModel local_model(model_.spec(), build_rng);
+  local_model.load_all(model_blob);
+  cascade::CascadeState local_cascade(local_model, cascade_.partition(),
+                                      build_rng);
+  local_cascade.load_aux(stage, aux_blob);
+  cascade::LocalTrainConfig tcfg;
+  tcfg.module_begin = stage;
+  tcfg.module_end = stage + 1;
+  tcfg.mu = cfg2_.mu;
+  tcfg.eps_in = eps;
+  tcfg.pgd_steps = cfg2_.fl.pgd_steps;
+  tcfg.compute = cfg2_.fl.compute;
+  cascade::CascadeLocalTrainer trainer(local_cascade, tcfg);
+  return trainer.measure_output_perturbation(client_batches(client).next(),
+                                             clients_.rng(client));
 }
 
 // ---- Distributed runtime (fed::NetMethod, DESIGN.md §10) --------------------
@@ -319,30 +344,11 @@ void FedProphet::net_custom_op(std::uint32_t op, comm::FrameReader& ctx,
   if (op != kNetOpProbeDz)
     throw std::logic_error("FedProphet: unknown net custom op " +
                            std::to_string(op));
-  // Rebuild the root's exact post-stage state from the context and run the
-  // ||Delta z|| probe on this worker-owned client's data stream. The replica
-  // is rebuilt per client; the batch iterator and RNG advance once per
-  // probed client, matching the single-process loop.
   const nn::ParamBlob model_blob = ctx.blob();
   const nn::ParamBlob aux_blob = ctx.blob();
   const auto stage = static_cast<std::size_t>(ctx.u64());
   const float eps = ctx.f32();
-  Rng build_rng(0);
-  models::BuiltModel local_model(model_.spec(), build_rng);
-  local_model.load_all(model_blob);
-  cascade::CascadeState local_cascade(local_model, cascade_.partition(),
-                                      build_rng);
-  local_cascade.load_aux(stage, aux_blob);
-  cascade::LocalTrainConfig tcfg;
-  tcfg.module_begin = stage;
-  tcfg.module_end = stage + 1;
-  tcfg.mu = cfg2_.mu;
-  tcfg.eps_in = eps;
-  tcfg.pgd_steps = cfg2_.fl.pgd_steps;
-  tcfg.compute = cfg2_.fl.compute;
-  cascade::CascadeLocalTrainer trainer(local_cascade, tcfg);
-  const auto stats = trainer.measure_output_perturbation(
-      client_batches(client).next(), clients_.rng(client));
+  const auto stats = probe_dz(model_blob, aux_blob, stage, eps, client);
   out.f64(stats.mean_l2);
   out.f64(stats.mean_per_dim);
 }

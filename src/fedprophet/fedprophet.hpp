@@ -109,6 +109,12 @@ class FedProphet final : public fed::FederatedAlgorithm,
   float current_epsilon() const;
   std::int64_t input_dim_of_stage() const;
   void fix_current_module();
+  /// The ||Delta z|| probe of one client on a private replica of the
+  /// post-stage model and module `stage`'s aux head (both ends of the
+  /// distributed custom op and the local fan-out).
+  cascade::CascadeLocalTrainer::DzStats probe_dz(
+      const nn::ParamBlob& model_blob, const nn::ParamBlob& aux_blob,
+      std::size_t stage, float eps, std::size_t client);
   /// Rebuilds broadcast_atoms_ as per-atom slices of broadcast_.
   void rebuild_atom_slices();
 

@@ -216,6 +216,17 @@ void BuiltModel::use_bn_bank(int bank) {
     atom->for_each_bn([bank](nn::BatchNorm2d& bn) { bn.use_bank(bank); });
 }
 
+int BuiltModel::active_bn_bank() {
+  int bank = 0;
+  bool found = false;
+  for (auto& atom : atoms_)
+    atom->for_each_bn([&](nn::BatchNorm2d& bn) {
+      if (!found) bank = bn.active_bank();
+      found = true;
+    });
+  return bank;
+}
+
 void BuiltModel::set_bn_tracking(bool tracking) {
   for (auto& atom : atoms_)
     atom->for_each_bn(

@@ -82,6 +82,10 @@ class BuiltModel {
 
   /// Switches every BatchNorm running-stat bank (FedRBN dual-BN support).
   void use_bn_bank(int bank);
+  /// The bank use_bn_bank last selected (0 for a model without BatchNorm).
+  /// save_all carries both banks' statistics but not this choice, so a
+  /// replica rebuilt from a blob must copy it.
+  int active_bn_bank();
   /// Freezes/unfreezes BatchNorm running-stat updates (attack generation).
   void set_bn_tracking(bool tracking);
 

@@ -20,7 +20,9 @@
 // backward still returns the exact grad_in but skips its parameter-gradient
 // work (weight GEMMs, bias and BatchNorm reductions) and leaves gradients()
 // untouched. Layers read the flag once on the calling thread, before any
-// core::parallel_for: pool threads do not inherit thread-local scopes.
+// core::parallel_for: pool threads do not inherit thread-local scopes, so
+// code that runs a whole forward/backward in a pool task (sharded
+// evaluation, attack/sharded.cpp) re-opens the caller's scopes there.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 
 #include "attack/attacks.hpp"
 #include "attack/evaluate.hpp"
+#include "attack/sharded.hpp"
+#include "cascade/trainer.hpp"
+#include "core/parallel.hpp"
 #include "data/synthetic.hpp"
 #include "models/zoo.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/compute_mode.hpp"
 #include "tensor/ops.hpp"
 
@@ -131,7 +136,7 @@ class EvalFixture : public ::testing::Test {
   static void SetUpTestSuite() {
     data::SyntheticConfig dcfg = data::synth_cifar_config();
     dcfg.train_size = 512;
-    dcfg.test_size = 128;
+    dcfg.test_size = 128;  // >= 100: the sharded tests take 100-row batches
     dcfg.num_classes = 4;
     data_ = new data::TrainTest(data::make_synthetic(dcfg));
     Rng rng(65);
@@ -233,6 +238,135 @@ TEST_F(EvalFixture, AttacksLeaveParameterGradientsAtZero) {
   model.backward_range(0, atoms, cross_entropy_grad(logits, b.y));
   for (const auto* g : grads) EXPECT_GT(g->abs_max(), 0.0f);
   model.zero_grad_range(0, atoms);
+}
+
+// ---- Sample-sharded evaluation (attack/sharded.hpp) ---------------------------
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// One loss/grad call of each function on the same batch, as an attack step
+/// makes it: byte-equal loss and d loss / d x.
+void expect_same_lossgrad(const LossGradFn& plain, const LossGradFn& sharded,
+                          const data::Batch& b, const std::string& what) {
+  const compute::InputGradScope scope;
+  Tensor g_plain, g_sharded;
+  const float l_plain = plain(b.x, b.y, &g_plain);
+  const float l_sharded = sharded(b.x, b.y, &g_sharded);
+  EXPECT_EQ(std::memcmp(&l_plain, &l_sharded, sizeof(float)), 0)
+      << what << ": loss " << l_plain << " vs " << l_sharded;
+  EXPECT_TRUE(same_bytes(g_plain, g_sharded)) << what << ": grad_x differs";
+}
+
+const std::int64_t kShardRows[] = {1, 7, 48, 96, 100};
+
+TEST_F(EvalFixture, ShardedModelLossGradIsByteIdentical) {
+  auto& model = *model_;
+  for (const std::int64_t rows : kShardRows) {
+    const auto b = data::take_batch(data_->test, 0, rows);
+    for (std::size_t shards = 1; shards <= 5; ++shards) {
+      const ShardedNet net = shard_model(model, shards);
+      const std::string what =
+          "rows " + std::to_string(rows) + " shards " + std::to_string(shards);
+      expect_same_lossgrad(model_ce_lossgrad(model),
+                           net.lossgrad(cross_entropy, cross_entropy_grad), b,
+                           what + " ce");
+      expect_same_lossgrad(model_dlr_lossgrad(model),
+                           net.lossgrad(dlr_loss, dlr_loss_grad), b,
+                           what + " dlr");
+      const Tensor logits = model.forward(b.x, /*train=*/false);
+      EXPECT_EQ(net.predict(b.x, {}), logits.argmax_rows()) << what;
+    }
+  }
+}
+
+TEST_F(EvalFixture, ShardReplicasKeepTheActiveBnBank) {
+  // A FedRBN-style model evaluated on its adversarial bank: bank 1 holds
+  // statistics unlike bank 0, and replicas must normalize with it too.
+  auto copy = eval_replicas(*model_, 1);
+  models::BuiltModel& model = *copy.front();
+  for (std::size_t a = 0; a < model.num_atoms(); ++a)
+    model.atom(a).for_each_bn([](nn::BatchNorm2d& bn) {
+      bn.running_mean(1) = bn.running_mean(0);
+      bn.running_mean(1).add_scalar_(0.05f);
+      bn.running_var(1) = bn.running_var(0).scaled(1.5f);
+    });
+  model.use_bn_bank(1);
+  ASSERT_EQ(model.active_bn_bank(), 1);
+  const auto b = data::take_batch(data_->test, 0, 48);
+  const ShardedNet net = shard_model(model, 4);
+  expect_same_lossgrad(model_ce_lossgrad(model),
+                       net.lossgrad(cross_entropy, cross_entropy_grad), b,
+                       "bank 1");
+  // The check has teeth: bank 0 gives different gradients.
+  Tensor g_bank1, g_bank0;
+  {
+    const compute::InputGradScope scope;
+    model_ce_lossgrad(model)(b.x, b.y, &g_bank1);
+    model.use_bn_bank(0);
+    model_ce_lossgrad(model)(b.x, b.y, &g_bank0);
+  }
+  EXPECT_FALSE(same_bytes(g_bank1, g_bank0));
+}
+
+TEST_F(EvalFixture, ShardedPrefixLossGradIsByteIdentical) {
+  Rng rng(69);
+  const auto spec = models::tiny_vgg_spec(16, 4, 4);
+  models::BuiltModel model(spec, rng);
+  const auto full =
+      sys::module_train_mem_bytes(spec, 0, spec.atoms.size(), 16, false);
+  cascade::CascadeState cascade(
+      model, cascade::partition_model(spec, full / 3, 16), rng);
+  ASSERT_GE(cascade.num_modules(), 2u);
+  for (const std::size_t m : {std::size_t{0}, cascade.num_modules() - 1}) {
+    const LossGradFn plain = [&cascade, m](const Tensor& x,
+                                           const std::vector<std::int64_t>& y,
+                                           Tensor* g) {
+      const Tensor logits = cascade.prefix_logits(m, x, /*train=*/false);
+      if (g) *g = cascade.prefix_backward(m, 0, cross_entropy_grad(logits, y));
+      return cross_entropy(logits, y);
+    };
+    for (const std::int64_t rows : kShardRows) {
+      const auto b = data::take_batch(data_->test, 0, rows);
+      for (std::size_t shards = 1; shards <= 5; ++shards)
+        expect_same_lossgrad(
+            plain,
+            cascade::shard_prefix(cascade, m, shards)
+                .lossgrad(cross_entropy, cross_entropy_grad),
+            b,
+            "module " + std::to_string(m) + " rows " + std::to_string(rows) +
+                " shards " + std::to_string(shards));
+    }
+  }
+}
+
+TEST_F(EvalFixture, ShardedLossGradIssuesShardsTimesThePlainGemms) {
+  // Every shard runs the plain call's GEMMs on its rows and nothing else. A
+  // worker that did not re-open the caller's InputGradScope would add its
+  // weight-gradient GEMMs and break the equality.
+  const int saved_threads = core::num_threads();
+  core::set_num_threads(4);
+  obs::Counter& gemms = obs::counter("kernel.gemm_calls");
+  const auto b = data::take_batch(data_->test, 0, 96);
+  const auto count = [&](const LossGradFn& fn) {
+    const compute::InputGradScope scope;
+    Tensor g;
+    const std::int64_t before = gemms.value();
+    fn(b.x, b.y, &g);
+    return gemms.value() - before;
+  };
+  const std::int64_t plain = count(model_ce_lossgrad(*model_));
+  ASSERT_GT(plain, 0);
+  for (std::size_t shards = 1; shards <= 4; ++shards) {
+    const ShardedNet net = shard_model(*model_, shards);
+    EXPECT_EQ(count(net.lossgrad(cross_entropy, cross_entropy_grad)),
+              static_cast<std::int64_t>(shards) * plain)
+        << shards << " shards";
+  }
+  core::set_num_threads(saved_threads);
 }
 
 }  // namespace
