@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels that dominate
 // training time on this substrate: GEMM (blocked vs reference), conv2d
-// forward/backward (batched vs per-sample), a full train step, BatchNorm,
+// forward/backward (batched vs per-sample), the conv unfold/fold against
+// the seed's loops with the GEMMs beside them, a full train step, BatchNorm,
 // one PGD attack step, the attack-step backward with and without
 // parameter gradients, an eval attack step plain vs sample-sharded, and
 // partial-average aggregation.
@@ -186,7 +187,7 @@ void BM_Conv2dFwdBwdSeedPerSample(benchmark::State& state) {
   Tensor grad_cols({g.col_rows(), g.col_cols()});
   for (auto _ : state) {
     for (std::int64_t i = 0; i < kConvBatch; ++i) {
-      im2col(g, x.data() + i * in_plane, cols.data());
+      im2col_reference(g, x.data() + i * in_plane, 1, cols.data());
       gemm_reference(false, false, ch, g.col_cols(), g.col_rows(), 1.0f,
                      weight.data(), cols.data(), 0.0f,
                      out.data() + i * out_plane);
@@ -195,18 +196,110 @@ void BM_Conv2dFwdBwdSeedPerSample(benchmark::State& state) {
     grad_in.fill(0.0f);
     for (std::int64_t i = 0; i < kConvBatch; ++i) {
       const float* goi = go.data() + i * out_plane;
-      im2col(g, x.data() + i * in_plane, cols.data());
+      im2col_reference(g, x.data() + i * in_plane, 1, cols.data());
       gemm_reference(false, true, ch, g.col_rows(), g.col_cols(), 1.0f, goi,
                      cols.data(), 1.0f, grad_weight.data());
       gemm_reference(true, false, g.col_rows(), g.col_cols(), ch, 1.0f,
                      weight.data(), goi, 0.0f, grad_cols.data());
-      col2im(g, grad_cols.data(), grad_in.data() + i * in_plane);
+      col2im_reference(g, grad_cols.data(), 1, grad_in.data() + i * in_plane);
     }
     benchmark::DoNotOptimize(grad_in.data());
   }
   state.SetItemsProcessed(state.iterations() * kConvBatch);
 }
 BENCHMARK(BM_Conv2dFwdBwdSeedPerSample);
+
+// The unfold/fold phases of one 3x3 "same" conv at batch 32, one row per
+// TinyVGG-w8 conv geometry {in_c, out_c, px}. The timed loop is the batched
+// kernel; `ref_ms` is the seed's scalar loop on the same data and
+// `speedup` their ratio. The GEMMs of the same conv are timed next to them
+// (`fwd_gemm_ms` with the unfold, `dgrad_gemm_ms` and `wgrad_gemm_ms` with
+// the fold), so the two rows give the layer's whole phase split.
+struct ConvPhases {
+  Conv2dGeometry g;
+  std::int64_t cols;  ///< N * oh * ow
+  Tensor x, weight, columns, go;
+  Tensor grad_weight, grad_in, work;
+
+  explicit ConvPhases(const benchmark::State& state)
+      : g{state.range(0), state.range(1), 3, 1, 1, state.range(2),
+          state.range(2)},
+        cols(kConvBatch * g.col_cols()) {
+    Rng rng(11);
+    x = Tensor::randn({kConvBatch, g.in_channels, g.in_h, g.in_w}, rng);
+    weight = Tensor::randn({g.out_channels, g.col_rows()}, rng);
+    columns = Tensor::randn({g.col_rows(), cols}, rng);
+    go = Tensor::randn({g.out_channels, cols}, rng);
+    grad_weight = Tensor({g.out_channels, g.col_rows()});
+    grad_in = Tensor(x.shape());
+    work = Tensor({std::max(g.out_channels, g.col_rows()), cols});
+  }
+};
+
+template <class Fn>
+double ms_per_call(Fn&& fn) {
+  return seconds_per_call(fn) * 1e3;
+}
+
+void BM_ConvUnfold(benchmark::State& state) {
+  ConvPhases c(state);
+  for (auto _ : state) {
+    im2col(c.g, c.x.data(), kConvBatch, c.work.data());
+    benchmark::DoNotOptimize(c.work.data());
+    benchmark::ClobberMemory();
+  }
+  const double ref_ms = ms_per_call(
+      [&] { im2col_reference(c.g, c.x.data(), kConvBatch, c.work.data()); });
+  state.counters["ref_ms"] = ref_ms;
+  state.counters["speedup"] = ref_ms / ms_per_call([&] {
+    im2col(c.g, c.x.data(), kConvBatch, c.work.data());
+  });
+  state.counters["fwd_gemm_ms"] = ms_per_call([&] {
+    gemm(false, false, c.g.out_channels, c.cols, c.g.col_rows(), 1.0f,
+         c.weight.data(), c.columns.data(), 0.0f, c.work.data());
+  });
+  state.SetBytesProcessed(state.iterations() * c.g.col_rows() * c.cols *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+
+void BM_ConvFold(benchmark::State& state) {
+  ConvPhases c(state);
+  for (auto _ : state) {
+    c.grad_in.fill(0.0f);
+    col2im(c.g, c.columns.data(), kConvBatch, c.grad_in.data());
+    benchmark::DoNotOptimize(c.grad_in.data());
+    benchmark::ClobberMemory();
+  }
+  const auto fold_ms = [&](auto&& kernel) {
+    return ms_per_call([&] {
+      c.grad_in.fill(0.0f);
+      kernel(c.g, c.columns.data(), kConvBatch, c.grad_in.data());
+    });
+  };
+  const double ref_ms = fold_ms(col2im_reference);
+  state.counters["ref_ms"] = ref_ms;
+  state.counters["speedup"] = ref_ms / fold_ms(col2im);
+  state.counters["dgrad_gemm_ms"] = ms_per_call([&] {
+    gemm(true, false, c.g.col_rows(), c.cols, c.g.out_channels, 1.0f,
+         c.weight.data(), c.go.data(), 0.0f, c.work.data());
+  });
+  state.counters["wgrad_gemm_ms"] = ms_per_call([&] {
+    gemm(false, true, c.g.out_channels, c.g.col_rows(), c.cols, 1.0f,
+         c.go.data(), c.columns.data(), 1.0f, c.grad_weight.data());
+  });
+  state.SetBytesProcessed(state.iterations() * c.g.col_rows() * c.cols *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+
+void tiny_vgg_w8_convs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"in", "out", "px"});
+  for (const auto& a : {std::vector<std::int64_t>{3, 8, 16}, {8, 8, 16},
+                        {8, 16, 8}, {16, 16, 8}, {16, 32, 4}, {32, 32, 4}})
+    b->Args(a);
+  b->UseRealTime();
+}
+BENCHMARK(BM_ConvUnfold)->Apply(tiny_vgg_w8_convs);
+BENCHMARK(BM_ConvFold)->Apply(tiny_vgg_w8_convs);
 
 // Inference forward of a 3x3 conv under each compute mode, against the
 // manually timed fp32 im2col+blocked-GEMM forward of the same layer.

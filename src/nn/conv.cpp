@@ -26,6 +26,27 @@ void scatter_bias(const float* iocols, float* od, const float* bias,
       }
   });
 }
+
+/// "(in->out, kernel k, stride s, padding p)" for error messages.
+std::string geometry_string(std::int64_t in_channels, std::int64_t out_channels,
+                            std::int64_t kernel, std::int64_t stride,
+                            std::int64_t padding) {
+  return "(" + std::to_string(in_channels) + "->" +
+         std::to_string(out_channels) + ", kernel " + std::to_string(kernel) +
+         ", stride " + std::to_string(stride) + ", padding " +
+         std::to_string(padding) + ")";
+}
+
+/// Validates the geometry before any member tensor is shaped from it.
+std::int64_t checked_kernel(std::int64_t in_channels, std::int64_t out_channels,
+                            std::int64_t kernel, std::int64_t stride,
+                            std::int64_t padding) {
+  if (kernel < 1 || stride < 1 || padding < 0)
+    throw std::invalid_argument(
+        "Conv2d: need kernel >= 1, stride >= 1, padding >= 0, got " +
+        geometry_string(in_channels, out_channels, kernel, stride, padding));
+  return kernel;
+}
 }  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
@@ -33,7 +54,7 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                Rng& rng, bool bias)
     : in_channels_(in_channels),
       out_channels_(out_channels),
-      kernel_(kernel),
+      kernel_(checked_kernel(in_channels, out_channels, kernel, stride, padding)),
       stride_(stride),
       padding_(padding),
       has_bias_(bias),
@@ -51,6 +72,14 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   FP_TRACE_KERNEL("conv2d_fwd", "batch", x.ndim() == 4 ? x.dim(0) : 0);
   if (x.ndim() != 4 || x.dim(1) != in_channels_)
     throw std::invalid_argument("Conv2d: bad input " + x.shape_str());
+  // A window that does not fit even once would give a truncated (or
+  // negative) output extent computed over out-of-range taps.
+  if (x.dim(2) + 2 * padding_ < kernel_ || x.dim(3) + 2 * padding_ < kernel_)
+    throw std::invalid_argument(
+        "Conv2d " +
+        geometry_string(in_channels_, out_channels_, kernel_, stride_,
+                        padding_) +
+        ": input " + x.shape_str() + " is smaller than the kernel");
   if (compute::int8_active() || compute::winograd_active())
     return forward_inference(x);
   cached_input_ = x;
@@ -60,7 +89,6 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   const std::int64_t ohow = oh * ow;
   const std::int64_t rows = g.col_rows();
   const std::int64_t batch_cols = n * ohow;
-  const std::int64_t in_plane = in_channels_ * h * w;
 
   Tensor out({n, out_channels_, oh, ow});
   scratch_cols_.resize(static_cast<std::size_t>(rows * batch_cols));
@@ -68,12 +96,8 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
 
   // Unfold the whole minibatch into one [rows, N*oh*ow] matrix (sample i
   // owns the column slice [i*ohow, (i+1)*ohow)).
-  const float* xd = x.data();
   float* cols = scratch_cols_.data();
-  core::parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t i = b0; i < b1; ++i)
-      im2col(g, xd + i * in_plane, cols + i * ohow, batch_cols);
-  });
+  im2col(g, x.data(), n, cols);
 
   // One GEMM for the whole batch: [out_c, rows] x [rows, N*oh*ow].
   gemm(false, false, out_channels_, batch_cols, rows, 1.0f, weight_.data(),
@@ -126,15 +150,10 @@ Tensor Conv2d::forward_inference(const Tensor& x) {
   // deep enough to amortize it (qgemm_profitable), fp32 the blocked one.
   const std::int64_t rows = g.col_rows();
   const std::int64_t batch_cols = n * ohow;
-  const std::int64_t in_plane = in_channels_ * h * w;
   scratch_cols_.resize(static_cast<std::size_t>(rows * batch_cols));
   scratch_iocols_.resize(static_cast<std::size_t>(out_channels_ * batch_cols));
-  const float* xd = x.data();
   float* cols = scratch_cols_.data();
-  core::parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t i = b0; i < b1; ++i)
-      im2col(g, xd + i * in_plane, cols + i * ohow, batch_cols);
-  });
+  im2col(g, x.data(), n, cols);
 
   if (use_int8 && qgemm_profitable(rows)) {
     const std::uint64_t epoch = compute::weights_epoch();
@@ -175,7 +194,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t ohow = oh * ow;
   const std::int64_t rows = g.col_rows();
   const std::int64_t batch_cols = n * ohow;
-  const std::int64_t in_plane = in_channels_ * h * w;
   const std::int64_t out_plane = out_channels_ * ohow;
 
   scratch_cols_.resize(static_cast<std::size_t>(rows * batch_cols));
@@ -220,12 +238,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   gemm(true, false, rows, batch_cols, out_channels_, 1.0f, weight_.data(),
        iocols, 0.0f, scratch_grad_cols_.data());
   Tensor grad_in({n, in_channels_, h, w});
-  const float* grad_cols = scratch_grad_cols_.data();
-  float* gid = grad_in.data();
-  core::parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t i = b0; i < b1; ++i)
-      col2im(g, grad_cols + i * ohow, gid + i * in_plane, batch_cols);
-  });
+  col2im(g, scratch_grad_cols_.data(), n, grad_in.data());
   return grad_in;
 }
 

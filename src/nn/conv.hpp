@@ -1,8 +1,12 @@
 // 2-D convolution layer (square kernels), batched im2col + GEMM
-// implementation: the whole minibatch is unfolded into one
-// [C_in*K*K, N*H_out*W_out] column matrix and each direction issues a single
-// large GEMM, with the bias add / grad_bias reduction folded into the
-// parallel gather/scatter passes.
+// implementation: one fp::im2col call unfolds the whole minibatch into a
+// [C_in*K*K, N*H_out*W_out] column matrix (span copies, see tensor/ops.hpp),
+// each direction issues a single large GEMM, and one fp::col2im call folds
+// the input gradient back, bit-identically to the seed's per-sample loops.
+// The bias add / grad_bias reduction are folded into the parallel
+// gather/scatter passes. The geometry is validated: the constructor rejects
+// kernel < 1, stride < 1 and padding < 0, and forward rejects an input
+// smaller than the kernel after padding.
 #pragma once
 
 #include <vector>

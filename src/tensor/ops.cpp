@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
+
+#include "core/parallel.hpp"
 
 namespace fp {
 
@@ -73,31 +76,194 @@ void gemm_reference(bool transpose_a, bool transpose_b, std::int64_t m,
   }
 }
 
-void im2col(const Conv2dGeometry& g, const float* image, float* columns) {
-  im2col(g, image, columns, g.col_cols());
+namespace {
+
+/// [lo, hi): the output positions o in [0, out) whose input index
+/// o * stride + offset lies inside [0, in).
+struct Span {
+  std::int64_t lo, hi;
+};
+
+Span valid_span(std::int64_t offset, std::int64_t stride, std::int64_t in,
+                std::int64_t out) {
+  const std::int64_t lo = offset >= 0 ? 0 : (stride - 1 - offset) / stride;
+  const std::int64_t hi =
+      std::min(out, in > offset ? (in - offset + stride - 1) / stride : 0);
+  return {std::min(lo, hi), hi};
 }
 
-void im2col(const Conv2dGeometry& g, const float* image, float* columns,
-            std::int64_t ld) {
+/// One kernel tap (kh, kw): the input offset of output (0, 0) and the output
+/// rows/columns whose input lies inside the plane.
+struct Tap {
+  std::int64_t dy, dx;
+  Span ys, xs;
+};
+
+/// What every plane of one call shares, computed once so that the span
+/// loops divide nothing.
+struct SpanPlan {
+  std::int64_t in_w, oh, ow, ohow, stride;
+  bool same;              ///< stride 1 and the output extent is the input's
+  std::vector<Tap> taps;  ///< row-major over (kh, kw)
+
+  explicit SpanPlan(const Conv2dGeometry& g)
+      : in_w(g.in_w),
+        oh(g.out_h()),
+        ow(g.out_w()),
+        ohow(oh * ow),
+        stride(g.stride),
+        same(g.stride == 1 && oh == g.in_h && ow == g.in_w) {
+    for (std::int64_t kh = 0; kh < g.kernel; ++kh)
+      for (std::int64_t kw = 0; kw < g.kernel; ++kw) {
+        const std::int64_t dy = kh - g.padding, dx = kw - g.padding;
+        taps.push_back({dy, dx, valid_span(dy, stride, g.in_h, oh),
+                        valid_span(dx, stride, g.in_w, ow)});
+      }
+  }
+};
+
+void zero(float* dst, std::int64_t begin, std::int64_t end) {
+  if (end > begin)
+    std::memset(dst + begin, 0, static_cast<std::size_t>(end - begin) * sizeof(float));
+}
+
+/// Copies count > 0 floats; callers test the count before forming pointers.
+void copy(const float* src, std::int64_t count, float* dst) {
+  std::memcpy(dst, src, static_cast<std::size_t>(count) * sizeof(float));
+}
+
+/// Zeroes the output columns [0, xs.lo) and [xs.hi, ow) of rows ys: one
+/// strided store per edge pixel (few, |dx| <= padding), no library call.
+void zero_edge_columns(const SpanPlan& p, const Tap& t, float* dst) {
+  const auto zero_column = [&](std::int64_t x) {
+    for (std::int64_t y = t.ys.lo; y < t.ys.hi; ++y) dst[y * p.ow + x] = 0.0f;
+  };
+  for (std::int64_t x = 0; x < t.xs.lo; ++x) zero_column(x);
+  for (std::int64_t x = t.xs.hi; x < p.ow; ++x) zero_column(x);
+}
+
+/// dst[y*ow + x] = plane[(y*s + dy)*W + x*s + dx] inside the plane, 0 in the
+/// padding. Every index stays inside `plane` and `dst`.
+void unfold_tap(const SpanPlan& p, const Tap& t, const float* plane,
+                float* dst) {
+  const std::int64_t ow = p.ow, s = p.stride;
+  zero(dst, 0, t.ys.lo * ow);
+  zero(dst, t.ys.hi * ow, p.ohow);
+  if (p.same) {
+    // The valid rows are one shifted copy of the plane; the columns that
+    // wrapped around a row edge are zeroed afterwards.
+    const std::int64_t shift = t.dy * ow + t.dx;
+    const std::int64_t b = std::max(t.ys.lo * ow, -shift);
+    const std::int64_t e = std::min(t.ys.hi * ow, p.ohow - shift);
+    if (e > b) copy(plane + (b + shift), e - b, dst + b);
+  } else {
+    for (std::int64_t y = t.ys.lo; y < t.ys.hi; ++y) {
+      const float* src = plane + (y * s + t.dy) * p.in_w;
+      float* d = dst + y * ow;
+      if (s == 1) {
+        if (t.xs.hi > t.xs.lo)
+          copy(src + (t.xs.lo + t.dx), t.xs.hi - t.xs.lo, d + t.xs.lo);
+      } else {
+        for (std::int64_t x = t.xs.lo; x < t.xs.hi; ++x) d[x] = src[x * s + t.dx];
+      }
+    }
+  }
+  zero_edge_columns(p, t, dst);
+}
+
+/// plane[(y*s + dy)*W + x*s + dx] += src[y*ow + x] over the tap's valid
+/// outputs: one add per pixel, so tap order alone fixes the result.
+void fold_tap(const SpanPlan& p, const Tap& t, const float* src, float* plane) {
+  const std::int64_t ow = p.ow, s = p.stride;
+  for (std::int64_t y = t.ys.lo; y < t.ys.hi; ++y) {
+    float* __restrict d = plane + (y * s + t.dy) * p.in_w;
+    const float* __restrict sr = src + y * ow;
+    if (s == 1) {
+      for (std::int64_t x = t.xs.lo; x < t.xs.hi; ++x) d[x + t.dx] += sr[x];
+    } else {
+      for (std::int64_t x = t.xs.lo; x < t.xs.hi; ++x) d[x * s + t.dx] += sr[x];
+    }
+  }
+}
+
+/// Elements per parallel chunk below which splitting costs more than it saves.
+constexpr std::int64_t kSpanChunkElems = 4096;
+
+}  // namespace
+
+void im2col(const Conv2dGeometry& g, const float* images, std::int64_t n,
+            float* columns) {
+  const SpanPlan p(g);
+  const std::int64_t kk = static_cast<std::int64_t>(p.taps.size());
+  const std::int64_t plane = g.in_h * g.in_w;
+  if (n <= 0 || p.ohow <= 0) return;
+  // Unit u = row * n + sample writes columns[u*ohow, (u+1)*ohow): the units
+  // in order fill the column matrix front to back.
+  core::parallel_for(
+      0, g.col_rows() * n, std::max<std::int64_t>(1, kSpanChunkElems / p.ohow),
+      [&](std::int64_t u0, std::int64_t u1) {
+        const std::int64_t row0 = u0 / n;
+        std::int64_t i = u0 % n, c = row0 / kk, tap = row0 % kk;
+        for (std::int64_t u = u0; u < u1; ++u) {
+          unfold_tap(p, p.taps[tap], images + (i * g.in_channels + c) * plane,
+                     columns + u * p.ohow);
+          if (++i == n) {  // next row: (c, tap) in row-major order
+            i = 0;
+            if (++tap == kk) {
+              tap = 0;
+              ++c;
+            }
+          }
+        }
+      });
+}
+
+void col2im(const Conv2dGeometry& g, const float* columns, std::int64_t n,
+            float* images) {
+  const SpanPlan p(g);
+  const std::int64_t kk = static_cast<std::int64_t>(p.taps.size());
+  const std::int64_t plane = g.in_h * g.in_w, ld = n * p.ohow;
+  if (n <= 0 || p.ohow <= 0) return;
+  // Unit u = sample * C + channel owns one image plane and adds all of its
+  // taps in (kh, kw) order; no pixel is touched by two units.
+  core::parallel_for(
+      0, n * g.in_channels,
+      std::max<std::int64_t>(1, kSpanChunkElems / (kk * p.ohow)),
+      [&](std::int64_t u0, std::int64_t u1) {
+        for (std::int64_t u = u0; u < u1; ++u) {
+          const float* src =
+              columns + (u % g.in_channels) * kk * ld + (u / g.in_channels) * p.ohow;
+          for (std::int64_t r = 0; r < kk; ++r)
+            fold_tap(p, p.taps[r], src + r * ld, images + u * plane);
+        }
+      });
+}
+
+void im2col_reference(const Conv2dGeometry& g, const float* images,
+                      std::int64_t n, float* columns) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   const std::int64_t plane = g.in_h * g.in_w;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.in_channels; ++c) {
-    const float* chan = image + c * plane;
-    for (std::int64_t kh = 0; kh < g.kernel; ++kh) {
-      for (std::int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
-        float* dst = columns + row * ld;
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride + kh - g.padding;
-          if (iy < 0 || iy >= g.in_h) {
-            std::memset(dst + y * ow, 0, static_cast<std::size_t>(ow) * sizeof(float));
-            continue;
-          }
-          const float* src_row = chan + iy * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kw - g.padding;
-            dst[y * ow + x] =
-                (ix >= 0 && ix < g.in_w) ? src_row[ix] : 0.0f;
+  const std::int64_t ld = n * oh * ow;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* image = images + i * g.in_channels * plane;
+    std::int64_t row = 0;
+    for (std::int64_t c = 0; c < g.in_channels; ++c) {
+      const float* chan = image + c * plane;
+      for (std::int64_t kh = 0; kh < g.kernel; ++kh) {
+        for (std::int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
+          float* dst = columns + row * ld + i * oh * ow;
+          for (std::int64_t y = 0; y < oh; ++y) {
+            const std::int64_t iy = y * g.stride + kh - g.padding;
+            if (iy < 0 || iy >= g.in_h) {
+              std::memset(dst + y * ow, 0, static_cast<std::size_t>(ow) * sizeof(float));
+              continue;
+            }
+            const float* src_row = chan + iy * g.in_w;
+            for (std::int64_t x = 0; x < ow; ++x) {
+              const std::int64_t ix = x * g.stride + kw - g.padding;
+              dst[y * ow + x] =
+                  (ix >= 0 && ix < g.in_w) ? src_row[ix] : 0.0f;
+            }
           }
         }
       }
@@ -105,27 +271,27 @@ void im2col(const Conv2dGeometry& g, const float* image, float* columns,
   }
 }
 
-void col2im(const Conv2dGeometry& g, const float* columns, float* image) {
-  col2im(g, columns, image, g.col_cols());
-}
-
-void col2im(const Conv2dGeometry& g, const float* columns, float* image,
-            std::int64_t ld) {
+void col2im_reference(const Conv2dGeometry& g, const float* columns,
+                      std::int64_t n, float* images) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   const std::int64_t plane = g.in_h * g.in_w;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.in_channels; ++c) {
-    float* chan = image + c * plane;
-    for (std::int64_t kh = 0; kh < g.kernel; ++kh) {
-      for (std::int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
-        const float* src = columns + row * ld;
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride + kh - g.padding;
-          if (iy < 0 || iy >= g.in_h) continue;
-          float* dst_row = chan + iy * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kw - g.padding;
-            if (ix >= 0 && ix < g.in_w) dst_row[ix] += src[y * ow + x];
+  const std::int64_t ld = n * oh * ow;
+  for (std::int64_t i = 0; i < n; ++i) {
+    float* image = images + i * g.in_channels * plane;
+    std::int64_t row = 0;
+    for (std::int64_t c = 0; c < g.in_channels; ++c) {
+      float* chan = image + c * plane;
+      for (std::int64_t kh = 0; kh < g.kernel; ++kh) {
+        for (std::int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
+          const float* src = columns + row * ld + i * oh * ow;
+          for (std::int64_t y = 0; y < oh; ++y) {
+            const std::int64_t iy = y * g.stride + kh - g.padding;
+            if (iy < 0 || iy >= g.in_h) continue;
+            float* dst_row = chan + iy * g.in_w;
+            for (std::int64_t x = 0; x < ow; ++x) {
+              const std::int64_t ix = x * g.stride + kw - g.padding;
+              if (ix >= 0 && ix < g.in_w) dst_row[ix] += src[y * ow + x];
+            }
           }
         }
       }

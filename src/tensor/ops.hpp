@@ -38,6 +38,8 @@ struct Conv2dGeometry {
   std::int64_t padding = 0;
   std::int64_t in_h = 0, in_w = 0;
 
+  /// Output extents. Meaningful only when stride >= 1 and the padded input
+  /// fits the kernel (in + 2 * padding >= kernel); nn::Conv2d checks both.
   std::int64_t out_h() const { return (in_h + 2 * padding - kernel) / stride + 1; }
   std::int64_t out_w() const { return (in_w + 2 * padding - kernel) / stride + 1; }
   /// Rows of the im2col matrix: C_in * K * K.
@@ -46,22 +48,33 @@ struct Conv2dGeometry {
   std::int64_t col_cols() const { return out_h() * out_w(); }
 };
 
-/// Unfolds one image [C, H, W] into a [C*K*K, H_out*W_out] column matrix.
-void im2col(const Conv2dGeometry& g, const float* image, float* columns);
+/// Unfolds a batch of n images [n, C, H, W] into one
+/// [C*K*K, n*H_out*W_out] column matrix; sample i owns the column slice
+/// [i*H_out*W_out, (i+1)*H_out*W_out). Row (c, kh, kw) of a sample is the
+/// input plane c shifted by the tap: each output row copies the span of
+/// columns whose tap lands inside the image (memcpy at stride 1) and zeroes
+/// only the padding edges. The rows are written in row-major order across
+/// the batch, split over the worker pool. Pure copying, so the bytes equal
+/// im2col_reference's for any partition.
+void im2col(const Conv2dGeometry& g, const float* images, std::int64_t n,
+            float* columns);
 
-/// Strided variant for batched convolution: writes the sample's columns into
-/// a slice of a wider [C*K*K, ld] matrix, `ld` being the row stride of the
-/// whole-minibatch column buffer (ld = N * H_out * W_out).
-void im2col(const Conv2dGeometry& g, const float* image, float* columns,
-            std::int64_t ld);
+/// The adjoint of im2col: folds the [C*K*K, n*H_out*W_out] column matrix
+/// back into images [n, C, H, W], accumulating (+=) into what is there (a
+/// gradient fold starts from zeroed images). Every image pixel receives its
+/// taps in ascending (kh, kw) order, exactly col2im_reference's additions;
+/// the work is split over (sample, input channel) only, never across taps,
+/// so the result is bit-identical for any thread count.
+void col2im(const Conv2dGeometry& g, const float* columns, std::int64_t n,
+            float* images);
 
-/// Folds a column matrix back into an image, accumulating overlaps (+=).
-/// `image` must be zeroed by the caller beforehand.
-void col2im(const Conv2dGeometry& g, const float* columns, float* image);
-
-/// Strided variant matching the strided im2col (reads rows with stride ld).
-void col2im(const Conv2dGeometry& g, const float* columns, float* image,
-            std::int64_t ld);
+/// The seed's scalar per-element loops with the same batched layout and
+/// contract, single-threaded: the parity oracle for im2col/col2im and the
+/// benchmark baseline, next to gemm_reference.
+void im2col_reference(const Conv2dGeometry& g, const float* images,
+                      std::int64_t n, float* columns);
+void col2im_reference(const Conv2dGeometry& g, const float* columns,
+                      std::int64_t n, float* images);
 
 /// Row-wise softmax of logits [N, C].
 Tensor softmax(const Tensor& logits);

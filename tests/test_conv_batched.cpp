@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "grad_check.hpp"
 #include "nn/conv.hpp"
@@ -23,7 +25,7 @@ Tensor per_sample_forward(nn::Conv2d& conv, const Tensor& x) {
   const std::int64_t in_plane = conv.in_channels() * h * w;
   const std::int64_t out_plane = conv.out_channels() * oh * ow;
   for (std::int64_t i = 0; i < n; ++i) {
-    im2col(g, x.data() + i * in_plane, cols.data());
+    im2col_reference(g, x.data() + i * in_plane, 1, cols.data());
     gemm_reference(false, false, conv.out_channels(), g.col_cols(), g.col_rows(),
                    1.0f, conv.weight().data(), cols.data(), 0.0f,
                    out.data() + i * out_plane);
@@ -93,6 +95,42 @@ TEST(Conv2dBatched, BackwardAccumulatesAcrossCalls) {
     const float tol = 1e-4f * (std::abs(once[i]) + 1.0f);
     ASSERT_NEAR(twice[i], 2.0f * once[i], tol);
   }
+}
+
+/// Runs `fn`, which must throw std::invalid_argument whose message contains
+/// every one of `parts`.
+template <class Fn>
+void expect_invalid(Fn&& fn, std::initializer_list<const char*> parts) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    for (const char* part : parts)
+      EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+          << "'" << part << "' missing from: " << e.what();
+  }
+}
+
+TEST(Conv2dBatched, RejectsWindowsThatDoNotFit) {
+  Rng rng(9);
+  // A 3x3 window never fits an unpadded 2x2 input, at any stride; the extent
+  // formula would truncate to 1 (stride 2) or 0 (stride 1) instead.
+  for (const std::int64_t stride : {2, 1}) {
+    nn::Conv2d conv(1, 1, 3, stride, 0, rng);
+    expect_invalid([&] { conv.forward(Tensor({1, 1, 2, 2}), false); },
+                   {"kernel 3", "padding 0", "[1, 1, 2, 2]"});
+  }
+  nn::Conv2d conv(1, 1, 3, 1, 0, rng);
+  expect_invalid([&] { conv.forward(Tensor({1, 1, 1, 1}), true); },
+                 {"Conv2d", "kernel 3", "[1, 1, 1, 1]"});
+  // Padding makes the same input valid.
+  nn::Conv2d padded(1, 1, 3, 1, 1, rng);
+  EXPECT_EQ(padded.forward(Tensor({1, 1, 2, 2}), false).shape_str(),
+            "[1, 1, 2, 2]");
+  // Degenerate geometry is refused at construction.
+  expect_invalid([&] { nn::Conv2d(1, 1, 3, 0, 1, rng); }, {"stride 0"});
+  expect_invalid([&] { nn::Conv2d(1, 1, 0, 1, 0, rng); }, {"kernel 0"});
+  expect_invalid([&] { nn::Conv2d(1, 1, 3, 1, -1, rng); }, {"padding -1"});
 }
 
 }  // namespace

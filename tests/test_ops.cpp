@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "core/parallel.hpp"
 #include "tensor/ops.hpp"
 
 namespace fp {
@@ -56,7 +59,7 @@ TEST(Im2Col, IdentityKernelGeometry) {
   Rng rng(12);
   const Tensor img = Tensor::randn({2, 3, 3}, rng);
   Tensor cols({g.col_rows(), g.col_cols()});
-  im2col(g, img.data(), cols.data());
+  im2col(g, img.data(), 1, cols.data());
   for (std::int64_t i = 0; i < img.numel(); ++i) EXPECT_FLOAT_EQ(cols[i], img[i]);
 }
 
@@ -64,7 +67,7 @@ TEST(Im2Col, PaddingProducesZeros) {
   Conv2dGeometry g{1, 1, 3, 1, 1, 2, 2};
   const Tensor img = Tensor::ones({1, 2, 2});
   Tensor cols({g.col_rows(), g.col_cols()});
-  im2col(g, img.data(), cols.data());
+  im2col(g, img.data(), 1, cols.data());
   // First row of the column matrix corresponds to kernel offset (0,0): the
   // top-left tap reads padding for output (0,0).
   EXPECT_FLOAT_EQ(cols[0], 0.0f);
@@ -81,10 +84,93 @@ TEST(Col2Im, IsAdjointOfIm2Col) {
   const Tensor x = Tensor::randn({3, 5, 5}, rng);
   const Tensor y = Tensor::randn({g.col_rows(), g.col_cols()}, rng);
   Tensor cols({g.col_rows(), g.col_cols()});
-  im2col(g, x.data(), cols.data());
+  im2col(g, x.data(), 1, cols.data());
   Tensor back({3, 5, 5});
-  col2im(g, y.data(), back.data());
+  col2im(g, y.data(), 1, back.data());
   EXPECT_NEAR(cols.dot(y), x.dot(back), 1e-2f);
+}
+
+/// Gaussian values salted with -0.0, +-Inf and NaN. The NaN is the one the
+/// hardware makes for Inf - Inf, so every NaN a fold can meet has one bit
+/// pattern and operand order cannot pick between payloads.
+std::vector<float> special_values(std::int64_t count, Rng& rng) {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {-0.0f, inf, -inf, inf - inf};
+  std::vector<float> v(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = i % 7 == 3 ? specials[(i / 7) % 4] : rng.gaussian();
+  return v;
+}
+
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Batched unfold and fold against the seed's scalar loops, byte for byte,
+/// over every kernel/stride/padding combination whose window fits, ragged
+/// and degenerate planes, and padding >= kernel (all-zero unfold rows). The
+/// fold accumulates into a non-zero image, so the tap order is pinned too.
+TEST(Im2Col, BatchedMatchesReferenceBytes) {
+  const std::int64_t channels = 2;
+  const std::int64_t planes[][2] = {{1, 1}, {2, 3}, {5, 7}, {8, 8}};
+  const int saved_threads = core::num_threads();
+  core::set_num_threads(4);
+  Rng rng(21);
+  int checked = 0;
+  for (const std::int64_t k : {1, 2, 3, 5, 7})
+    for (const std::int64_t s : {1, 2, 3})
+      for (std::int64_t p = 0; p <= 3; ++p)
+        for (const auto& hw : planes) {
+          if (hw[0] + 2 * p < k || hw[1] + 2 * p < k) continue;
+          const Conv2dGeometry g{channels, 1, k, s, p, hw[0], hw[1]};
+          for (const std::int64_t n : {1, 3, 32}) {
+            const std::int64_t image_elems = n * channels * hw[0] * hw[1];
+            const std::int64_t col_elems = g.col_rows() * n * g.col_cols();
+            const auto x = special_values(image_elems, rng);
+            std::vector<float> want(col_elems, 1.0f), got(col_elems, 2.0f);
+            im2col_reference(g, x.data(), n, want.data());
+            im2col(g, x.data(), n, got.data());
+            ASSERT_TRUE(same_bytes(want, got))
+                << "unfold k=" << k << " s=" << s << " p=" << p << " "
+                << hw[0] << "x" << hw[1] << " n=" << n;
+
+            const auto y = special_values(col_elems, rng);
+            std::vector<float> want_img = special_values(image_elems, rng);
+            std::vector<float> got_img = want_img;
+            col2im_reference(g, y.data(), n, want_img.data());
+            col2im(g, y.data(), n, got_img.data());
+            ASSERT_TRUE(same_bytes(want_img, got_img))
+                << "fold k=" << k << " s=" << s << " p=" << p << " "
+                << hw[0] << "x" << hw[1] << " n=" << n;
+            ++checked;
+          }
+        }
+  core::set_num_threads(saved_threads);
+  EXPECT_GT(checked, 300);
+}
+
+/// The batched kernels split their work over the pool: one thread and four
+/// must give the same bytes on a TinyVGG-sized layer.
+TEST(Im2Col, BatchedIsThreadCountInvariant) {
+  const Conv2dGeometry g{8, 8, 3, 1, 1, 16, 16};
+  const std::int64_t n = 32;
+  Rng rng(22);
+  const auto x = special_values(n * 8 * 16 * 16, rng);
+  const auto y = special_values(g.col_rows() * n * g.col_cols(), rng);
+  const int saved_threads = core::num_threads();
+  std::vector<float> cols[2], img[2];
+  const int threads[2] = {1, 4};
+  for (int r = 0; r < 2; ++r) {
+    core::set_num_threads(threads[r]);
+    cols[r].assign(y.size(), 0.0f);
+    img[r].assign(x.size(), 0.0f);
+    im2col(g, x.data(), n, cols[r].data());
+    col2im(g, y.data(), n, img[r].data());
+  }
+  core::set_num_threads(saved_threads);
+  EXPECT_TRUE(same_bytes(cols[0], cols[1]));
+  EXPECT_TRUE(same_bytes(img[0], img[1]));
 }
 
 TEST(Softmax, RowsSumToOne) {
