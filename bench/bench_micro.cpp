@@ -12,7 +12,6 @@
 //   FP_NUM_THREADS=1 ./bench_micro --benchmark_filter='Conv2dFwdBwd'
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -26,6 +25,7 @@
 #include "models/zoo.hpp"
 #include "nn/conv.hpp"
 #include "nn/norm.hpp"
+#include "obs/trace.hpp"
 #include "tensor/compute_mode.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/qgemm.hpp"
@@ -40,10 +40,9 @@ double seconds_per_call(Fn&& fn, int reps = 3) {
   fn();  // warm caches and scratch
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = obs::now_s();
     fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    best = std::min(best, obs::now_s() - t0);
   }
   return best;
 }
@@ -103,11 +102,10 @@ void BM_QGemmInt8(benchmark::State& state) {
   QuantizedMat qa;
   double elapsed = 0.0;
   for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = obs::now_s();
     quantize_rows_int8(a.data(), n, n, n, qa);
     qgemm_nt(n, n, qa, qb, c.data(), n);
-    elapsed += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0).count();
+    elapsed += obs::now_s() - t0;
     benchmark::DoNotOptimize(c.data());
   }
   const double flops = 2.0 * n * n * n;
@@ -331,10 +329,9 @@ void BM_ConvInferenceForward(benchmark::State& state) {
   }
   double elapsed = 0.0;
   for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = obs::now_s();
     Tensor y = conv.forward(x, /*train=*/false);
-    elapsed += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0).count();
+    elapsed += obs::now_s() - t0;
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * kConvBatch);
@@ -373,10 +370,9 @@ void BM_EvalForwardInt8Winograd(benchmark::State& state) {
   }
   double elapsed = 0.0;
   for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = obs::now_s();
     Tensor y = model.forward(x, /*train=*/false);
-    elapsed += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0).count();
+    elapsed += obs::now_s() - t0;
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * 8);

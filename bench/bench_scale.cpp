@@ -10,7 +10,6 @@
 // over a 1M-client pool — FP_BENCH_FAST=1 shrinks it to 100k — under three
 // schedules (flat, hierarchical, churned) and reports per-round wall-clock
 // plus process peak RSS, which must stay O(sampled), not O(pool).
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,6 +20,7 @@
 #endif
 
 #include "bench_common.hpp"
+#include "obs/trace.hpp"
 
 namespace fp::bench {
 namespace {
@@ -110,12 +110,10 @@ int main(int argc, char** argv) {
     for (const char* kv : sc.overrides) fp::exp::apply_override(spec, kv);
     const std::int64_t rounds = spec.fl.rounds;
     auto setup = fp::exp::build_setup(std::move(spec));
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = fp::obs::now_s();
     const auto r =
         fp::exp::run_on_setup(setup, std::string("jFAT-") + sc.label);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double wall = fp::obs::now_s() - t0;
     std::printf("%-14s %9.1f%% %10.1f %11.2fs %10zu\n", sc.label,
                 100 * r.metrics.clean_acc, r.sim_time.total(),
                 wall / static_cast<double>(rounds > 0 ? rounds : 1), r.dropped);

@@ -23,8 +23,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,23 +149,24 @@ void export_rows(const std::vector<ModeRow>& rows,
                  const exp::ExperimentSpec* spec) {
   const std::string csv = fed::export_history_path("bench_serve");
   if (csv.empty()) return;
-  std::ofstream out(csv);
-  out << "mode,connections,requests,qps,p50_ms,p95_ms,p99_ms,mean_batch\n";
+  std::string text =
+      "mode,connections,requests,qps,p50_ms,p95_ms,p99_ms,mean_batch\n";
   for (const auto& r : rows) {
     char line[256];
     std::snprintf(line, sizeof(line), "%s,%lld,%lld,%.2f,%.4f,%.4f,%.4f,%.3f\n",
                   r.label.c_str(), static_cast<long long>(r.conns),
                   static_cast<long long>(r.requests), r.qps, r.p50_ms,
                   r.p95_ms, r.p99_ms, r.mean_batch);
-    out << line;
+    text += line;
+  }
+  const std::string spec_path = csv.substr(0, csv.size() - 4) + ".spec.json";
+  if (!exp::write_text_file(csv, text) ||
+      (spec != nullptr &&
+       !exp::write_text_file(spec_path, exp::spec_to_json(*spec)))) {
+    std::fprintf(stderr, "bench_serve: cannot export %s\n", csv.c_str());
+    return;
   }
   std::printf("exported %s\n", csv.c_str());
-  if (spec != nullptr) {
-    const std::string spec_path =
-        csv.substr(0, csv.size() - 4) + ".spec.json";
-    std::ofstream sp(spec_path);
-    sp << exp::spec_to_json(*spec);
-  }
 }
 
 int self_mode(std::int64_t conns, std::int64_t requests) {
@@ -289,15 +288,13 @@ int self_mode(std::int64_t conns, std::int64_t requests) {
 
 int target_mode(const std::string& host, int port, const std::string& spec_path,
                 std::int64_t conns, std::int64_t requests, bool check_acc) {
-  std::ifstream in(spec_path);
-  if (!in) {
+  std::string text;
+  if (!exp::read_text_file(spec_path, &text)) {
     std::fprintf(stderr, "bench_serve: cannot read spec '%s'\n",
                  spec_path.c_str());
     return 2;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  exp::ExperimentSpec spec = exp::spec_from_json(text.str());
+  exp::ExperimentSpec spec = exp::spec_from_json(text);
   // The sidecar spec regenerates the training run's exact synthetic test
   // split, so served predictions can be scored against real labels.
   auto setup = exp::build_setup(spec);

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "baselines/distillation.hpp"
 #include "baselines/fedrbn.hpp"
 #include "baselines/jfat.hpp"
 #include "baselines/partial_training.hpp"
+#include "exp/json.hpp"
 #include "fed/history_io.hpp"
 #include "fedprophet/fedprophet.hpp"
 #include "mem/planner.hpp"
@@ -398,10 +398,7 @@ std::string export_run_artifacts(const ExperimentSpec& spec,
   // write must not pass silently — the artifact IS the point of the export.
   std::string spec_path = csv;
   spec_path.replace(spec_path.size() - 4, 4, ".spec.json");
-  std::ofstream out(spec_path);
-  out << spec_to_json(spec);
-  out.flush();
-  if (!out)
+  if (!write_text_file(spec_path, spec_to_json(spec)))
     obs::logf(obs::LogLevel::kInfo,
               "warning: failed to write reproduction spec %s",
               spec_path.c_str());

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <set>
+#include <string_view>
 #include <type_traits>
 
 #include "exp/json.hpp"
@@ -541,57 +543,32 @@ std::vector<std::string> schema_keys() {
   return out;
 }
 
-// ---- nested JSON emission ----------------------------------------------------
-
-struct Node {
-  std::string name;
-  const KeyDef* leaf = nullptr;
-  std::vector<Node> kids;
-};
-
-Node* child(Node& parent, const std::string& name) {
-  for (auto& kid : parent.kids)
-    if (kid.name == name) return &kid;
-  parent.kids.push_back({name, nullptr, {}});
-  return &parent.kids.back();
-}
-
-void emit(const ExperimentSpec& spec, const Node& node, int indent,
-          std::string& out) {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  for (std::size_t i = 0; i < node.kids.size(); ++i) {
-    const Node& kid = node.kids[i];
-    out += pad + "\"" + json_escape(kid.name) + "\": ";
-    if (kid.leaf != nullptr) {
-      const std::string value = kid.leaf->get(spec);
-      if (kid.leaf->kind == KeyKind::kString)
-        out += "\"" + json_escape(value) + "\"";
-      else
-        out += value;
-    } else {
-      out += "{\n";
-      emit(spec, kid, indent + 1, out);
-      out += pad + "}";
-    }
-    out += i + 1 < node.kids.size() ? ",\n" : "\n";
-  }
-}
-
 }  // namespace
 
 const std::vector<KeyDef>& spec_schema() {
   static const std::vector<KeyDef> schema = [] {
     std::vector<KeyDef> keys = build_schema();
-    // A key can be a scalar leaf or an object prefix, never both — such a
-    // schema could not serialize to JSON (guards schema authoring, once).
-    for (const auto& def : keys)
-      for (const auto& other : keys)
-        if (other.key.size() > def.key.size() &&
-            other.key.compare(0, def.key.size(), def.key) == 0 &&
-            other.key[def.key.size()] == '.')
-          throw SpecError("schema key '" + def.key +
+    // A key can be a scalar leaf or an object prefix, never both, and keys
+    // sharing a dotted prefix are adjacent, so spec_to_json opens each
+    // nested object exactly once (guards schema authoring, once).
+    std::set<std::string> leaves, opened;
+    for (const auto& def : keys) leaves.insert(def.key);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::string& key = keys[i].key;
+      for (std::size_t dot = key.find('.'); dot != std::string::npos;
+           dot = key.find('.', dot + 1)) {
+        const std::string prefix = key.substr(0, dot);
+        if (leaves.count(prefix) != 0)
+          throw SpecError("schema key '" + prefix +
                           "' collides: it is also an object prefix of '" +
-                          other.key + "'");
+                          key + "'");
+        const bool continues =
+            i > 0 && keys[i - 1].key.compare(0, dot + 1, key, 0, dot + 1) == 0;
+        if (!continues && !opened.insert(prefix).second)
+          throw SpecError("schema key '" + key + "' reopens object '" +
+                          prefix + "': keys sharing a prefix must be adjacent");
+      }
+    }
     return keys;
   }();
   return schema;
@@ -620,25 +597,33 @@ void apply_override(ExperimentSpec& spec, const std::string& key_eq_value) {
 }
 
 std::string spec_to_json(const ExperimentSpec& spec) {
-  Node root;
+  JsonWriter w(JsonWriter::kExpandAll);
+  w.begin_object();
+  // `open` is the dotted prefix ("fl.mem.") of the innermost open object.
+  // spec_schema() groups keys by prefix, so one pass closes and opens
+  // objects as the prefix changes.
+  std::string open;
   for (const auto& def : spec_schema()) {
-    Node* node = &root;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t dot = def.key.find('.', start);
-      if (dot == std::string::npos) {
-        node = child(*node, def.key.substr(start));
-        break;
-      }
-      node = child(*node, def.key.substr(start, dot - start));
-      start = dot + 1;
+    const std::string_view key = def.key;
+    while (key.substr(0, open.size()) != open) {
+      w.end_object();
+      open.pop_back();
+      open.resize(open.rfind('.') + 1);  // npos + 1 == 0: the top level
     }
-    node->leaf = &def;
+    for (std::size_t dot; (dot = key.find('.', open.size())) != key.npos;) {
+      w.key(key.substr(open.size(), dot - open.size())).begin_object();
+      open = key.substr(0, dot + 1);
+    }
+    w.key(key.substr(open.size()));
+    if (def.kind == KeyKind::kString)
+      w.string(def.get(spec));
+    else
+      w.literal(def.get(spec));
   }
-  std::string out = "{\n";
-  emit(spec, root, 1, out);
-  out += "}\n";
-  return out;
+  for (const char c : open)
+    if (c == '.') w.end_object();
+  w.end_object();
+  return w.take() + "\n";
 }
 
 void apply_json(ExperimentSpec& spec, const std::string& text) {

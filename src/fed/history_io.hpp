@@ -1,5 +1,5 @@
-// History exporters: accuracy / simulated-time trajectories as CSV or JSON,
-// so bench runs can be diffed across commits instead of scraped from stdout.
+// History exporter: accuracy / simulated-time trajectories as CSV, so bench
+// runs can be diffed across commits instead of scraped from stdout.
 #pragma once
 
 #include <string>
@@ -20,11 +20,6 @@ namespace fp::fed {
 /// inside sim_time_s.
 /// Creates parent directories as needed. Returns false on I/O failure.
 bool write_history_csv(const std::string& path, const History& history);
-
-/// Writes `{"method": ..., "history": [{...}, ...]}`. Returns false on
-/// I/O failure.
-bool write_history_json(const std::string& path, const std::string& method,
-                        const History& history);
 
 /// Replaces everything outside [A-Za-z0-9._-] with '_' (method -> filename).
 std::string sanitize_filename(const std::string& name);

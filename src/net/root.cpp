@@ -1,7 +1,6 @@
 #include "net/root.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "net/protocol.hpp"
@@ -10,12 +9,6 @@
 namespace fp::net {
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 fed::NetMethod& net_method(fed::RoundMethod& m) {
   auto* net = dynamic_cast<fed::NetMethod*>(&m);
@@ -112,7 +105,7 @@ double RootServer::run_group(fed::RoundMethod& m,
                              std::vector<fed::Upload>& uploads) {
   fed::NetMethod& net = net_method(m);
   const std::size_t W = conns_.size();
-  const double t0 = now_s();
+  const double t0 = obs::now_s();
 
   // Sticky ownership: client k -> worker (k % W), global indices ascending
   // per worker so each worker's per-client bookkeeping runs in slot order.
@@ -155,7 +148,8 @@ double RootServer::run_group(fed::RoundMethod& m,
     }
   }
 
-  const double measured = std::max(0.0, (now_s() - t0) - max_compute_s);
+  const double measured =
+      std::max(0.0, (obs::now_s() - t0) - max_compute_s);
 
   // Trace piggyback (DESIGN.md §11): each dispatched worker ships its fresh
   // span events right after its group result; merge them under a per-worker

@@ -1,7 +1,6 @@
 #include "net/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "core/parallel.hpp"
@@ -10,16 +9,6 @@
 #include "obs/trace.hpp"
 
 namespace fp::net {
-
-namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 NetConfig net_config_of(const exp::ExperimentSpec& spec) {
   NetConfig cfg;
@@ -163,7 +152,7 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
           // upload is staged as bytes right away, so decoded payloads never
           // pile up across the group.
           std::vector<std::vector<std::uint8_t>> staged(n);
-          const double t0 = now_s();
+          const double t0 = obs::now_s();
           core::parallel_tasks(static_cast<std::int64_t>(n),
                                [&](std::int64_t ti) {
                                  const auto i = static_cast<std::size_t>(ti);
@@ -178,7 +167,7 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
                                  io.finish();
                                  staged[i] = uw.take();
                                });
-          const double compute_s = now_s() - t0;
+          const double compute_s = obs::now_s() - t0;
           algo.clients().end_round();
           comm::FrameWriter out;
           out.u32(n);

@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace fp::net {
 
@@ -29,14 +30,29 @@ struct FrameHeader {
   std::uint64_t body_len;
 };
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 [[noreturn]] void throw_errno(const std::string& what) {
   throw NetError(what + ": " + std::strerror(errno));
+}
+
+/// The obs::now_s() time `timeout_s` from now; 0 (no deadline) when
+/// timeout_s <= 0.
+double deadline_after(double timeout_s) {
+  return timeout_s > 0.0 ? obs::now_s() + timeout_s : 0.0;
+}
+
+/// Polls `fd` until it is readable (true) or `deadline_s` passes (false). No
+/// deadline returns true at once: the caller's blocking call waits instead.
+bool wait_readable(int fd, double deadline_s, const std::string& what) {
+  while (deadline_s > 0.0) {
+    const double left = deadline_s - obs::now_s();
+    if (left <= 0.0) return false;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::min(left * 1000.0, 3.6e6)) + 1);
+    if (ready > 0) return true;
+    if (ready < 0 && errno != EINTR) throw_errno("poll on " + what);
+  }
+  return true;
 }
 
 void set_nodelay(int fd) {
@@ -103,12 +119,12 @@ void TcpConn::close() {
 
 TcpConn TcpConn::connect_retry(const std::string& host, int port,
                                double total_s) {
-  const double deadline = now_s() + total_s;
+  const double deadline = obs::now_s() + total_s;
   double backoff_s = 0.05;
   for (;;) {
     const int fd = try_connect(host, port);
     if (fd >= 0) return TcpConn(fd, host + ":" + std::to_string(port));
-    if (now_s() + backoff_s > deadline)
+    if (obs::now_s() + backoff_s > deadline)
       throw NetError("connect to " + host + ":" + std::to_string(port) +
                      " failed after " + std::to_string(total_s) + "s");
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
@@ -148,20 +164,9 @@ void TcpConn::send_bytes(const void* data, std::size_t n) {
 
 std::ptrdiff_t TcpConn::recv_some(void* buf, std::size_t cap, double timeout_s) {
   if (fd_ < 0) throw NetError("recv on closed connection to " + peer_);
-  const double deadline = timeout_s > 0.0 ? now_s() + timeout_s : 0.0;
+  const double deadline = deadline_after(timeout_s);
   for (;;) {
-    if (deadline > 0.0) {
-      const double left = deadline - now_s();
-      if (left <= 0.0) return -1;
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(std::min(left * 1000.0, 3.6e6)) + 1);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("poll on " + peer_);
-      }
-      if (ready == 0) continue;  // re-check the deadline
-    }
+    if (!wait_readable(fd_, deadline, peer_)) return -1;
     const ssize_t r = ::recv(fd_, buf, cap, 0);
     if (r == 0) return 0;  // clean EOF
     if (r < 0) {
@@ -179,19 +184,8 @@ void TcpConn::read_all(void* data, std::size_t n, double deadline_s) {
   auto* p = static_cast<std::uint8_t*>(data);
   std::size_t got = 0;
   while (got < n) {
-    if (deadline_s > 0.0) {
-      const double left = deadline_s - now_s();
-      if (left <= 0.0)
-        throw NetError("recv from " + peer_ + " timed out");
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(std::min(left * 1000.0, 3.6e6)) + 1);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("poll on " + peer_);
-      }
-      if (ready == 0) continue;  // re-check the deadline
-    }
+    if (!wait_readable(fd_, deadline_s, peer_))
+      throw NetError("recv from " + peer_ + " timed out");
     const ssize_t r = ::recv(fd_, p + got, n - got, 0);
     if (r == 0)
       throw NetError("connection to " + peer_ + " closed mid-frame");
@@ -208,7 +202,7 @@ void TcpConn::read_all(void* data, std::size_t n, double deadline_s) {
 
 Frame TcpConn::recv_frame(double timeout_s) {
   if (fd_ < 0) throw NetError("recv on closed connection to " + peer_);
-  const double deadline = timeout_s > 0.0 ? now_s() + timeout_s : 0.0;
+  const double deadline = deadline_after(timeout_s);
   FrameHeader hdr{};
   read_all(&hdr, sizeof(hdr), deadline);
   if (hdr.magic != kMagic)
@@ -243,19 +237,15 @@ TcpListener::TcpListener(const std::string& host, int port) {
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
     addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  const bool bind_ok =
+      ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  if (!bind_ok || ::listen(fd_, 64) != 0) {
     const int saved = errno;
     ::close(fd_);
     fd_ = -1;
     errno = saved;
-    throw_errno("bind " + host + ":" + std::to_string(port));
-  }
-  if (::listen(fd_, 64) != 0) {
-    const int saved = errno;
-    ::close(fd_);
-    fd_ = -1;
-    errno = saved;
-    throw_errno("listen on " + host + ":" + std::to_string(port));
+    throw_errno((bind_ok ? "listen on " : "bind ") + host + ":" +
+                std::to_string(port));
   }
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
@@ -268,20 +258,10 @@ TcpListener::~TcpListener() {
 }
 
 TcpConn TcpListener::accept(double timeout_s) {
-  const double deadline = timeout_s > 0.0 ? now_s() + timeout_s : 0.0;
+  const double deadline = deadline_after(timeout_s);
   for (;;) {
-    if (deadline > 0.0) {
-      const double left = deadline - now_s();
-      if (left <= 0.0) throw NetError("accept timed out");
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(std::min(left * 1000.0, 3.6e6)) + 1);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("poll on listener");
-      }
-      if (ready == 0) continue;
-    }
+    if (!wait_readable(fd_, deadline, "listener"))
+      throw NetError("accept timed out");
     sockaddr_in addr{};
     socklen_t len = sizeof(addr);
     const int fd = ::accept(fd_, reinterpret_cast<sockaddr*>(&addr), &len);

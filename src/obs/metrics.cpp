@@ -1,11 +1,10 @@
 #include "obs/metrics.hpp"
 
-#include <cstdio>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "exp/json.hpp"
 #include "obs/trace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -66,19 +65,13 @@ void metrics_reset() {
 }
 
 bool write_metrics_json(const std::string& path) {
-  const auto snap = metrics_snapshot();
-  const std::filesystem::path p(path);
-  std::error_code ec;
-  if (p.has_parent_path())
-    std::filesystem::create_directories(p.parent_path(), ec);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  std::fprintf(f, "{\"metrics\": {");
-  for (std::size_t i = 0; i < snap.size(); ++i)
-    std::fprintf(f, "%s\n  \"%s\": %lld", i ? "," : "", snap[i].first.c_str(),
-                 static_cast<long long>(snap[i].second));
-  std::fprintf(f, "\n}}\n");
-  return std::fclose(f) == 0;
+  // One counter per line: the top-level and "metrics" objects expand.
+  exp::JsonWriter w(/*expand_depth=*/2);
+  w.begin_object().key("metrics").begin_object();
+  for (const auto& [name, value] : metrics_snapshot())
+    w.key(name).integer(value);
+  w.end_object().end_object();
+  return exp::write_text_file(path, w.take() + "\n");
 }
 
 PhaseTimer::PhaseTimer(Phase p) : phase_(p) {

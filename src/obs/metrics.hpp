@@ -45,7 +45,8 @@ std::vector<std::pair<std::string, std::int64_t>> metrics_snapshot();
 /// Zeroes every registered counter (tests / run isolation).
 void metrics_reset();
 
-/// Writes {"metrics": {name: value, ...}} (creating parent directories).
+/// Writes {"metrics": {name: value, ...}}, one counter per line, through
+/// exp::JsonWriter (creating parent directories). False on I/O failure.
 bool write_metrics_json(const std::string& path);
 
 // ---- Phase breakdown --------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,6 +13,7 @@
 #endif
 
 #include "comm/wire.hpp"
+#include "exp/json.hpp"
 
 namespace fp::obs {
 
@@ -246,13 +246,6 @@ bool write_trace_json(const std::string& path) {
   const std::vector<TraceEvent> events = trace_snapshot();
   const std::int64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);
 
-  const std::filesystem::path p(path);
-  std::error_code ec;
-  if (p.has_parent_path())
-    std::filesystem::create_directories(p.parent_path(), ec);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-
   std::map<std::uint32_t, std::string> process_names;
   process_names[0] = "root";
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> thread_names;
@@ -264,26 +257,20 @@ bool write_trace_json(const std::string& path) {
       process_names[pid] = name;
   }
 
-  std::fprintf(f, "{\"traceEvents\": [");
-  bool first = true;
-  auto sep = [&] {
-    std::fprintf(f, "%s\n  ", first ? "" : ",");
-    first = false;
+  // One event per line: the top-level object and the event array expand.
+  exp::JsonWriter w(/*expand_depth=*/2);
+  auto metadata = [&w](const char* what, std::uint32_t pid, std::uint32_t tid,
+                       const std::string& name) {
+    w.begin_object().key("ph").string("M").key("name").string(what);
+    w.key("pid").integer(pid).key("tid").integer(tid);
+    w.key("args").begin_object().key("name").string(name).end_object();
+    w.end_object();
   };
-  for (const auto& [pid, name] : process_names) {
-    sep();
-    std::fprintf(f,
-                 "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": %u, "
-                 "\"tid\": 0, \"args\": {\"name\": \"%s\"}}",
-                 pid, json_escape(name).c_str());
-  }
-  for (const auto& [key, name] : thread_names) {
-    sep();
-    std::fprintf(f,
-                 "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": %u, "
-                 "\"tid\": %u, \"args\": {\"name\": \"%s\"}}",
-                 key.first, key.second, json_escape(name).c_str());
-  }
+  w.begin_object().key("traceEvents").begin_array();
+  for (const auto& [pid, name] : process_names)
+    metadata("process_name", pid, 0, name);
+  for (const auto& [key, name] : thread_names)
+    metadata("thread_name", key.first, key.second, name);
   for (const TraceEvent& e : events) {
     // Microseconds relative to the trace epoch; merged worker events can
     // land fractionally before it (clock alignment slack), clamp to 0.
@@ -291,30 +278,15 @@ bool write_trace_json(const std::string& path) {
         std::max(0.0, static_cast<double>(e.t0_ns - epoch) / 1e3);
     const double dur =
         std::max(0.0, static_cast<double>(e.t1_ns - e.t0_ns) / 1e3);
-    sep();
-    std::fprintf(f,
-                 "{\"ph\": \"X\", \"name\": \"%s\", \"cat\": \"%s\", "
-                 "\"ts\": %.3f, \"dur\": %.3f, \"pid\": %u, \"tid\": %u",
-                 json_escape(e.name).c_str(), json_escape(e.cat).c_str(), ts,
-                 dur, e.pid, e.tid);
+    w.begin_object().key("ph").string("X").key("name").string(e.name);
+    w.key("cat").string(e.cat).key("ts").number(ts).key("dur").number(dur);
+    w.key("pid").integer(e.pid).key("tid").integer(e.tid);
     if (!e.arg_name.empty())
-      std::fprintf(f, ", \"args\": {\"%s\": %lld}",
-                   json_escape(e.arg_name).c_str(),
-                   static_cast<long long>(e.arg));
-    std::fprintf(f, "}");
+      w.key("args").begin_object().key(e.arg_name).integer(e.arg).end_object();
+    w.end_object();
   }
-  std::fprintf(f, "\n], \"displayTimeUnit\": \"ms\"}\n");
-  return std::fclose(f) == 0;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
+  w.end_array().key("displayTimeUnit").string("ms").end_object();
+  return exp::write_text_file(path, w.take() + "\n");
 }
 
 void serialize_new_events(comm::FrameWriter& out) {

@@ -138,13 +138,9 @@ std::vector<TraceEvent> trace_snapshot();
 /// blocking).
 std::int64_t dropped_events();
 
-/// Writes the Chrome trace-event JSON (creating parent directories). False
-/// on I/O failure.
+/// Writes the Chrome trace-event JSON through exp::JsonWriter, one event per
+/// line (creating parent directories). False on I/O failure.
 bool write_trace_json(const std::string& path);
-
-/// Escapes `s` for embedding in a JSON string literal (quotes not included).
-/// The one copy every JSON writer in the library uses.
-std::string json_escape(const std::string& s);
 
 // ---- Distributed merge (net kMsgTrace, DESIGN.md §11) -----------------------
 

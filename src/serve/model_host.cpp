@@ -1,9 +1,8 @@
 #include "serve/model_host.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "exp/json.hpp"
 #include "exp/registries.hpp"
 #include "exp/runner.hpp"
 #include "nn/model_io.hpp"
@@ -18,10 +17,7 @@ void export_model(const std::string& path, const exp::ExperimentSpec& resolved,
                   const nn::ParamBlob& blob) {
   nn::save_checkpoint(path, blob);
   const std::string spec_path = sidecar_path(path);
-  std::ofstream out(spec_path);
-  out << exp::spec_to_json(resolved);
-  out.flush();
-  if (!out)
+  if (!exp::write_text_file(spec_path, exp::spec_to_json(resolved)))
     throw std::runtime_error("export_model: cannot write sidecar " + spec_path);
 }
 
@@ -53,15 +49,13 @@ ServedModel make_served_model(exp::ExperimentSpec resolved,
 ServedModel load_served_model(const std::string& ckpt_path,
                               const std::string& spec_path) {
   const std::string sp = spec_path.empty() ? sidecar_path(ckpt_path) : spec_path;
-  std::ifstream in(sp);
-  if (!in)
+  std::string text;
+  if (!exp::read_text_file(sp, &text))
     throw std::runtime_error("cannot read model spec sidecar " + sp +
                              " (exported next to the checkpoint by "
                              "fp_run --save-model)");
-  std::ostringstream text;
-  text << in.rdbuf();
   exp::ExperimentSpec spec;
-  exp::apply_json(spec, text.str());
+  exp::apply_json(spec, text);
   return make_served_model(std::move(spec), nn::load_checkpoint(ckpt_path));
 }
 

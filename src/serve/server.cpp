@@ -6,6 +6,7 @@
 #include <iostream>
 #include <utility>
 
+#include "exp/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/wire_json.hpp"
@@ -17,20 +18,6 @@ namespace {
 /// Poll interval for accept/read loops: the latency bound on observing the
 /// stop flag from an otherwise-idle thread.
 constexpr double kPollS = 0.25;
-
-std::string quantiles_ms_json(const LatencyHist& h) {
-  std::string out = "{\"p50\":";
-  out += format_double(h.quantile(0.50) * 1e3);
-  out += ",\"p95\":";
-  out += format_double(h.quantile(0.95) * 1e3);
-  out += ",\"p99\":";
-  out += format_double(h.quantile(0.99) * 1e3);
-  out += ",\"mean\":";
-  const std::int64_t n = h.count();
-  out += format_double(n > 0 ? h.total_s() * 1e3 / static_cast<double>(n) : 0.0);
-  out += "}";
-  return out;
-}
 
 }  // namespace
 
@@ -181,26 +168,26 @@ InferenceServer::Reply InferenceServer::predict(const net::HttpRequest& req) {
 
 std::string InferenceServer::metrics_json() const {
   const BatchStats& bs = batcher_.batch_stats();
-  std::string out = "{\"serve\":{\"requests\":";
-  out += std::to_string(requests_.load(std::memory_order_relaxed));
-  out += ",\"predicted_samples\":";
-  out += std::to_string(bs.samples());
-  out += ",\"batches\":";
-  out += std::to_string(bs.batches());
-  out += ",\"errors\":";
-  out += std::to_string(errors_.load(std::memory_order_relaxed));
-  out += ",\"rejected\":";
-  out += std::to_string(batcher_.rejected());
-  out += ",\"active_conns\":";
-  out += std::to_string(active_conns_.load(std::memory_order_relaxed));
-  out += ",\"latency_ms\":";
-  out += quantiles_ms_json(latency_);
-  out += ",\"batch_size\":{\"mean\":";
-  out += format_double(bs.mean());
-  out += ",\"max\":";
-  out += std::to_string(bs.max());
-  out += "}}}";
-  return out;
+  const std::int64_t n = latency_.count();
+  exp::JsonWriter w;
+  w.begin_object().key("serve").begin_object();
+  w.key("requests").integer(requests_.load(std::memory_order_relaxed));
+  w.key("predicted_samples").integer(bs.samples());
+  w.key("batches").integer(bs.batches());
+  w.key("errors").integer(errors_.load(std::memory_order_relaxed));
+  w.key("rejected").integer(batcher_.rejected());
+  w.key("active_conns").integer(active_conns_.load(std::memory_order_relaxed));
+  w.key("latency_ms").begin_object();
+  w.key("p50").number(latency_.quantile(0.50) * 1e3);
+  w.key("p95").number(latency_.quantile(0.95) * 1e3);
+  w.key("p99").number(latency_.quantile(0.99) * 1e3);
+  w.key("mean").number(
+      n > 0 ? latency_.total_s() * 1e3 / static_cast<double>(n) : 0.0);
+  w.end_object();
+  w.key("batch_size").begin_object();
+  w.key("mean").number(bs.mean()).key("max").integer(bs.max());
+  w.end_object().end_object().end_object();
+  return w.take();
 }
 
 namespace {

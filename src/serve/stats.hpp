@@ -65,11 +65,8 @@ class BatchStats {
   std::atomic<std::int64_t> max_{0};
 };
 
-/// Round-trippable float spelling (shortest %g that parses back exactly).
-/// The serving wire format's float formatter: offline and served renderings
-/// of the same logits are byte-identical because both go through this. The
-/// one copy lives in exp/json (shared with spec serialization).
+/// Round-trippable double spelling (shortest %g that parses back exactly);
+/// the one copy lives in exp/json.
 using exp::format_double;
-using exp::format_float;
 
 }  // namespace fp::serve

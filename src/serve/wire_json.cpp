@@ -5,7 +5,6 @@
 
 #include "exp/json.hpp"
 #include "exp/registry.hpp"
-#include "serve/stats.hpp"
 
 namespace fp::serve {
 
@@ -166,9 +165,27 @@ bool scan_samples_fast(const std::string& body,
 }
 
 /// Slow path: rebuilds the per-sample vectors from the relaxed parser's
-/// flattened "inputs.<i>.<j>" keys. Defined below parse_predict_request.
+/// flattened "inputs.<i>.<j>" keys.
 void parse_relaxed_samples(const exp::FlatJson& flat,
-                           std::vector<std::vector<float>>* samples_out);
+                           std::vector<std::vector<float>>* samples_out) {
+  auto& samples = *samples_out;
+  for (const auto& [key, value] : flat) {
+    std::int64_t idx = -1;
+    if (key.rfind("inputs.", 0) == 0) {
+      idx = sample_index(key, 7);
+      if (idx < 0)
+        throw BadRequest("expected \"inputs\" to be an array of arrays");
+    } else if (key.rfind("input.", 0) == 0) {
+      idx = 0;
+    } else {
+      continue;  // unknown top-level fields are ignored
+    }
+    if (static_cast<std::size_t>(idx) >= samples.size())
+      samples.resize(static_cast<std::size_t>(idx) + 1);
+    samples[static_cast<std::size_t>(idx)].push_back(
+        parse_float_strict(key, value));
+  }
+}
 
 }  // namespace
 
@@ -205,70 +222,37 @@ Tensor parse_predict_request(const std::string& body, std::int64_t c,
   return x;
 }
 
-namespace {
-
-void parse_relaxed_samples(const exp::FlatJson& flat,
-                           std::vector<std::vector<float>>* samples_out) {
-  auto& samples = *samples_out;
-  for (const auto& [key, value] : flat) {
-    std::int64_t idx = -1;
-    if (key.rfind("inputs.", 0) == 0) {
-      idx = sample_index(key, 7);
-      if (idx < 0)
-        throw BadRequest("expected \"inputs\" to be an array of arrays");
-    } else if (key.rfind("input.", 0) == 0) {
-      idx = 0;
-    } else {
-      continue;  // unknown top-level fields are ignored
-    }
-    if (static_cast<std::size_t>(idx) >= samples.size())
-      samples.resize(static_cast<std::size_t>(idx) + 1);
-    samples[static_cast<std::size_t>(idx)].push_back(
-        parse_float_strict(key, value));
-  }
-}
-
-}  // namespace
-
 std::string render_predict_response(const Tensor& logits) {
   const std::int64_t n = logits.dim(0);
   const std::int64_t classes = logits.dim(1);
   const auto labels = logits.argmax_rows();
-  std::string out;
-  out.reserve(static_cast<std::size_t>(n * classes) * 12 + 64);
-  out += "{\"predictions\":[";
+  exp::JsonWriter w;
+  w.reserve(static_cast<std::size_t>(n * classes) * 12 + 64);
+  w.begin_object().key("predictions").begin_array();
   for (std::int64_t i = 0; i < n; ++i) {
-    if (i > 0) out += ',';
-    out += "{\"label\":";
-    out += std::to_string(labels[static_cast<std::size_t>(i)]);
-    out += ",\"logits\":[";
-    for (std::int64_t k = 0; k < classes; ++k) {
-      if (k > 0) out += ',';
-      out += format_float(logits[i * classes + k]);
-    }
-    out += "]}";
+    w.begin_object().key("label").integer(labels[static_cast<std::size_t>(i)]);
+    w.key("logits").begin_array();
+    for (std::int64_t k = 0; k < classes; ++k)
+      w.number(logits[i * classes + k]);
+    w.end_array().end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
+  return w.take();
 }
 
 std::string render_predict_request(const Tensor& x) {
   const std::int64_t n = x.dim(0);
   const std::int64_t per = x.numel() / n;
-  std::string out;
-  out.reserve(static_cast<std::size_t>(x.numel()) * 10 + 32);
-  out += "{\"inputs\":[";
+  exp::JsonWriter w;
+  w.reserve(static_cast<std::size_t>(x.numel()) * 10 + 32);
+  w.begin_object().key("inputs").begin_array();
   for (std::int64_t i = 0; i < n; ++i) {
-    if (i > 0) out += ',';
-    out += '[';
-    for (std::int64_t j = 0; j < per; ++j) {
-      if (j > 0) out += ',';
-      out += format_float(x[i * per + j]);
-    }
-    out += ']';
+    w.begin_array();
+    for (std::int64_t j = 0; j < per; ++j) w.number(x[i * per + j]);
+    w.end_array();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
+  return w.take();
 }
 
 }  // namespace fp::serve

@@ -7,10 +7,11 @@
 // Response, one entry per input sample, in request order:
 //   {"predictions":[{"label":3,"logits":[-0.1,...]}, ...]}
 //
-// Exactness contract: logits are rendered with the shortest float spelling
-// that round-trips the binary value (serve::format_float), so a served
-// response is BYTE-identical to the offline rendering of the same forward —
-// tests and the CI smoke diff the two strings directly.
+// Exactness contract: logits are rendered by exp::JsonWriter with the
+// shortest float spelling that round-trips the binary value
+// (exp::format_float), so a served response is BYTE-identical to the
+// offline rendering of the same forward — tests and the CI smoke diff the two
+// strings directly. A non-finite logit is written as null.
 #pragma once
 
 #include <stdexcept>

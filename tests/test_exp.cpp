@@ -21,6 +21,7 @@
 #include "baselines/partial_training.hpp"
 #include "bench_common.hpp"
 #include "blob_hash.hpp"
+#include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "fedprophet/fedprophet.hpp"
 
@@ -182,6 +183,73 @@ TEST(ExperimentSpec, NestedAndDottedConfigFormsAgree) {
   EXPECT_EQ(nested.fl.num_clients, 7);
   EXPECT_EQ(nested.fl.sgd.lr, 0.125f);
   EXPECT_EQ(nested.fl.comm.codec, comm::CodecKind::kInt8);
+}
+
+TEST(ExperimentSpec, DefaultSpecJsonIsPinned) {
+  // spec_to_json is the reproduction artifact and the worker handshake: its
+  // bytes are a contract, pinned as an FNV-1a golden.
+  const std::string json = exp::spec_to_json(exp::ExperimentSpec{});
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : json) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0x2d843630b65fdba4ull) << json;
+}
+
+TEST(ExperimentSpec, LoadsSpecsFromOtherJsonWriters) {
+  // Python's json.dump (ensure_ascii) spells a non-ASCII path as \u escapes.
+  const exp::ExperimentSpec spec = exp::spec_from_json(
+      "{\"obs\": {\"trace_path\": \"/tmp/r\\u00e9sum\\u00e9.json\"}}");
+  EXPECT_EQ(spec.obs_trace_path, "/tmp/r\xc3\xa9sum\xc3\xa9.json");
+  // \b, \f and a surrogate pair (U+1F600) decode to raw bytes and UTF-8.
+  const exp::FlatJson flat =
+      exp::parse_json_object("{\"a\": \"\\b\\f\\ud83d\\ude00\"}");
+  ASSERT_EQ(flat.size(), 1u);
+  EXPECT_EQ(flat[0].second, "\b\f\xf0\x9f\x98\x80");
+  EXPECT_THROW(exp::parse_json_object("{\"a\": \"\\ud83d\"}"), exp::SpecError);
+  EXPECT_THROW(exp::parse_json_object("{\"a\": \"\\u00g9\"}"), exp::SpecError);
+  // null is how the writer spells a non-finite number: relaxed mode keeps it,
+  // a spec file still rejects it.
+  EXPECT_EQ(exp::parse_json_relaxed("{\"v\": [1, null]}").back().second,
+            "null");
+  EXPECT_THROW(exp::spec_from_json("{\"fl\": {\"lr0\": null}}"),
+               exp::SpecError);
+}
+
+TEST(ExperimentSpec, ControlCharactersRoundTripEscaped) {
+  const std::string nasty = "a\tb\nc\"d\\e\x01" "f\xc3\xa9";
+  exp::ExperimentSpec spec;
+  spec.obs_trace_path = "/tmp/" + nasty + ".json";
+  spec.serve_host = nasty;
+  const std::string json = exp::spec_to_json(spec);
+  EXPECT_TRUE(exp::specs_equal(spec, exp::spec_from_json(json)));
+  // No raw byte below 0x20 inside any string literal.
+  bool in_string = false;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (in_string && static_cast<unsigned char>(c) < 0x20)
+      FAIL() << "raw control byte at offset " << i;
+    if (in_string && c == '\\') ++i;
+    else if (c == '"') in_string = !in_string;
+  }
+}
+
+TEST(JsonWriter, ExpandDepthSetsTheLayout) {
+  auto render = [](int depth) {
+    exp::JsonWriter w(depth);
+    w.begin_object().key("a").begin_array().integer(1).number(0.5);
+    w.end_array().key("b").begin_object().key("c").literal("true");
+    w.end_object().key("d").begin_array().end_array().end_object();
+    return w.take();
+  };
+  EXPECT_EQ(render(0), "{\"a\":[1,0.5],\"b\":{\"c\":true},\"d\":[]}");
+  EXPECT_EQ(render(1),
+            "{\n  \"a\": [1,0.5],\n  \"b\": {\"c\":true},\n  \"d\": []\n}");
+  EXPECT_EQ(render(exp::JsonWriter::kExpandAll),
+            "{\n  \"a\": [\n    1,\n    0.5\n  ],\n  \"b\": {\n"
+            "    \"c\": true\n  },\n  \"d\": []\n}");
+  EXPECT_EQ(exp::json_escape("\"\\\x1f\t"), "\\\"\\\\\\u001f\\t");
 }
 
 TEST(ExperimentSpec, UnknownKeysAndValuesSuggestNearestName) {

@@ -268,6 +268,30 @@ TEST(Metrics, JsonExportParsesAndCarriesCounters) {
   EXPECT_GT(std::stoll(rss), 0);
 }
 
+TEST(Metrics, JsonExportEscapesCounterNames) {
+  obs::counter("probe.\"q\"").set(7);
+  const std::string path = (obs_tmp_dir() / "escaped.metrics.json").string();
+  ASSERT_TRUE(obs::write_metrics_json(path));
+  std::string exported;
+  for (const auto& [key, value] : exp::parse_json_object(read_file(path)))
+    if (key == "metrics.probe.\"q\"") exported = value;
+  EXPECT_EQ(exported, "7");
+}
+
+TEST(Trace, WrittenJsonEscapesControlCharacters) {
+  TracingGuard guard;
+  set_tracing(true);
+  { FP_TRACE_SCOPE("tab\there \"quoted\"", "test"); }
+  const std::string path = (obs_tmp_dir() / "escaped.trace.json").string();
+  ASSERT_TRUE(obs::write_trace_json(path));
+  const std::string text = read_file(path);
+  EXPECT_EQ(text.find('\t'), std::string::npos);  // spelled \t, never raw
+  bool found = false;
+  for (const auto& [key, value] : exp::parse_json_relaxed(text))
+    found = found || value == "tab\there \"quoted\"";
+  EXPECT_TRUE(found);
+}
+
 TEST(Metrics, PhaseTimerDoesNotDoubleCountReentry) {
   obs::phase_reset();
   const auto sleep_ms = std::chrono::milliseconds(100);

@@ -344,19 +344,6 @@ TEST(HistoryIo, CsvRoundTripsRecords) {
       << "per-round byte + peak-mem + scale counts missing from CSV row: "
       << first_row;
 
-  const auto jpath = (dir / "m.json").string();
-  ASSERT_TRUE(fed::write_history_json(jpath, "FedProphet", h));
-  EXPECT_GT(std::filesystem::file_size(jpath), 0u);
-  std::ifstream jin(jpath);
-  const std::string json((std::istreambuf_iterator<char>(jin)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"bytes_up\": 1024"), std::string::npos);
-  EXPECT_NE(json.find("\"bytes_down\": 8192"), std::string::npos);
-  EXPECT_NE(json.find("\"peak_mem_bytes\": 777"), std::string::npos);
-  EXPECT_NE(json.find("\"unique_participants\": 48"), std::string::npos);
-  EXPECT_NE(json.find("\"agg_bytes_saved\": 512"), std::string::npos);
-  EXPECT_NE(json.find("\"measured_comm_s\": 1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"round_wall_s\": 4.5"), std::string::npos);
   EXPECT_EQ(fed::sanitize_filename("jFAT (fast/42)"), "jFAT__fast_42_");
   std::filesystem::remove_all(dir);
 }

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -87,6 +88,29 @@ TEST(WireJson, RejectsBadBodies) {
   EXPECT_THROW(
       serve::parse_predict_request("{\"inputs\": [[1, \"x\"]]}", 1, 2, 2),
       serve::BadRequest);
+}
+
+TEST(WireJson, PinnedPredictBodies) {
+  // The served-vs-offline identity and the load generator's `"label":` match
+  // depend on these exact bytes.
+  Tensor x({1, 3});
+  x[0] = 0.1f;
+  x[1] = -2.0f;
+  x[2] = 3e-8f;
+  EXPECT_EQ(serve::render_predict_response(x),
+            "{\"predictions\":[{\"label\":0,\"logits\":[0.1,-2,3e-08]}]}");
+  EXPECT_EQ(serve::render_predict_request(x), "{\"inputs\":[[0.1,-2,3e-08]]}");
+}
+
+TEST(WireJson, NonFiniteLogitsAreNull) {
+  Tensor logits({1, 3});
+  logits[0] = 0.5f;
+  logits[1] = std::numeric_limits<float>::quiet_NaN();
+  logits[2] = std::numeric_limits<float>::infinity();
+  const std::string body = serve::render_predict_response(logits);
+  EXPECT_EQ(body,
+            "{\"predictions\":[{\"label\":2,\"logits\":[0.5,null,null]}]}");
+  EXPECT_NO_THROW(exp::parse_json_relaxed(body));
 }
 
 // ---- micro-batcher ----------------------------------------------------------
@@ -351,6 +375,20 @@ TEST(InferenceServer, RoutesHealthMetricsAndErrors) {
   std::ostringstream os;
   server.print_summary(os);
   EXPECT_NE(os.str().find("[serve]"), std::string::npos);
+}
+
+TEST(InferenceServer, FreshMetricsBodyIsPinned) {
+  serve::ServedModel served = test_served_model("fp32", false);
+  const serve::ServeConfig cfg = serve::serve_config_of(served.spec);
+  serve::InferenceServer server(std::move(served), cfg);
+  server.start();
+  net::HttpConn http = connect_to(server);
+  EXPECT_EQ(request(http, "GET", "/metricsz").body,
+            "{\"serve\":{\"requests\":0,\"predicted_samples\":0,"
+            "\"batches\":0,\"errors\":0,\"rejected\":0,\"active_conns\":1,"
+            "\"latency_ms\":{\"p50\":0,\"p95\":0,\"p99\":0,\"mean\":0},"
+            "\"batch_size\":{\"mean\":0,\"max\":0}}}");
+  server.stop();
 }
 
 TEST(ServeConfig, MapsSpecKeys) {

@@ -15,11 +15,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "net/service.hpp"
 #include "obs/log.hpp"
@@ -225,15 +224,13 @@ int main(int argc, char** argv) {
   try {
     ExperimentSpec spec;
     if (!config_path.empty()) {
-      std::ifstream in(config_path);
-      if (!in) {
+      std::string text;
+      if (!fp::exp::read_text_file(config_path, &text)) {
         std::fprintf(stderr, "fp_run: cannot read config '%s'\n",
                      config_path.c_str());
         return 2;
       }
-      std::ostringstream text;
-      text << in.rdbuf();
-      fp::exp::apply_json(spec, text.str());
+      fp::exp::apply_json(spec, text);
     }
     for (const auto& kv : overrides) fp::exp::apply_override(spec, kv);
 
@@ -242,12 +239,11 @@ int main(int argc, char** argv) {
       // autos) without synthesizing the dataset or environment.
       const fp::exp::ExperimentSpec resolved =
           fp::exp::resolve_full(std::move(spec));
-      std::ofstream out(dump_path);
-      if (!out) {
+      if (!fp::exp::write_text_file(dump_path,
+                                    fp::exp::spec_to_json(resolved))) {
         std::fprintf(stderr, "fp_run: cannot write '%s'\n", dump_path.c_str());
         return 2;
       }
-      out << fp::exp::spec_to_json(resolved);
       std::printf("wrote resolved spec to %s\n", dump_path.c_str());
       return 0;
     }

@@ -13,11 +13,10 @@
 // summary line.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "exp/json.hpp"
 #include "exp/registry.hpp"
 #include "exp/spec.hpp"
 #include "net/socket.hpp"
@@ -94,16 +93,14 @@ int main(int argc, char** argv) {
     served.compute = served.spec.fl.compute;
 
     if (!offline_path.empty()) {
-      std::ifstream in(offline_path);
-      if (!in) {
+      std::string body;
+      if (!fp::exp::read_text_file(offline_path, &body)) {
         std::fprintf(stderr, "fp_serve: cannot read request '%s'\n",
                      offline_path.c_str());
         return 2;
       }
-      std::ostringstream body;
-      body << in.rdbuf();
       const fp::Tensor x = fp::serve::parse_predict_request(
-          body.str(), served.channels(), served.height(), served.width());
+          body, served.channels(), served.height(), served.width());
       const fp::Tensor logits =
           fp::serve::reference_forward(*served.model, x, served.compute);
       std::printf("%s\n", fp::serve::render_predict_response(logits).c_str());
