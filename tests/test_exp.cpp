@@ -252,6 +252,20 @@ TEST(JsonWriter, ExpandDepthSetsTheLayout) {
   EXPECT_EQ(exp::json_escape("\"\\\x1f\t"), "\\\"\\\\\\u001f\\t");
 }
 
+TEST(JsonWriter, TextFilesCreateDirectoriesAndReportFailure) {
+  const auto dir = std::filesystem::temp_directory_path() / "fp_text_file";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "a" / "b.json").string();
+  ASSERT_TRUE(exp::write_text_file(path, "{}\n"));
+  std::string text;
+  ASSERT_TRUE(exp::read_text_file(path, &text));
+  EXPECT_EQ(text, "{}\n");
+  // A parent that is a regular file cannot become a directory.
+  EXPECT_FALSE(exp::write_text_file(path + "/c.json", "{}"));
+  EXPECT_FALSE(exp::read_text_file((dir / "missing.json").string(), &text));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ExperimentSpec, UnknownKeysAndValuesSuggestNearestName) {
   exp::ExperimentSpec spec;
   try {
