@@ -31,18 +31,12 @@ exp::ExperimentSpec comm_scenario_spec(const std::string& codec,
   return spec;
 }
 
-double time_to_accuracy(const fed::History& h, double target) {
-  for (const auto& rec : h)
-    if (rec.clean_acc >= target) return rec.sim_time_s;
-  return -1.0;
-}
-
 int parse_bench_args(int argc, char** argv, const char* name,
-                     const char* description) {
+                     const char* description, const char* args) {
   auto usage = [&](std::FILE* out) {
     std::fprintf(out,
                  "%s — %s\n\n"
-                 "usage: %s [--help]\n\n"
+                 "usage: %s %s\n\n"
                  "environment:\n"
                  "  FP_BENCH_FAST=1    shrink every training run ~4x (CI smoke)\n"
                  "  FP_BENCH_OUT=<dir> export per-run trajectories (CSV) and\n"
@@ -52,7 +46,7 @@ int parse_bench_args(int argc, char** argv, const char* name,
                  "  FP_NUM_THREADS=<n> worker threads (default: hardware)\n\n"
                  "for arbitrary method x scheduler x codec x budget scenarios\n"
                  "use the declarative driver: fp_run --help\n",
-                 name, description, name);
+                 name, description, name, args);
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {

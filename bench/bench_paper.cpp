@@ -1,8 +1,10 @@
-// The paper's tables and figures, one per name: `bench_paper <name>`
-// (`--help` lists them). The accuracy plane (table1-3, fig8-10) trains spec
-// deltas through exp::build_setup and the method registry; the systems plane
-// (the rest) is the cost model on the paper's exact shapes, and its output
-// is pinned byte for byte against bench/expected/ (DESIGN.md §1).
+// The paper's tables, figures and scenario sweeps, one per name:
+// `bench_paper <name>` (`--help` lists them). The accuracy plane (table1-3,
+// fig8-10) trains spec deltas through exp::build_setup and the method
+// registry; the scenario sweeps (async, comm, mem) run spec deltas through
+// exp::run_experiment; the systems plane (the rest) is the cost model on the
+// paper's exact shapes. The systems plane and the FP_BENCH_FAST sweeps are
+// pinned byte for byte against bench/expected/ (DESIGN.md §1).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +14,7 @@
 #include "bench_common.hpp"
 #include "cascade/partitioner.hpp"
 #include "fed/env.hpp"
+#include "fed/history_io.hpp"
 #include "fedprophet/coordinator.hpp"
 #include "fedprophet/fedprophet.hpp"
 #include "models/zoo.hpp"
@@ -296,6 +299,232 @@ void fig10() {
     }
     std::printf("\n");
   }
+}
+
+// ---- scenario sweeps -------------------------------------------------------
+//
+// jFAT on the CIFAR scenario under one systems knob at a time. Every cell is
+// a declarative spec delta run through exp::run_experiment, so under
+// FP_BENCH_OUT each writes <run name>.csv and .spec.json.
+
+/// The matched accuracy target of a sweep: 90% of the reference run's final
+/// clean accuracy, from its own history so target and trajectories share the
+/// same evaluation subsample.
+double accuracy_target(const fed::History& reference) {
+  return reference.empty() ? 1.0 : 0.9 * reference.back().clean_acc;
+}
+
+/// The first snapshot whose clean accuracy reached `target` (null = never).
+const fed::RoundRecord* first_reaching(const fed::History& h, double target) {
+  for (const auto& rec : h)
+    if (rec.clean_acc >= target) return &rec;
+  return nullptr;
+}
+
+// Async-vs-sync time-to-accuracy on the heterogeneous device pool.
+//
+// The sync barrier pays the slowest sampled client every round (the paper's
+// Figs. 2/7 pathology); the event-driven AsyncScheduler keeps the same number
+// of clients in flight, applies each update the moment it arrives with a
+// FedAsync-style staleness-decayed coefficient, and never waits on a
+// straggler. Four schedules train on the same fleet (persistent client-device
+// binding, as in the paper's setup) — sync, async, async + straggler cutoff,
+// async + dropout — with a matched client-update budget (one sync round = C
+// async aggregation events).
+void async_sweep() {
+  struct Schedule {
+    const char* label;
+    std::vector<const char*> overrides;
+  };
+  const Schedule schedules[] = {
+      {"sync", {"fl.scheduler=sync"}},
+      {"async", {"fl.scheduler=async"}},
+      // The scaled-down fleet finishes a local round in ~1 s at the slowest;
+      // a 0.5 s budget actually discards the slow tail.
+      {"async-cutoff", {"fl.scheduler=async", "async.straggler_cutoff_s=0.5"}},
+      {"async-dropout", {"fl.scheduler=async", "async.dropout_prob=0.2"}},
+  };
+
+  std::printf("=== Async vs sync scheduling: time-to-accuracy ===\n\n");
+  std::printf("-- %s, balanced fleet, persistent client-device binding --\n",
+              display_name("cifar"));
+  std::printf("%-14s %10s %10s %8s %8s %8s %14s\n", "schedule", "Clean",
+              "PGD-10", "sim (s)", "access%", "dropped", "t@0.9*final");
+
+  double target = 1.0;
+  for (const auto& sc : schedules) {
+    exp::ExperimentSpec spec;
+    spec.method = "jFAT";
+    spec.persistent_devices = true;
+    for (const char* kv : sc.overrides) exp::apply_override(spec, kv);
+    apply_matched_budget(spec, scaled(12));
+    const auto r =
+        exp::run_experiment(std::move(spec), std::string("jFAT-") + sc.label);
+    if (&sc == schedules) target = accuracy_target(r.history);  // sync
+    const double total = r.sim_time.total();
+    std::printf("%-14s %9.1f%% %9.1f%% %8.1f %7.1f%% %8zu ", sc.label,
+                100 * r.metrics.clean_acc, 100 * r.metrics.pgd_acc, total,
+                total > 0 ? 100 * r.sim_time.access_s / total : 0.0, r.dropped);
+    if (const auto* hit = first_reaching(r.history, target))
+      std::printf("%13.1fs\n", hit->sim_time_s);
+    else
+      std::printf("%14s\n", "not reached");
+    std::fflush(stdout);
+  }
+  std::printf(
+      "\nasync rounds apply one staleness-weighted update each; budgets are\n"
+      "matched at C updates per sync round.\n");
+}
+
+// Compressed wire codecs x schedulers on the heterogeneous fleet.
+//
+// Every cell trains jFAT through the engine's comm channel with the network
+// model ENABLED, so round times include each client's download + upload over
+// its degraded link and straggler cutoffs judge the full round-trip. The four
+// wire codecs run under both the sync barrier and the async scheduler; the
+// readout is the accuracy-vs-bytes axis: final accuracy, cumulative wire
+// traffic, simulated wall-clock (with the comm share), and the uploaded bytes
+// needed to reach the matched target (the codec pays for itself when it
+// reaches it on fewer bytes). Each cell is comm_scenario_spec; the shipped
+// configs/bench_comm_int8_sync.json is the resolved int8+sync cell,
+// reproducible standalone via `fp_run --config`.
+void comm_sweep() {
+  const char* const codecs[] = {"identity", "fp16", "int8", "topk"};
+  const char* const schedulers[] = {"sync", "async"};
+
+  std::printf("=== Wire codecs x schedulers: accuracy vs bytes ===\n\n");
+  std::printf("-- %s, balanced fleet, persistent binding, network model on --\n",
+              display_name("cifar"));
+
+  std::vector<exp::RunResult> results;
+  std::vector<std::string> labels;
+  for (const char* scheduler : schedulers) {
+    for (const char* codec : codecs) {
+      labels.push_back(std::string(codec) + "-" + scheduler);
+      auto spec = comm_scenario_spec(codec, scheduler);
+      const fed::FlConfig fl = spec.fl;
+      results.push_back(
+          exp::run_experiment(std::move(spec), "jFAT-comm-" + labels.back()));
+      exp::print_comm_line(results.back(), fl);
+    }
+  }
+
+  // Target and byte ratios are against the identity codec: results[0] for
+  // sync, results[4] for async.
+  const double target = accuracy_target(results.front().history);
+  std::printf("\n%-16s %8s %8s %10s %8s %9s %9s %7s %14s\n", "scenario",
+              "Clean", "PGD-10", "sim (s)", "comm%", "up (MB)", "down (MB)",
+              "up x", "upB@target");
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& r = results[i];
+    const double total = r.sim_time.total();
+    const double up = static_cast<double>(r.bytes_up);
+    const double base_up = static_cast<double>(results[i / 4 * 4].bytes_up);
+    std::printf("%-16s %7.1f%% %7.1f%% %10.1f %7.1f%% %9.2f %9.2f %6.1fx ",
+                labels[i].c_str(), 100 * r.metrics.clean_acc,
+                100 * r.metrics.pgd_acc, total,
+                total > 0 ? 100 * r.sim_time.comm_s / total : 0.0, up / 1e6,
+                static_cast<double>(r.bytes_down) / 1e6,
+                up > 0 ? base_up / up : 0.0);
+    if (const auto* hit = first_reaching(r.history, target))
+      std::printf("%11.2f MB\n", static_cast<double>(hit->bytes_up) / 1e6);
+    else
+      std::printf("%14s\n", "not reached");
+    std::fflush(stdout);
+  }
+  std::printf(
+      "\n'up x' is the uploaded-byte reduction vs the identity codec under\n"
+      "the same scheduler; 'upB@target' is the cumulative upload needed to\n"
+      "reach %.1f%% clean accuracy (0.9x the identity-sync final).\n",
+      100 * target);
+}
+
+// Memory-budget sweep: time-to-accuracy under shrinking client budgets.
+//
+// The paper's premise is that memory-constrained federated adversarial
+// training either swaps (jFAT) or must restructure the computation. jFAT
+// trains under enforced per-client budgets of {1x, 0.5x, 0.25x} the measured
+// full-training peak, each in two execution modes:
+//  * swap-priced  — the overrun is streamed to storage (checkpointing off):
+//    aggregates are untouched, but the simulated clock pays the swap
+//    traffic, so time-to-accuracy degrades as the budget shrinks;
+//  * checkpointed — drop-and-recompute keeps the measured arena high-water
+//    within the budget at the price of extra forward FLOPs (bit-identical
+//    gradients, so accuracy per round is unchanged by construction).
+// Reported per cell: final clean/PGD accuracy, measured peak bytes, budget
+// violations, total simulated time, and time-to-accuracy.
+void mem_sweep() {
+  // jFAT with measurement on; > 0 budget bytes enforce the budget in the
+  // requested execution mode. `mem_scale` maps measured trainable-plane
+  // bytes onto the paper pricing plane so a full-peak budget prices like the
+  // analytic baseline (0 = the setup's auto trainable/paper ratio).
+  const auto budgeted_spec = [](std::int64_t budget_bytes, bool checkpointing,
+                                double mem_scale) {
+    exp::ExperimentSpec spec;
+    spec.method = "jFAT";
+    spec.fl.rounds = scaled(12);
+    spec.eval_every = 3;
+    spec.fl.mem.measure = true;
+    spec.fl.mem.device_mem_scale = mem_scale;
+    if (budget_bytes > 0) {
+      spec.fl.mem.enforce_budget = true;
+      spec.fl.mem.checkpointing = checkpointing;
+      spec.fl.mem.budget_override_bytes = budget_bytes;
+    }
+    return spec;
+  };
+
+  std::printf("=== Memory-budget sweep: jFAT under enforced client budgets ===\n\n");
+  const auto base = exp::build_setup(exp::ExperimentSpec{});
+  const std::int64_t batch = base.spec.fl.batch_size;
+  const std::int64_t full_plan = exp::planned_full_peak(base.model, batch);
+
+  // Self-calibrating reference: the unbudgeted run measures the actual
+  // full-training peak; budgets are fractions of THAT, and the pricing scale
+  // maps it onto the paper-shape analytic requirement.
+  const auto ref = exp::run_experiment(budgeted_spec(0, false, 0.0), "jFAT");
+  const double mem_scale =
+      static_cast<double>(ref.peak_mem_bytes) /
+      static_cast<double>(full_train_mem(models::vgg16_spec(32, 10), batch));
+  std::printf(
+      "full-training peak: planned %.2f MB, measured %.2f MB "
+      "(trainable backbone, B=%lld)\n\n",
+      static_cast<double>(full_plan) / 1e6,
+      static_cast<double>(ref.peak_mem_bytes) / 1e6,
+      static_cast<long long>(batch));
+
+  const double target = accuracy_target(ref.history);
+  const auto print_row = [target](const char* label, const exp::RunResult& r) {
+    std::printf("%-20s %7.1f%% %7.1f%% %10.2f %8zu %9.1f ", label,
+                100 * r.metrics.clean_acc, 100 * r.metrics.pgd_acc,
+                static_cast<double>(r.peak_mem_bytes) / 1e6, r.over_budget,
+                r.sim_time.total());
+    if (const auto* hit = first_reaching(r.history, target))
+      std::printf("%11.1fs\n", hit->sim_time_s);
+    else
+      std::printf("%12s\n", "not reached");
+    std::fflush(stdout);
+  };
+  std::printf("%-20s %8s %8s %10s %8s %9s %12s\n", "budget", "Clean", "PGD-10",
+              "peak MB", "over", "sim (s)", "t@0.9*final");
+  print_row("unbudgeted", ref);
+  for (const double frac : {1.0, 0.5, 0.25}) {
+    for (const bool ckpt : {false, true}) {
+      char label[64];
+      std::snprintf(label, sizeof(label), "%4.2fx %s", frac,
+                    ckpt ? "checkpointed" : "swap-priced");
+      const auto budget = static_cast<std::int64_t>(
+          frac * static_cast<double>(ref.peak_mem_bytes));
+      print_row(label, exp::run_experiment(
+                           budgeted_spec(budget, ckpt, mem_scale),
+                           std::string("jFAT-mem-") +
+                               fed::sanitize_filename(label)));
+    }
+  }
+  std::printf(
+      "\nswap-priced cells keep plain execution and pay the overrun as\n"
+      "simulated storage traffic; checkpointed cells keep the measured peak\n"
+      "within budget (bit-identical gradients, extra recompute FLOPs).\n");
 }
 
 // ---- systems plane ----------------------------------------------------------
@@ -759,6 +988,12 @@ const PaperBench kBenches[] = {
     {"fig10", "eps-per-dimension trace under APA", fig10},
     {"extensions", "low-bit x cascade partitioning extension ablation",
      extensions},
+    {"async", "async-vs-sync scheduling: time-to-accuracy on the fleet",
+     async_sweep},
+    {"comm", "wire codecs x schedulers: accuracy vs uploaded bytes",
+     comm_sweep},
+    {"mem", "memory-budget sweep: jFAT under enforced client budgets",
+     mem_sweep},
 };
 
 }  // namespace
@@ -766,24 +1001,29 @@ const PaperBench kBenches[] = {
 
 int main(int argc, char** argv) {
   using namespace fp::bench;
-  if (argc == 2)
-    for (const auto& bench : kBenches)
-      if (std::strcmp(argv[1], bench.name) == 0) {
-        bench.run();
-        return 0;
-      }
-  std::string description =
-      "the paper's tables and figures\n\nrun one with: bench_paper <name>";
-  for (const auto& bench : kBenches) {
+  // A known name in first position is taken off the argument list; the shared
+  // parser then answers --help and rejects whatever is left by name.
+  const PaperBench* bench = nullptr;
+  for (const auto& b : kBenches)
+    if (argc >= 2 && std::strcmp(argv[1], b.name) == 0) bench = &b;
+  if (bench) {
+    --argc;
+    ++argv;
+  }
+  std::string description = "the paper's tables, figures and scenario sweeps\n";
+  for (const auto& b : kBenches) {
     char line[96];
-    std::snprintf(line, sizeof(line), "\n  %-11s %s", bench.name,
-                  bench.description);
+    std::snprintf(line, sizeof(line), "\n  %-11s %s", b.name, b.description);
     description += line;
   }
   if (const int rc = parse_bench_args(argc, argv, "bench_paper",
-                                      description.c_str());
+                                      description.c_str(), "<name> | --help");
       rc >= 0)
     return rc;
-  std::fprintf(stderr, "bench_paper: missing <name>; see bench_paper --help\n");
-  return 2;
+  if (!bench) {
+    std::fprintf(stderr, "bench_paper: missing <name>; see bench_paper --help\n");
+    return 2;
+  }
+  bench->run();
+  return 0;
 }

@@ -18,7 +18,6 @@ class BlobAverager {
  public:
   void add(const nn::ParamBlob& blob, float weight);
   bool empty() const { return total_weight_ == 0.0f; }
-  float total_weight() const { return total_weight_; }
   /// Weighted mean of everything added so far.
   nn::ParamBlob average() const;
   void reset();

@@ -14,22 +14,22 @@ FederatedAlgorithm::FederatedAlgorithm(FedEnv& env, FlConfig cfg,
 FederatedAlgorithm::~FederatedAlgorithm() = default;
 
 void FederatedAlgorithm::run_round(std::int64_t t) {
-  last_stats_ = engine_->run_round(*this, t);
-  add_sim_time(last_stats_.time);  // running total lives in sim_time_
-  total_stats_.dispatched += last_stats_.dispatched;
-  total_stats_.applied += last_stats_.applied;
-  total_stats_.dropped_stragglers += last_stats_.dropped_stragglers;
-  total_stats_.dropped_out += last_stats_.dropped_out;
-  total_stats_.bytes_down += last_stats_.bytes_down;
-  total_stats_.bytes_up += last_stats_.bytes_up;
+  const RoundStats last = engine_->run_round(*this, t);
+  add_sim_time(last.time);  // running total lives in sim_time_
+  total_stats_.dispatched += last.dispatched;
+  total_stats_.applied += last.applied;
+  total_stats_.dropped_stragglers += last.dropped_stragglers;
+  total_stats_.dropped_out += last.dropped_out;
+  total_stats_.bytes_down += last.bytes_down;
+  total_stats_.bytes_up += last.bytes_up;
   total_stats_.peak_mem_bytes =
-      std::max(total_stats_.peak_mem_bytes, last_stats_.peak_mem_bytes);
-  total_stats_.over_budget += last_stats_.over_budget;
+      std::max(total_stats_.peak_mem_bytes, last.peak_mem_bytes);
+  total_stats_.over_budget += last.over_budget;
   // Already cumulative in the engine (distinct-client set size).
-  total_stats_.unique_participants = last_stats_.unique_participants;
-  total_stats_.agg_bytes_saved += last_stats_.agg_bytes_saved;
-  total_stats_.measured_comm_s += last_stats_.measured_comm_s;
-  total_stats_.round_wall_s += last_stats_.round_wall_s;
+  total_stats_.unique_participants = last.unique_participants;
+  total_stats_.agg_bytes_saved += last.agg_bytes_saved;
+  total_stats_.measured_comm_s += last.measured_comm_s;
+  total_stats_.round_wall_s += last.round_wall_s;
 }
 
 void FederatedAlgorithm::run(std::int64_t eval_every) {

@@ -1,6 +1,6 @@
 // Base class for federated training algorithms (jFAT, the memory-efficient
 // baselines, and FedProphet). An algorithm IS a RoundMethod: it implements
-// the ClientTaskFactory / UpdateApplier hooks of fed/runtime/engine.hpp, and
+// the dispatch / train / apply / finalize hooks of fed/runtime/engine.hpp, and
 // the shared RoundEngine executes the sample -> dispatch -> train -> upload
 // -> aggregate -> simulated-time pipeline under the configured scheduler
 // (synchronous barrier rounds or async event-driven aggregation). This class
@@ -47,7 +47,6 @@ class FederatedAlgorithm : public RoundMethod {
   /// begin_round (begin_dispatch) and end_round (finalize_round); a
   /// distributed worker brackets each group over the tasks it owns.
   ClientPool& clients() { return clients_; }
-  const RoundStats& last_round_stats() const { return last_stats_; }
   /// Dispatch/apply/drop counters accumulated over every round so far
   /// (time stays zero here — the running clock is sim_time()).
   const RoundStats& total_stats() const { return total_stats_; }
@@ -68,7 +67,6 @@ class FederatedAlgorithm : public RoundMethod {
   ClientPool clients_;
   History history_;
   TimeBreakdown sim_time_;
-  RoundStats last_stats_;
   RoundStats total_stats_;
 
  private:

@@ -3,10 +3,11 @@
 // Every method in the repo (FedProphet and the five baselines) used to
 // hand-roll the same synchronous round loop: sample clients -> broadcast ->
 // parallel local training -> client-ordered aggregation -> simulated-time
-// accounting. The engine owns that pipeline once, and a method only states
-//  * WHAT each sampled client trains        (ClientTaskFactory), and
-//  * HOW its wire blob lands in the server   (UpdateApplier) — i.e. which
-//    BlobAverager / PartialAccumulator the upload folds into.
+// accounting. The engine owns that pipeline once, and a method (RoundMethod)
+// only states
+//  * WHAT each sampled client trains        (begin_dispatch, train_client), and
+//  * HOW its wire blob lands in the server   (apply_update, finalize_round) —
+//    i.e. which BlobAverager / PartialAccumulator the upload folds into.
 // Scheduling is pluggable (scheduler.hpp): SyncScheduler reproduces the
 // historical barrier semantics bit-for-bit; AsyncScheduler replays per-client
 // device latencies as a deterministic event queue with staleness-decayed
@@ -72,28 +73,23 @@ enum class ApplyMode {
   kBlend,
 };
 
-/// "What does this client train?" — sequential dispatch-time decisions
-/// (module assignment, slice plans, architecture choice) plus the concurrent
-/// local training itself.
-class ClientTaskFactory {
+/// A federated method as seen by the engine: WHAT each sampled client trains
+/// (begin_dispatch, train_client) and HOW its wire blob lands in the server
+/// (apply_update, finalize_round).
+class RoundMethod {
  public:
-  virtual ~ClientTaskFactory() = default;
+  virtual ~RoundMethod() = default;
 
   /// Called once per dispatch group, sequentially, before any training:
   /// snapshot the server state the group trains from and make per-slot
-  /// decisions that consume shared RNG streams (in slot order).
+  /// decisions (module assignment, slice plans, architecture choice) that
+  /// consume shared RNG streams (in slot order).
   virtual void begin_dispatch(const std::vector<TaskSpec>& tasks) = 0;
 
   /// Trains one client. May run concurrently with other slots of the same
   /// dispatch group: must touch only per-client state (RNG stream, batch
   /// iterator) and task-private replicas of the snapshot.
   virtual Upload train_client(const TaskSpec& task) = 0;
-};
-
-/// "How does the wire blob land?" — sequential server-side aggregation.
-class UpdateApplier {
- public:
-  virtual ~UpdateApplier() = default;
 
   /// Folds one upload into the method's accumulators. Always called on the
   /// engine thread in a deterministic order (slot order for sync rounds,
@@ -104,11 +100,7 @@ class UpdateApplier {
   /// Commits the accumulated updates into the global model(s) and runs any
   /// per-round server work (distillation, traces). `t` = server round index.
   virtual void finalize_round(std::int64_t t) = 0;
-};
 
-/// A federated method as seen by the engine.
-class RoundMethod : public ClientTaskFactory, public UpdateApplier {
- public:
   /// Model spec the latency simulation prices this method's ClientWork on.
   /// Baselines use the paper-shape cost spec; FedProphet prices on its
   /// trainable backbone (its atom ranges index the cascade partition).

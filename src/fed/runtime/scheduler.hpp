@@ -41,8 +41,6 @@ class AsyncScheduler final : public RoundScheduler {
   /// and dropouts are churned through on the way, each refilling its slot).
   RoundStats run_round(RoundEngine& eng, RoundMethod& m, std::int64_t t) override;
 
-  double clock_s() const { return clock_s_; }
-
  private:
   struct Event {
     double finish_s = 0.0;     ///< virtual time the server hears back

@@ -27,7 +27,7 @@ struct MemConfig {
   /// activation checkpointing (drop-and-recompute) instead of swapping.
   bool checkpointing = false;
   /// Fixed budget for every client (bytes, trainable-model scale). Overrides
-  /// the device-derived budget when > 0 (bench_mem sweeps).
+  /// the device-derived budget when > 0 (`bench_paper mem` sweeps).
   std::int64_t budget_override_bytes = 0;
   /// Maps device availability (paper-scale GB) onto the trainable model's
   /// byte scale, mirroring the per-method device_mem_scale (DESIGN.md §1).

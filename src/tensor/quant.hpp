@@ -38,8 +38,6 @@ float error_bound(float step);
 struct AffineGrid {
   float lo = 0.0f;
   float scale = 0.0f;
-  /// Half a step — the codec's documented round-trip error bound.
-  double max_error() const { return static_cast<double>(scale) * 0.5; }
 };
 
 AffineGrid affine_grid(float lo, float hi);

@@ -6,8 +6,8 @@
 // * Spec round-trip: parse -> serialize -> reparse equality, nested and
 //   dotted config forms, CLI overrides.
 // * Strict keys: unknown keys/values throw with a nearest-name suggestion.
-// * Reproduction artifact: the shipped bench_comm cell config equals the
-//   programmatically-built scenario spec, and FP_BENCH_OUT exports a
+// * Reproduction artifact: the shipped `bench_paper comm` cell config equals
+//   the programmatically-built scenario spec, and FP_BENCH_OUT exports a
 //   trajectory CSV plus the resolved spec JSON.
 #include <gtest/gtest.h>
 
@@ -301,8 +301,9 @@ TEST(ExperimentSpec, UnknownKeysAndValuesSuggestNearestName) {
 }
 
 TEST(ExperimentSpec, ShippedCommCellConfigMatchesScenarioBuilder) {
-  // The committed reproduction artifact for one bench_comm cell must equal
-  // the spec bench_comm builds programmatically (resolved at full scale).
+  // The committed reproduction artifact for one `bench_paper comm` cell must
+  // equal the spec that sweep builds programmatically (resolved at full
+  // scale).
   exp::ExperimentSpec cell =
       bench::comm_scenario_spec("int8", "sync", /*sync_rounds=*/12);
   exp::resolve_spec(cell, /*fast=*/false);
