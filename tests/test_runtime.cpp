@@ -175,6 +175,47 @@ TEST(SyncScheduler, RegistryDrivenFedProphetMatchesPreRefactorGolden) {
   EXPECT_EQ(fp_algo.eps_trace()[2], kFpGoldenEps2);
 }
 
+// Golden aggregates and simulated clocks of the other six comparison methods
+// on the same tiny scenario (with the public split the KD methods need), so a
+// refactor of any baseline has a fixed point, not just a two-route compare.
+// At the auto device scale one of FedRBN's six selections fits dual-BN AT and
+// the rest train standard, so both of its client paths are pinned.
+struct BaselineGolden {
+  const char* method;
+  std::uint64_t hash;
+  double compute_s;
+  double access_s;
+};
+
+constexpr BaselineGolden kBaselineGoldens[] = {
+    {"FedRBN", 0xb4c7b286282adda7ull, 0.28580298162051304,
+     0.93280070424079886},
+    {"FedDF-AT", 0xb9e9f0ba6131aeabull, 0.39868456951756348,
+     0.60728060351684698},
+    {"FedET-AT", 0xcd1c23494c129583ull, 0.39868456951756348,
+     0.60728060351684698},
+    {"HeteroFL-AT", 0x20ebd3e2b8ffa9d6ull, 0.34922292206826738,
+     0.0},
+    {"FedDrop-AT", 0xd443cd232a943c16ull, 0.34922292206826738,
+     0.0},
+    {"FedRolex-AT", 0x2086fc93b9fa51d3ull, 0.34922292206826738,
+     0.0},
+};
+
+TEST(SyncScheduler, RegistryDrivenBaselinesMatchGoldens) {
+  for (const BaselineGolden& g : kBaselineGoldens) {
+    auto spec = tiny_exp_spec(g.method);
+    exp::apply_override(spec, "env.public_set=1");
+    exp::apply_override(spec, "distill.iters=4");
+    auto setup = exp::build_setup(spec);
+    exp::MethodRun run = exp::method_registry().resolve(g.method)(setup);
+    run.train();
+    EXPECT_EQ(fnv1a(run.algo->global_model().save_all()), g.hash) << g.method;
+    EXPECT_EQ(run.algo->sim_time().compute_s, g.compute_s) << g.method;
+    EXPECT_EQ(run.algo->sim_time().access_s, g.access_s) << g.method;
+  }
+}
+
 TEST(AsyncScheduler, ReplayIsSeedDeterministicAcrossThreadCounts) {
   const auto data = tiny_data();
   auto fl = tiny_fl();
