@@ -1,10 +1,8 @@
 // Tour of the paper-§8 extensions: checkpointing a trained backbone,
 // attaching a LoRA adapter to its classifier and fine-tuning only the
-// low-rank factors, low-bit memory accounting, and a black-box Square
-// attack on the result.
+// low-rank factors, and low-bit memory accounting.
 #include <cstdio>
 
-#include "attack/square.hpp"
 #include "data/synthetic.hpp"
 #include "models/built_model.hpp"
 #include "models/zoo.hpp"
@@ -82,31 +80,6 @@ int main() {
                 static_cast<double>(nn::low_bit_mem_bytes(
                     spec, 0, spec.atoms.size(), 64, false, bits)) /
                     (1 << 20));
-
-  // 4. Black-box Square attack against the trained backbone.
-  auto margin = [&model](const Tensor& x, const std::vector<std::int64_t>& y) {
-    const Tensor logits = model.forward(x, false);
-    const std::int64_t n = logits.dim(0), c = logits.dim(1);
-    std::vector<float> out(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      float self = logits[i * c + y[static_cast<std::size_t>(i)]];
-      float other = -1e30f;
-      for (std::int64_t j = 0; j < c; ++j)
-        if (j != y[static_cast<std::size_t>(i)])
-          other = std::max(other, logits[i * c + j]);
-      out[static_cast<std::size_t>(i)] = self - other;
-    }
-    return out;
-  };
-  const auto b = data::take_batch(dataset.test, 0, 100);
-  attack::SquareConfig scfg;
-  scfg.iterations = 80;
-  Rng arng(24);
-  const Tensor adv = attack::square_attack(margin, b.x, b.y, scfg, arng);
-  const double clean = accuracy(model.forward(b.x, false), b.y);
-  const double robust = accuracy(model.forward(adv, false), b.y);
-  std::printf("\nSquare attack (black-box, eps 8/255): clean %.1f%% -> %.1f%%\n",
-              100 * clean, 100 * robust);
   std::remove(ckpt.c_str());
   return 0;
 }

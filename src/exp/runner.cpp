@@ -4,10 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "baselines/distillation.hpp"
-#include "baselines/fedrbn.hpp"
-#include "baselines/jfat.hpp"
 #include "baselines/partial_training.hpp"
+#include "baselines/whole_model.hpp"
 #include "exp/json.hpp"
 #include "fed/history_io.hpp"
 #include "fedprophet/fedprophet.hpp"
@@ -33,33 +31,45 @@ default_eval(fed::FederatedAlgorithm* algo, fed::FedEnv& env) {
   };
 }
 
-MethodRun make_jfat(Setup& s) {
-  baselines::JFatConfig cfg;
+MethodRun make_whole_model(Setup& s, baselines::WholeModelRule rule) {
+  using baselines::WholeModelRule;
+  baselines::WholeModelConfig cfg;
   cfg.fl = s.spec.fl;
-  cfg.model_spec = s.model;
+  const bool kd =
+      rule == WholeModelRule::kFedDf || rule == WholeModelRule::kFedEt;
+  cfg.family = kd ? s.kd_family : std::vector<sys::ModelSpec>{s.model};
+  cfg.rule = rule;
   cfg.adversarial = s.spec.adversarial;
-  MethodRun run;
-  auto algo = std::make_unique<baselines::JFat>(s.env, cfg);
-  run.train = [a = algo.get(), ev = s.spec.eval_every] { a->run(ev); };
-  run.evaluate = default_eval(algo.get(), s.env);
-  run.algo = std::move(algo);
-  return run;
-}
-
-MethodRun make_distillation(Setup& s, bool ensemble) {
-  baselines::DistillationConfig cfg;
-  cfg.fl = s.spec.fl;
-  cfg.family = s.kd_family;
-  cfg.ensemble_transfer = ensemble;
+  cfg.device_mem_scale = s.device_mem_scale;
   cfg.distill_iters = s.spec.distill_iters;
   cfg.distill_batch = s.spec.distill_batch;
   cfg.distill_lr = s.spec.distill_lr;
-  cfg.device_mem_scale = s.device_mem_scale;
-  cfg.adversarial = s.spec.adversarial;
   MethodRun run;
-  auto algo = std::make_unique<baselines::DistillationFAT>(s.env, cfg);
+  auto algo = std::make_unique<baselines::WholeModelFAT>(s.env, cfg);
   run.train = [a = algo.get(), ev = s.spec.eval_every] { a->run(ev); };
   run.evaluate = default_eval(algo.get(), s.env);
+  if (rule == WholeModelRule::kFedRbn) {
+    // Which BN bank to serve is an evaluation-time choice, not part of the
+    // checkpoint — FedRBN has no single deployable global model.
+    run.single_global_model = false;
+    // Dual-BN evaluation: clean bank for clean accuracy, adversarial bank
+    // for the attacks.
+    run.evaluate = [a = algo.get(), &env = s.env](
+                       const attack::RobustEvalConfig& e) {
+      attack::RobustEvalResult m;
+      a->use_eval_bank(false);
+      m.clean_acc = attack::evaluate_clean(a->global_model(), env.test,
+                                           e.batch_size, e.max_samples,
+                                           e.compute);
+      a->use_eval_bank(true);
+      const auto adv =
+          attack::evaluate_robustness(a->global_model(), env.test, e);
+      m.pgd_acc = adv.pgd_acc;
+      m.aa_acc = adv.aa_acc;
+      a->use_eval_bank(false);
+      return m;
+    };
+  }
   run.algo = std::move(algo);
   return run;
 }
@@ -76,36 +86,6 @@ MethodRun make_partial(Setup& s, models::SliceScheme scheme) {
   auto algo = std::make_unique<baselines::PartialTrainingFAT>(s.env, cfg);
   run.train = [a = algo.get(), ev = s.spec.eval_every] { a->run(ev); };
   run.evaluate = default_eval(algo.get(), s.env);
-  run.algo = std::move(algo);
-  return run;
-}
-
-MethodRun make_fedrbn(Setup& s) {
-  baselines::FedRbnConfig cfg;
-  cfg.fl = s.spec.fl;
-  cfg.model_spec = s.model;
-  cfg.device_mem_scale = s.device_mem_scale;
-  MethodRun run;
-  // Which BN bank to serve is an evaluation-time choice, not part of the
-  // checkpoint — FedRBN has no single deployable global model.
-  run.single_global_model = false;
-  auto algo = std::make_unique<baselines::FedRbn>(s.env, cfg);
-  run.train = [a = algo.get(), ev = s.spec.eval_every] { a->run(ev); };
-  // Dual-BN evaluation: clean bank for clean accuracy, adversarial bank for
-  // the attacks.
-  run.evaluate = [a = algo.get(), &env = s.env](
-                     const attack::RobustEvalConfig& e) {
-    attack::RobustEvalResult m;
-    a->use_adv_bank(false);
-    m.clean_acc = attack::evaluate_clean(a->global_model(), env.test,
-                                         e.batch_size, e.max_samples, e.compute);
-    a->use_adv_bank(true);
-    const auto adv = attack::evaluate_robustness(a->global_model(), env.test, e);
-    m.pgd_acc = adv.pgd_acc;
-    m.aa_acc = adv.aa_acc;
-    a->use_adv_bank(false);
-    return m;
-  };
   run.algo = std::move(algo);
   return run;
 }
@@ -139,11 +119,18 @@ MethodRun make_fedprophet(Setup& s) {
 Registry<MethodFactory>& method_registry() {
   static Registry<MethodFactory> reg = [] {
     Registry<MethodFactory> r("method");
-    r.add("jFAT", make_jfat,
+    using baselines::WholeModelRule;
+    r.add("jFAT", [](Setup& s) {
+            return make_whole_model(s, WholeModelRule::kJfat);
+          },
           "joint federated adversarial training of the full model");
-    r.add("FedDF-AT", [](Setup& s) { return make_distillation(s, false); },
+    r.add("FedDF-AT", [](Setup& s) {
+            return make_whole_model(s, WholeModelRule::kFedDf);
+          },
           "per-architecture FedAvg + ensemble distillation fusion");
-    r.add("FedET-AT", [](Setup& s) { return make_distillation(s, true); },
+    r.add("FedET-AT", [](Setup& s) {
+            return make_whole_model(s, WholeModelRule::kFedEt);
+          },
           "ensemble knowledge transfer with confidence weighting");
     r.add("HeteroFL-AT", [](Setup& s) {
             return make_partial(s, models::SliceScheme::kStatic);
@@ -157,7 +144,10 @@ Registry<MethodFactory>& method_registry() {
             return make_partial(s, models::SliceScheme::kRolling);
           },
           "rolling-slice partial training");
-    r.add("FedRBN", make_fedrbn, "dual-BN robustness propagation");
+    r.add("FedRBN", [](Setup& s) {
+            return make_whole_model(s, WholeModelRule::kFedRbn);
+          },
+          "dual-BN robustness propagation");
     r.add("FedProphet", make_fedprophet,
           "memory-efficient cascade learning with APA + DMA (the paper)");
     return r;

@@ -52,10 +52,13 @@ RoundRecord FederatedAlgorithm::evaluate_snapshot(std::int64_t round,
   ecfg.compute = cfg_.compute;
   RoundRecord rec;
   rec.round = round;
+  use_eval_bank(false);
   rec.clean_acc = attack::evaluate_clean(global_model(), env_->test,
                                          ecfg.batch_size, max_samples,
                                          ecfg.compute);
+  use_eval_bank(true);
   rec.adv_acc = attack::evaluate_pgd(global_model(), env_->test, ecfg);
+  use_eval_bank(false);
   rec.sim_time_s = sim_time_.total();
   rec.bytes_up = total_stats_.bytes_up;
   rec.bytes_down = total_stats_.bytes_down;

@@ -52,9 +52,14 @@ class FederatedAlgorithm : public RoundMethod {
   const RoundStats& total_stats() const { return total_stats_; }
 
   /// Clean + PGD accuracy snapshot of the global model on the test set.
-  virtual RoundRecord evaluate_snapshot(std::int64_t round,
-                                        std::int64_t max_samples = 256,
-                                        int pgd_steps = 10);
+  RoundRecord evaluate_snapshot(std::int64_t round,
+                                std::int64_t max_samples = 256,
+                                int pgd_steps = 10);
+
+  /// Selects the statistics the global model is evaluated with: the ones
+  /// for attacked inputs when `adversarial`. Dual-BN methods (FedRBN) switch
+  /// their BN bank; every other method has one set and does nothing.
+  virtual void use_eval_bank(bool /*adversarial*/) {}
 
  protected:
   /// Single source of the schedule: the engine's lr_at also fills TaskSpec.lr.

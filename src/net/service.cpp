@@ -37,10 +37,8 @@ exp::RunResult serve_root(exp::ExperimentSpec spec,
       exp::method_registry().resolve(setup.spec.method);
   exp::MethodRun run = factory(setup);
   if (!dynamic_cast<fed::NetMethod*>(run.algo.get()))
-    throw exp::SpecError(
-        "method " + setup.spec.method +
-        " does not implement the distributed-runtime hooks; net-capable "
-        "methods: jFAT (FedAvg via adversarial=false) and FedProphet");
+    throw exp::SpecError("method " + setup.spec.method +
+                         " has no distributed hooks (fed::NetMethod)");
 
   RootServer server(net_config_of(setup.spec));
   if (on_listening) on_listening(server.port());

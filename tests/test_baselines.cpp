@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "baselines/distillation.hpp"
-#include "baselines/fedrbn.hpp"
-#include "baselines/jfat.hpp"
 #include "baselines/partial_training.hpp"
+#include "baselines/whole_model.hpp"
 #include "data/synthetic.hpp"
 #include "models/zoo.hpp"
 
@@ -46,10 +44,10 @@ class BaselineFixture : public ::testing::Test {
 };
 
 TEST_F(BaselineFixture, JFatLearnsAboveChance) {
-  JFatConfig cfg;
+  WholeModelConfig cfg;
   cfg.fl = fl_;
-  cfg.model_spec = spec_;
-  JFat algo(*env_, cfg);
+  cfg.family = {spec_};
+  WholeModelFAT algo(*env_, cfg);
   algo.run(/*eval_every=*/0);
   ASSERT_FALSE(algo.history().empty());
   EXPECT_GT(algo.history().back().clean_acc, 0.4);  // chance 0.25
@@ -99,12 +97,13 @@ TEST_F(BaselineFixture, PartialTrainingRatioClamps) {
 }
 
 TEST_F(BaselineFixture, DistillationFedDfRunsAndLearns) {
-  DistillationConfig cfg;
+  WholeModelConfig cfg;
   cfg.fl = fl_;
   cfg.family = {models::tiny_cnn_spec(16, 4, 4), models::tiny_vgg_spec(16, 4, 4)};
+  cfg.rule = WholeModelRule::kFedDf;
   cfg.distill_iters = 4;
   cfg.device_mem_scale = mem_scale_;
-  DistillationFAT algo(*env_, cfg);
+  WholeModelFAT algo(*env_, cfg);
   algo.run();
   // KD-FAT is the paper's weakest family (Table 2: far below every other
   // method); at smoke scale we only require it not to collapse below chance.
@@ -112,24 +111,25 @@ TEST_F(BaselineFixture, DistillationFedDfRunsAndLearns) {
 }
 
 TEST_F(BaselineFixture, DistillationFedEtUsesConfidenceWeights) {
-  DistillationConfig cfg;
+  WholeModelConfig cfg;
   cfg.fl = fl_;
   cfg.family = {models::tiny_cnn_spec(16, 4, 4), models::tiny_vgg_spec(16, 4, 4)};
-  cfg.ensemble_transfer = true;
+  cfg.rule = WholeModelRule::kFedEt;
   cfg.distill_iters = 4;
   cfg.device_mem_scale = mem_scale_;
-  DistillationFAT algo(*env_, cfg);
+  WholeModelFAT algo(*env_, cfg);
   EXPECT_EQ(algo.name(), "FedET-AT");
   algo.run();
   EXPECT_GT(algo.history().back().clean_acc, 0.25);
 }
 
 TEST_F(BaselineFixture, DistillationArchSelectionIsMemoryMonotone) {
-  DistillationConfig cfg;
+  WholeModelConfig cfg;
   cfg.fl = fl_;
   cfg.family = {models::tiny_cnn_spec(16, 4, 4), models::tiny_vgg_spec(16, 4, 4)};
+  cfg.rule = WholeModelRule::kFedDf;
   cfg.device_mem_scale = 1.0;
-  DistillationFAT algo(*env_, cfg);
+  WholeModelFAT algo(*env_, cfg);
   EXPECT_EQ(algo.arch_for_mem(0), 0u);
   EXPECT_EQ(algo.arch_for_mem(1ll << 60), 1u);
 }
@@ -139,23 +139,25 @@ TEST_F(BaselineFixture, DistillationRequiresPublicSet) {
   ecfg.fl = fl_;
   ecfg.with_public_set = false;
   auto env2 = fed::make_env(data_, ecfg, models::vgg16_spec(32, 10));
-  DistillationConfig cfg;
+  WholeModelConfig cfg;
   cfg.fl = fl_;
   cfg.family = {models::tiny_cnn_spec(16, 4, 4)};
-  EXPECT_THROW(DistillationFAT(env2, cfg), std::invalid_argument);
+  cfg.rule = WholeModelRule::kFedDf;
+  EXPECT_THROW(WholeModelFAT(env2, cfg), std::invalid_argument);
 }
 
 TEST_F(BaselineFixture, FedRbnHighCleanAccuracy) {
-  FedRbnConfig cfg;
+  WholeModelConfig cfg;
   cfg.fl = fl_;
-  cfg.model_spec = spec_;
+  cfg.family = {spec_};
+  cfg.rule = WholeModelRule::kFedRbn;
   // Budget so that AT fits only when the drawn availability exceeds ~0.3 GB
   // (top of the CIFAR pool's 0-0.8 GB range): a minority of clients do AT.
   const auto full = sys::module_train_mem_bytes(spec_, 0, spec_.atoms.size(),
                                                 fl_.batch_size, false);
   cfg.device_mem_scale =
       static_cast<double>(full) / (0.3 * static_cast<double>(1ull << 30));
-  FedRbn algo(*env_, cfg);
+  WholeModelFAT algo(*env_, cfg);
   algo.run();
   EXPECT_GT(algo.history().back().clean_acc, 0.4);
   EXPECT_GT(algo.at_client_fraction(), 0.0);
@@ -163,11 +165,11 @@ TEST_F(BaselineFixture, FedRbnHighCleanAccuracy) {
 }
 
 TEST_F(BaselineFixture, FedAvgVariantSkipsAttack) {
-  JFatConfig cfg;
+  WholeModelConfig cfg;
   cfg.fl = fl_;
-  cfg.model_spec = spec_;
+  cfg.family = {spec_};
   cfg.adversarial = false;
-  JFat algo(*env_, cfg);
+  WholeModelFAT algo(*env_, cfg);
   EXPECT_EQ(algo.name(), "FedAvg");
   algo.run();
   EXPECT_GT(algo.history().back().clean_acc, 0.4);

@@ -16,7 +16,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "baselines/jfat.hpp"
+#include "baselines/whole_model.hpp"
 #include "blob_hash.hpp"
 #include "comm/channel.hpp"
 #include "core/parallel.hpp"
@@ -285,10 +285,10 @@ TinyRun run_tiny_jfat(comm::CodecKind codec, bool model_network, int threads) {
   ecfg.fl = fl;
   auto env = fed::make_env(data, ecfg, models::vgg16_spec(32, 10));
 
-  baselines::JFatConfig cfg;
+  baselines::WholeModelConfig cfg;
   cfg.fl = fl;
-  cfg.model_spec = models::tiny_vgg_spec(16, 4, 4);
-  baselines::JFat algo(env, cfg);
+  cfg.family = {models::tiny_vgg_spec(16, 4, 4)};
+  baselines::WholeModelFAT algo(env, cfg);
   algo.run();
   core::set_num_threads(1);
 

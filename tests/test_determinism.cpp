@@ -11,7 +11,7 @@
 #include <cstring>
 
 #include "attack/evaluate.hpp"
-#include "baselines/jfat.hpp"
+#include "baselines/whole_model.hpp"
 #include "core/parallel.hpp"
 #include "data/synthetic.hpp"
 #include "exp/runner.hpp"
@@ -60,10 +60,10 @@ TEST(Determinism, JFatRoundsBitIdenticalAcrossThreadCounts) {
     fed::FedEnvConfig ecfg;
     ecfg.fl = fl;
     fed::FedEnv env = fed::make_env(data, ecfg, models::vgg16_spec(32, 10));
-    baselines::JFatConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
-    cfg.model_spec = models::tiny_vgg_spec(16, 4, 4);
-    baselines::JFat algo(env, cfg);
+    cfg.family = {models::tiny_vgg_spec(16, 4, 4)};
+    baselines::WholeModelFAT algo(env, cfg);
     algo.run();
     blobs[run] = algo.global_model().save_all();
   }

@@ -15,10 +15,8 @@
 #include <filesystem>
 #include <fstream>
 
-#include "baselines/distillation.hpp"
-#include "baselines/fedrbn.hpp"
-#include "baselines/jfat.hpp"
 #include "baselines/partial_training.hpp"
+#include "baselines/whole_model.hpp"
 #include "bench_common.hpp"
 #include "blob_hash.hpp"
 #include "exp/json.hpp"
@@ -52,21 +50,22 @@ exp::ExperimentSpec tiny_spec(const std::string& method) {
 std::uint64_t train_direct(const std::string& name, exp::Setup& s) {
   const auto& fl = s.spec.fl;
   if (name == "jFAT") {
-    baselines::JFatConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
-    cfg.model_spec = s.model;
-    baselines::JFat algo(s.env, cfg);
+    cfg.family = {s.model};
+    baselines::WholeModelFAT algo(s.env, cfg);
     algo.run();
     return fnv1a(algo.global_model().save_all());
   }
   if (name == "FedDF-AT" || name == "FedET-AT") {
-    baselines::DistillationConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
     cfg.family = s.kd_family;
-    cfg.ensemble_transfer = (name == "FedET-AT");
+    cfg.rule = name == "FedET-AT" ? baselines::WholeModelRule::kFedEt
+                                  : baselines::WholeModelRule::kFedDf;
     cfg.distill_iters = 8;
     cfg.device_mem_scale = s.device_mem_scale;
-    baselines::DistillationFAT algo(s.env, cfg);
+    baselines::WholeModelFAT algo(s.env, cfg);
     algo.run();
     return fnv1a(algo.global_model().save_all());
   }
@@ -83,11 +82,12 @@ std::uint64_t train_direct(const std::string& name, exp::Setup& s) {
     return fnv1a(algo.global_model().save_all());
   }
   if (name == "FedRBN") {
-    baselines::FedRbnConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
-    cfg.model_spec = s.model;
+    cfg.family = {s.model};
+    cfg.rule = baselines::WholeModelRule::kFedRbn;
     cfg.device_mem_scale = s.device_mem_scale;
-    baselines::FedRbn algo(s.env, cfg);
+    baselines::WholeModelFAT algo(s.env, cfg);
     algo.run();
     return fnv1a(algo.global_model().save_all());
   }
@@ -129,6 +129,21 @@ TEST(MethodRegistry, AllEightMethodsResolveAndMatchDirectConstruction) {
         << name << ": registry-driven run diverged from direct construction";
     EXPECT_GT(run.algo->total_stats().bytes_up, 0) << name << " trained nothing";
   }
+}
+
+TEST(MethodRegistry, FedRbnHistoryCarriesMemoryAndParticipationColumns) {
+  auto spec = tiny_spec("FedRBN");
+  exp::apply_override(spec, "mem.measure=1");
+  auto setup = exp::build_setup(spec);
+  exp::MethodRun run = exp::method_registry().resolve("FedRBN")(setup);
+  run.train();
+  ASSERT_FALSE(run.algo->history().empty());
+  const fed::RoundRecord& last = run.algo->history().back();
+  const fed::RoundStats& total = run.algo->total_stats();
+  EXPECT_GT(last.peak_mem_bytes, 0);
+  EXPECT_EQ(last.peak_mem_bytes, total.peak_mem_bytes);
+  EXPECT_GT(last.unique_participants, 0);
+  EXPECT_EQ(last.unique_participants, total.unique_participants);
 }
 
 TEST(ExperimentSpec, RoundTripsThroughJson) {

@@ -1,10 +1,9 @@
 // Tests for the paper-§8 extensions: LoRA adapters, low-bit training
-// accounting, checkpoint I/O, and the Square black-box attack.
+// accounting, and checkpoint I/O.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
-#include "attack/square.hpp"
 #include "grad_check.hpp"
 #include <fstream>
 
@@ -178,56 +177,6 @@ TEST(ModelIo, RejectsMissingAndGarbageFiles) {
   }
   EXPECT_THROW(nn::load_checkpoint(path), std::runtime_error);
   std::remove(path.c_str());
-}
-
-// ---- Square attack -----------------------------------------------------------
-
-TEST(SquareAttack, StaysInBallAndReducesMargin) {
-  Rng rng(111);
-  // Margin of a fixed linear classifier on flattened pixels.
-  const std::int64_t c = 3, h = 8, w = 8, classes = 4;
-  const Tensor wmat = Tensor::randn({classes, c * h * w}, rng, 0.2f);
-  auto margin = [&](const Tensor& x, const std::vector<std::int64_t>& y) {
-    const std::int64_t n = x.dim(0);
-    std::vector<float> out(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      float best_other = -1e30f, self = 0;
-      for (std::int64_t cls = 0; cls < classes; ++cls) {
-        float logit = 0;
-        for (std::int64_t j = 0; j < c * h * w; ++j)
-          logit += wmat[cls * c * h * w + j] * x[i * c * h * w + j];
-        if (cls == y[static_cast<std::size_t>(i)])
-          self = logit;
-        else
-          best_other = std::max(best_other, logit);
-      }
-      out[static_cast<std::size_t>(i)] = self - best_other;
-    }
-    return out;
-  };
-
-  const Tensor x = Tensor::rand_uniform({4, c, h, w}, rng, 0.2f, 0.8f);
-  const std::vector<std::int64_t> y{0, 1, 2, 3};
-  attack::SquareConfig cfg;
-  cfg.epsilon = 0.1f;
-  cfg.iterations = 60;
-  const Tensor adv = attack::square_attack(margin, x, y, cfg, rng);
-  // l_inf ball + valid range.
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    EXPECT_LE(std::abs(adv[i] - x[i]), cfg.epsilon + 1e-5f);
-    EXPECT_GE(adv[i], 0.0f);
-    EXPECT_LE(adv[i], 1.0f);
-  }
-  // The attack must not increase any sample's margin.
-  const auto before = margin(x, y);
-  const auto after = margin(adv, y);
-  double total_before = 0, total_after = 0;
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_LE(after[i], before[i] + 1e-5f);
-    total_before += before[i];
-    total_after += after[i];
-  }
-  EXPECT_LT(total_after, total_before);  // and strictly helps in aggregate
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // cascade-vs-end-to-end coherence, and failure injection.
 #include <gtest/gtest.h>
 
-#include "baselines/jfat.hpp"
+#include "baselines/whole_model.hpp"
 #include "cascade/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "fedprophet/fedprophet.hpp"
@@ -40,10 +40,10 @@ TEST(Integration, JFatIsDeterministicAcrossRuns) {
     fed::FedEnvConfig ecfg;
     ecfg.fl = fl;
     auto env = fed::make_env(data, ecfg, models::vgg16_spec(32, 10));
-    baselines::JFatConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
-    cfg.model_spec = models::tiny_cnn_spec(16, 4, 4);
-    baselines::JFat algo(env, cfg);
+    cfg.family = {models::tiny_cnn_spec(16, 4, 4)};
+    baselines::WholeModelFAT algo(env, cfg);
     algo.run();
     const auto blob = algo.global_model().save_all();
     if (run == 0)
@@ -147,11 +147,11 @@ TEST(Integration, AdversarialTrainingBeatsStandardUnderAttack) {
     fed::FedEnvConfig ecfg;
     ecfg.fl = fl;
     auto env = fed::make_env(data, ecfg, models::vgg16_spec(32, 10));
-    baselines::JFatConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
-    cfg.model_spec = models::tiny_vgg_spec(16, 4, 4);
+    cfg.family = {models::tiny_vgg_spec(16, 4, 4)};
     cfg.adversarial = adversarial;
-    baselines::JFat algo(env, cfg);
+    baselines::WholeModelFAT algo(env, cfg);
     algo.run();
     attack::RobustEvalConfig e;
     e.pgd_steps = 10;

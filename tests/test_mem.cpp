@@ -18,8 +18,8 @@
 #include <cstdint>
 #include <optional>
 
-#include "baselines/jfat.hpp"
 #include "baselines/local_at.hpp"
+#include "baselines/whole_model.hpp"
 #include "blob_hash.hpp"
 #include "cascade/partitioner.hpp"
 #include "cascade/trainer.hpp"
@@ -440,10 +440,10 @@ EngineRun run_jfat(const data::TrainTest& data, mem::MemConfig mc) {
   fed::FedEnvConfig ecfg;
   ecfg.fl = fl;
   auto env = fed::make_env(data, ecfg, paper);
-  baselines::JFatConfig cfg;
+  baselines::WholeModelConfig cfg;
   cfg.fl = fl;
-  cfg.model_spec = tiny;
-  baselines::JFat algo(env, cfg);
+  cfg.family = {tiny};
+  baselines::WholeModelFAT algo(env, cfg);
   algo.run();
   EngineRun r;
   r.hash = fnv1a(algo.global_model().save_all());

@@ -316,11 +316,12 @@ TEST(NetSpec, ServeRootRejectsUnsupportedSpecsBeforeListening) {
         << e.what();
   }
   try {
-    net::serve_root(tiny_net_spec("FedRBN"));
+    net::serve_root(tiny_net_spec("HeteroFL-AT"));
     FAIL() << "expected SpecError";
   } catch (const exp::SpecError& e) {
-    EXPECT_NE(std::string(e.what()).find("distributed-runtime hooks"),
-              std::string::npos)
+    EXPECT_NE(
+        std::string(e.what()).find("HeteroFL-AT has no distributed hooks"),
+        std::string::npos)
         << e.what();
   }
 }
@@ -391,56 +392,47 @@ void expect_equivalent(const exp::RunResult& local,
   EXPECT_GT(dist.net_rx_bytes, 0);
 }
 
-TEST(NetEquivalence, JfatIdentityWire) {
-  const exp::ExperimentSpec spec = tiny_net_spec("jFAT");
+/// One distributed-equivalence case: a net-capable method under one wire
+/// setting (no override = identity codec, one aggregator).
+struct NetCase {
+  const char* name;
+  const char* method;
+  const char* override_kv;
+};
+
+class NetEquivalence : public ::testing::TestWithParam<NetCase> {};
+
+TEST_P(NetEquivalence, DistributedRunMatchesSingleProcess) {
+  exp::ExperimentSpec spec = tiny_net_spec(GetParam().method);
+  if (GetParam().override_kv[0] != '\0')
+    exp::apply_override(spec, GetParam().override_kv);
   const exp::RunResult local = exp::run_experiment(spec);
   const exp::RunResult dist = run_distributed(spec, 2);
   expect_equivalent(local, dist);
   EXPECT_EQ(local.history.back().measured_comm_s, 0.0);
 }
 
-TEST(NetEquivalence, JfatInt8Wire) {
-  exp::ExperimentSpec spec = tiny_net_spec("jFAT");
-  exp::apply_override(spec, "comm.codec=int8");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
-}
-
-TEST(NetEquivalence, JfatTwoAggregatorWaves) {
-  // Two edge-aggregator waves per round: both groups ship the state of the
-  // round's single dispatch.
-  exp::ExperimentSpec spec = tiny_net_spec("jFAT");
-  exp::apply_override(spec, "env.aggregators=2");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
-}
-
-TEST(NetEquivalence, FedProphetIdentityWire) {
-  const exp::ExperimentSpec spec = tiny_net_spec("FedProphet");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
-}
-
-TEST(NetEquivalence, FedProphetInt8Wire) {
-  exp::ExperimentSpec spec = tiny_net_spec("FedProphet");
-  exp::apply_override(spec, "comm.codec=int8");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
-}
-
-TEST(NetEquivalence, FedProphetTopKWire) {
-  // Top-k uploads decode against the receiver's reference (the per-atom and
-  // aux-head broadcast slices), unlike int8, which takes none.
-  exp::ExperimentSpec spec = tiny_net_spec("FedProphet");
-  exp::apply_override(spec, "comm.codec=topk");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
-}
+INSTANTIATE_TEST_SUITE_P(
+    NetCapableMethods, NetEquivalence,
+    ::testing::Values(
+        NetCase{"JfatIdentity", "jFAT", ""},
+        NetCase{"FedRbnIdentity", "FedRBN", ""},
+        NetCase{"FedDfIdentity", "FedDF-AT", ""},
+        NetCase{"FedEtIdentity", "FedET-AT", ""},
+        NetCase{"FedProphetIdentity", "FedProphet", ""},
+        NetCase{"JfatInt8", "jFAT", "comm.codec=int8"},
+        // Two edge-aggregator waves per round: both groups ship the state
+        // of the round's single dispatch.
+        NetCase{"JfatTwoAggregatorWaves", "jFAT", "env.aggregators=2"},
+        NetCase{"FedProphetInt8", "FedProphet", "comm.codec=int8"},
+        // Top-k uploads decode against the receiver's reference (the
+        // per-atom and aux-head broadcast slices), unlike int8.
+        NetCase{"FedProphetTopK", "FedProphet", "comm.codec=topk"},
+        // Three architectures: three broadcasts to encode and decode.
+        NetCase{"FedDfInt8", "FedDF-AT", "comm.codec=int8"}),
+    [](const ::testing::TestParamInfo<NetCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---- tracing ----------------------------------------------------------------
 

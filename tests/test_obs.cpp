@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/jfat.hpp"
+#include "baselines/whole_model.hpp"
 #include "blob_hash.hpp"
 #include "core/parallel.hpp"
 #include "data/synthetic.hpp"
@@ -320,10 +320,10 @@ TEST(TracingOnGolden, JFatHashIsBitIdentical) {
     core::set_num_threads(threads);
     set_tracing(true, /*sample_kernels=*/4);
     auto env = tiny_env(data, fl);
-    baselines::JFatConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
-    cfg.model_spec = models::tiny_vgg_spec(16, 4, 4);
-    baselines::JFat algo(env, cfg);
+    cfg.family = {models::tiny_vgg_spec(16, 4, 4)};
+    baselines::WholeModelFAT algo(env, cfg);
     algo.run();
     EXPECT_EQ(fnv1a(algo.global_model().save_all()), kJfatGoldenHash)
         << "tracing perturbed the aggregates at " << threads << " threads";

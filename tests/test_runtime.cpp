@@ -14,7 +14,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "baselines/jfat.hpp"
+#include "baselines/whole_model.hpp"
 #include "blob_hash.hpp"
 #include "core/parallel.hpp"
 #include "data/synthetic.hpp"
@@ -71,10 +71,10 @@ TEST(SyncScheduler, JFatMatchesPreRefactorGolden) {
   for (const int threads : {1, 4}) {
     core::set_num_threads(threads);
     auto env = tiny_env(data, fl);
-    baselines::JFatConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
-    cfg.model_spec = models::tiny_vgg_spec(16, 4, 4);
-    baselines::JFat algo(env, cfg);
+    cfg.family = {models::tiny_vgg_spec(16, 4, 4)};
+    baselines::WholeModelFAT algo(env, cfg);
     algo.run();
     EXPECT_EQ(fnv1a(algo.global_model().save_all()), kJfatGoldenHash)
         << "aggregates diverged from the pre-refactor loop at " << threads
@@ -231,10 +231,10 @@ TEST(AsyncScheduler, ReplayIsSeedDeterministicAcrossThreadCounts) {
   for (int run = 0; run < 2; ++run) {
     core::set_num_threads(thread_counts[run]);
     auto env = tiny_env(data, fl);
-    baselines::JFatConfig cfg;
+    baselines::WholeModelConfig cfg;
     cfg.fl = fl;
-    cfg.model_spec = models::tiny_vgg_spec(16, 4, 4);
-    baselines::JFat algo(env, cfg);
+    cfg.family = {models::tiny_vgg_spec(16, 4, 4)};
+    baselines::WholeModelFAT algo(env, cfg);
     algo.run();
     blobs[run] = algo.global_model().save_all();
     sim[run] = algo.sim_time().total();
