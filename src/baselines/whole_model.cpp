@@ -69,6 +69,7 @@ WholeModelFAT::ClientPlan WholeModelFAT::plan(const fed::TaskSpec& task) const {
   ClientPlan p;
   p.arch = task.has_device ? arch_for_mem(task.device.avail_mem_bytes)
                            : family_.size() - 1;
+  // FedRBN trains standard, clean bank only, where the model does not fit.
   const bool at = wcfg_.adversarial &&
                   (wcfg_.rule != WholeModelRule::kFedRbn || !task.has_device ||
                    fits(p.arch, task.device.avail_mem_bytes));
