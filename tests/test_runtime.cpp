@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "baselines/whole_model.hpp"
 #include "blob_hash.hpp"
@@ -185,6 +186,7 @@ struct BaselineGolden {
   std::uint64_t hash;
   double compute_s;
   double access_s;
+  const char* overrides = "";  ///< space-separated key=value on top
 };
 
 constexpr BaselineGolden kBaselineGoldens[] = {
@@ -200,6 +202,16 @@ constexpr BaselineGolden kBaselineGoldens[] = {
      0.0},
     {"FedRolex-AT", 0x2086fc93b9fa51d3ull, 0.34922292206826738,
      0.0},
+    // The partial-training methods off the identity wire and the sync
+    // scheduler: lossy uplinks against the broadcast slice (int8 with a
+    // coded downlink, top-k deltas), and async single-client refills that
+    // keep drawing from the round's slice stream.
+    {"FedDrop-AT", 0xc0df76809386ac63ull, 0.34922292206826738, 0.0,
+     "comm.codec=int8 comm.compress_downlink=true"},
+    {"HeteroFL-AT", 0xbf50613c0cac9f11ull, 0.34922292206826738, 0.0,
+     "comm.codec=topk"},
+    {"FedRolex-AT", 0xd40309eee6b382f3ull, 0.031298096203751645, 0.0,
+     "fl.scheduler=async"},
 };
 
 TEST(SyncScheduler, RegistryDrivenBaselinesMatchGoldens) {
@@ -207,12 +219,15 @@ TEST(SyncScheduler, RegistryDrivenBaselinesMatchGoldens) {
     auto spec = tiny_exp_spec(g.method);
     exp::apply_override(spec, "env.public_set=1");
     exp::apply_override(spec, "distill.iters=4");
+    std::istringstream extra(g.overrides);
+    for (std::string kv; extra >> kv;) exp::apply_override(spec, kv);
     auto setup = exp::build_setup(spec);
     exp::MethodRun run = exp::method_registry().resolve(g.method)(setup);
     run.train();
-    EXPECT_EQ(fnv1a(run.algo->global_model().save_all()), g.hash) << g.method;
-    EXPECT_EQ(run.algo->sim_time().compute_s, g.compute_s) << g.method;
-    EXPECT_EQ(run.algo->sim_time().access_s, g.access_s) << g.method;
+    const std::string cell = std::string(g.method) + " " + g.overrides;
+    EXPECT_EQ(fnv1a(run.algo->global_model().save_all()), g.hash) << cell;
+    EXPECT_EQ(run.algo->sim_time().compute_s, g.compute_s) << cell;
+    EXPECT_EQ(run.algo->sim_time().access_s, g.access_s) << cell;
   }
 }
 
