@@ -56,8 +56,7 @@ struct WholeModelConfig {
   float distill_lr = 0.005f;
 };
 
-class WholeModelFAT final : public fed::FederatedAlgorithm,
-                            public fed::NetMethod {
+class WholeModelFAT final : public fed::FederatedAlgorithm {
  public:
   WholeModelFAT(fed::FedEnv& env, WholeModelConfig cfg);
 

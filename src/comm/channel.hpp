@@ -54,11 +54,6 @@ class Channel {
   const BlobCodec& codec() const { return *codec_; }
   const NetworkModel& network() const { return net_; }
 
-  /// True when the configured codec round-trips bit-exactly (IdentityCodec):
-  /// callers that serialize state solely to push it through the channel may
-  /// skip the re-load, since the decoded blob is the one they encoded.
-  bool lossless() const { return codec_->kind() == CodecKind::kIdentity; }
-
   /// Server->client broadcast: returns the blob as the client receives it and
   /// adds the framed wire size to *wire_bytes (if given). Dense (identity
   /// framing) unless `compress_downlink` is set; TopK downlinks always stay

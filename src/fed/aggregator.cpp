@@ -30,8 +30,7 @@ std::vector<Tensor*> atom_tensors(nn::Layer& atom) {
 }
 }  // namespace
 
-PartialAccumulator::PartialAccumulator(models::BuiltModel& global)
-    : spec_(global.spec()) {
+PartialAccumulator::PartialAccumulator(models::BuiltModel& global) {
   acc_.resize(global.num_atoms());
   count_.resize(global.num_atoms());
   for (std::size_t a = 0; a < global.num_atoms(); ++a) {
@@ -78,11 +77,10 @@ void PartialAccumulator::add_dense_atom_blob(std::size_t atom,
     throw std::logic_error("add_dense_atom_blob: blob size mismatch");
 }
 
-void PartialAccumulator::add_sliced_atom(const models::SlicePlan& plan,
-                                         models::BuiltModel& sliced,
-                                         std::size_t atom, float weight) {
-  models::scatter_add_weights(spec_, plan, sliced, atom, acc_[atom], count_[atom],
-                              weight);
+void PartialAccumulator::add_sliced(const models::SlicePlan& plan,
+                                    models::BuiltModel& global,
+                                    const nn::ParamBlob& sliced, float weight) {
+  models::scatter_add_weights(plan, global, sliced, acc_, count_, weight);
 }
 
 void PartialAccumulator::finalize_into(models::BuiltModel& global) {

@@ -44,9 +44,11 @@ class PartialAccumulator {
   void add_dense_atom_blob(std::size_t atom, const nn::ParamBlob& blob,
                            float weight);
 
-  /// Adds a channel-sliced trained copy of atom `atom`.
-  void add_sliced_atom(const models::SlicePlan& plan, models::BuiltModel& sliced,
-                       std::size_t atom, float weight);
+  /// Adds a channel-sliced trained sub-model, given as its save_all blob;
+  /// `global` (the model this accumulator was shaped from) supplies the
+  /// tensor layout the plan indexes.
+  void add_sliced(const models::SlicePlan& plan, models::BuiltModel& global,
+                  const nn::ParamBlob& sliced, float weight);
 
   /// Writes averaged values back into the global model; untouched elements
   /// keep their previous value (Eq. 16's S_n membership).
@@ -55,7 +57,6 @@ class PartialAccumulator {
  private:
   std::vector<std::vector<Tensor>> acc_;    ///< [atom][tensor]
   std::vector<std::vector<Tensor>> count_;  ///< matching accumulated weights
-  const sys::ModelSpec spec_;
 };
 
 }  // namespace fp::fed

@@ -10,8 +10,8 @@
 
 namespace fp::fed {
 
-void NetMethod::net_custom_op(std::uint32_t op, comm::FrameReader&,
-                              std::size_t, comm::FrameWriter&) {
+void RoundMethod::net_custom_op(std::uint32_t op, comm::FrameReader&,
+                                std::size_t, comm::FrameWriter&) {
   throw std::logic_error("this method has no net custom op " +
                          std::to_string(op));
 }

@@ -107,6 +107,26 @@ class RoundMethod {
   virtual const sys::ModelSpec& time_spec(const FedEnv& env) const {
     return env.cost_spec;
   }
+
+  // Distributed runtime (DESIGN.md §10). Both hooks are one symmetric
+  // function for the sending and the receiving end (comm::StateIO).
+
+  /// The dispatch state train_client reads. A distributed root writes it
+  /// once per dispatch after begin_dispatch (blobs as the broadcast messages
+  /// begin_dispatch's downlinks encoded); a worker reads it in place of
+  /// begin_dispatch before training its owned tasks.
+  virtual void net_state(comm::StateIO& io) = 0;
+
+  /// One upload's payload. A worker writes it after train_client (blobs as
+  /// the messages its uplinks encoded); the root reads it, decoding against
+  /// its own broadcast references, into what the fused uplink would have
+  /// handed apply_update. The Upload's base fields travel separately.
+  virtual void net_upload(Upload& up, comm::StateIO& io) = 0;
+
+  /// Worker: method-specific auxiliary op (RemoteDispatcher::run_custom).
+  /// The default rejects every op.
+  virtual void net_custom_op(std::uint32_t op, comm::FrameReader& ctx,
+                             std::size_t client, comm::FrameWriter& out);
 };
 
 /// What one engine round did (one barrier round, or one async aggregation

@@ -310,7 +310,7 @@ cascade::CascadeLocalTrainer::DzStats FedProphet::probe_dz(
                                              clients_.rng(client));
 }
 
-// ---- Distributed runtime (fed::NetMethod, DESIGN.md §10) --------------------
+// ---- Distributed runtime (DESIGN.md §10) ------------------------------------
 
 void FedProphet::net_state(comm::StateIO& io) {
   io(stage_);

@@ -40,8 +40,7 @@ struct FedProphetConfig {
   std::int64_t val_samples = 256;     ///< validation subset for C_m / A_m
 };
 
-class FedProphet final : public fed::FederatedAlgorithm,
-                         public fed::NetMethod {
+class FedProphet final : public fed::FederatedAlgorithm {
  public:
   FedProphet(fed::FedEnv& env, FedProphetConfig cfg);
 

@@ -158,72 +158,54 @@ SlicePlan make_slice_plan(const sys::ModelSpec& global, double ratio,
 
 namespace {
 
+/// One global tensor and the kept indices of its slice.
 struct Entry {
   Tensor* global = nullptr;
-  Tensor* sliced = nullptr;
   const std::vector<std::int64_t>* out = nullptr;  // null = identity
   const std::vector<std::int64_t>* in = nullptr;   // null = identity / 1-D tensor
 };
 
 /// Collects parameter entries (into `params`) and buffer entries (into
-/// `bufs`) for a plain layer sequence, zipping global and sliced layers.
+/// `bufs`) for a plain layer sequence.
 void walk_sequence(const std::vector<LayerSpec>& specs,
-                   const std::vector<LayerSlice>& slices, nn::Sequential& gseq,
-                   nn::Sequential& sseq, std::vector<Entry>& params,
-                   std::vector<Entry>& bufs) {
-  if (gseq.size() != specs.size() || sseq.size() != specs.size() ||
-      slices.size() != specs.size())
+                   const std::vector<LayerSlice>& slices, nn::Sequential& seq,
+                   std::vector<Entry>& params, std::vector<Entry>& bufs) {
+  if (seq.size() != specs.size() || slices.size() != specs.size())
     throw std::logic_error("walk_sequence: structure mismatch");
   for (std::size_t j = 0; j < specs.size(); ++j) {
-    auto gp = gseq.at(j).parameters();
-    auto sp = sseq.at(j).parameters();
-    auto gb = gseq.at(j).buffers();
-    auto sb = sseq.at(j).buffers();
-    if (gp.size() != sp.size() || gb.size() != sb.size())
-      throw std::logic_error("walk_sequence: parameter count mismatch");
     const LayerSlice& ls = slices[j];
     const bool has_weight =
         specs[j].kind == LayerKind::kConv2d || specs[j].kind == LayerKind::kLinear;
-    for (std::size_t p = 0; p < gp.size(); ++p) {
-      Entry e;
-      e.global = gp[p];
-      e.sliced = sp[p];
-      if (has_weight && p == 0) {  // the weight matrix/kernel
-        e.out = &ls.out;
-        e.in = &ls.in;
-      } else {  // bias / gamma / beta: 1-D over output channels
-        e.out = &ls.out;
-      }
-      params.push_back(e);
-    }
-    for (std::size_t p = 0; p < gb.size(); ++p)
-      bufs.push_back({gb[p], sb[p], &ls.out, nullptr});
+    const auto ps = seq.at(j).parameters();
+    for (std::size_t p = 0; p < ps.size(); ++p)
+      // The weight matrix/kernel slices both ways; bias / gamma / beta are
+      // 1-D over output channels.
+      params.push_back({ps[p], &ls.out, has_weight && p == 0 ? &ls.in : nullptr});
+    for (Tensor* b : seq.at(j).buffers()) bufs.push_back({b, &ls.out, nullptr});
   }
 }
 
+/// The atom's tensors in save_atom order (parameters, then buffers).
 std::vector<Entry> enumerate_entries(const AtomSpec& spec, const AtomSlice& slice,
-                                     nn::Layer& gatom, nn::Layer& satom) {
+                                     nn::Layer& atom) {
   std::vector<Entry> params, bufs;
   if (spec.residual) {
-    auto* gblock = dynamic_cast<nn::BasicBlock*>(&gatom);
-    auto* sblock = dynamic_cast<nn::BasicBlock*>(&satom);
-    if (!gblock || !sblock) throw std::logic_error("enumerate: not a BasicBlock");
+    auto* block = dynamic_cast<nn::BasicBlock*>(&atom);
+    if (!block) throw std::logic_error("enumerate: not a BasicBlock");
     std::vector<Entry> sc_params, sc_bufs;
-    walk_sequence(spec.layers, slice.layers, gblock->main_path(),
-                  sblock->main_path(), params, bufs);
+    walk_sequence(spec.layers, slice.layers, block->main_path(), params, bufs);
     if (!spec.shortcut.empty()) {
-      if (!gblock->shortcut_path() || !sblock->shortcut_path())
+      if (!block->shortcut_path())
         throw std::logic_error("enumerate: missing shortcut");
-      walk_sequence(spec.shortcut, slice.shortcut, *gblock->shortcut_path(),
-                    *sblock->shortcut_path(), sc_params, sc_bufs);
+      walk_sequence(spec.shortcut, slice.shortcut, *block->shortcut_path(),
+                    sc_params, sc_bufs);
     }
     params.insert(params.end(), sc_params.begin(), sc_params.end());
     bufs.insert(bufs.end(), sc_bufs.begin(), sc_bufs.end());
   } else {
-    auto* gseq = dynamic_cast<nn::Sequential*>(&gatom);
-    auto* sseq = dynamic_cast<nn::Sequential*>(&satom);
-    if (!gseq || !sseq) throw std::logic_error("enumerate: not a Sequential");
-    walk_sequence(spec.layers, slice.layers, *gseq, *sseq, params, bufs);
+    auto* seq = dynamic_cast<nn::Sequential*>(&atom);
+    if (!seq) throw std::logic_error("enumerate: not a Sequential");
+    walk_sequence(spec.layers, slice.layers, *seq, params, bufs);
   }
   params.insert(params.end(), bufs.begin(), bufs.end());
   return params;
@@ -236,98 +218,80 @@ std::int64_t tail_numel(const Tensor& t) {
   return n;
 }
 
-void gather_entry(const Entry& e) {
-  Tensor& g = *e.global;
-  Tensor& s = *e.sliced;
-  if (g.ndim() == 1) {
-    // Bias / gamma / running stats: 1-D over output channels.
-    const auto& out = *e.out;
+/// Calls fn(offset, n) for each contiguous run of the global tensor that the
+/// slice keeps, in the sliced tensor's row-major order: the sliced tensor
+/// is exactly these runs, back to back.
+template <class Fn>
+void for_each_kept_run(const Entry& e, Fn&& fn) {
+  static const std::vector<std::int64_t> kIdentity;
+  const Tensor& g = *e.global;
+  const auto& out = e.out ? *e.out : kIdentity;
+  if (g.ndim() == 1) {  // bias / gamma / running stats
     if (out.empty()) {
-      s = g;
+      fn(0, g.numel());
       return;
     }
-    for (std::size_t o = 0; o < out.size(); ++o)
-      s[static_cast<std::int64_t>(o)] = g[out[o]];
+    for (const std::int64_t o : out) fn(o, 1);
     return;
   }
-  // Weight: [O, I, ...]: gather rows by out, columns by in.
-  static const std::vector<std::int64_t> kIdentity;
-  const auto& out = (e.out && !e.out->empty()) ? *e.out : kIdentity;
-  const auto& in = (e.in && !e.in->empty()) ? *e.in : kIdentity;
-  const std::int64_t gi = g.dim(1), si = s.dim(1);
+  // Weight: [O, I, ...]: rows by out, columns by in.
+  const auto& in = e.in ? *e.in : kIdentity;
+  const std::int64_t gi = g.dim(1);
   const std::int64_t tail = tail_numel(g);
-  const std::int64_t so_count = s.dim(0);
-  for (std::int64_t o = 0; o < so_count; ++o) {
+  const auto rows = out.empty() ? g.dim(0) : static_cast<std::int64_t>(out.size());
+  const auto cols = in.empty() ? gi : static_cast<std::int64_t>(in.size());
+  for (std::int64_t o = 0; o < rows; ++o) {
     const std::int64_t go = out.empty() ? o : out[static_cast<std::size_t>(o)];
-    for (std::int64_t i = 0; i < si; ++i) {
+    for (std::int64_t i = 0; i < cols; ++i) {
       const std::int64_t gin = in.empty() ? i : in[static_cast<std::size_t>(i)];
-      std::copy_n(g.data() + (go * gi + gin) * tail, tail,
-                  s.data() + (o * si + i) * tail);
-    }
-  }
-}
-
-void scatter_entry(const Entry& e, Tensor& acc, Tensor& count, float w) {
-  Tensor& s = *e.sliced;
-  if (s.ndim() == 1) {
-    const auto& out = *e.out;
-    for (std::int64_t o = 0; o < s.numel(); ++o) {
-      const std::int64_t go =
-          out.empty() ? o : out[static_cast<std::size_t>(o)];
-      acc[go] += w * s[o];
-      count[go] += w;
-    }
-    return;
-  }
-  static const std::vector<std::int64_t> kIdentity;
-  const auto& out = (e.out && !e.out->empty()) ? *e.out : kIdentity;
-  const auto& in = (e.in && !e.in->empty()) ? *e.in : kIdentity;
-  const std::int64_t gi = acc.dim(1), si = s.dim(1);
-  const std::int64_t tail = tail_numel(s);
-  for (std::int64_t o = 0; o < s.dim(0); ++o) {
-    const std::int64_t go = out.empty() ? o : out[static_cast<std::size_t>(o)];
-    for (std::int64_t i = 0; i < si; ++i) {
-      const std::int64_t gin = in.empty() ? i : in[static_cast<std::size_t>(i)];
-      const float* src = s.data() + (o * si + i) * tail;
-      float* a = acc.data() + (go * gi + gin) * tail;
-      float* c = count.data() + (go * gi + gin) * tail;
-      for (std::int64_t t = 0; t < tail; ++t) {
-        a[t] += w * src[t];
-        c[t] += w;
-      }
+      fn((go * gi + gin) * tail, tail);
     }
   }
 }
 
 }  // namespace
 
-void gather_weights(const sys::ModelSpec& global_spec, const SlicePlan& plan,
-                    BuiltModel& global_model, BuiltModel& sliced_model) {
-  for (std::size_t ai = 0; ai < global_spec.atoms.size(); ++ai) {
-    const auto entries = enumerate_entries(global_spec.atoms[ai], plan.atoms[ai],
-                                           global_model.atom(ai),
-                                           sliced_model.atom(ai));
-    for (const auto& e : entries) gather_entry(e);
+nn::ParamBlob gather_weights(const SlicePlan& plan, BuiltModel& global_model) {
+  nn::ParamBlob blob;
+  for (std::size_t a = 0; a < global_model.num_atoms(); ++a) {
+    for (const Entry& e : enumerate_entries(global_model.spec().atoms[a],
+                                            plan.atoms[a], global_model.atom(a))) {
+      const float* g = e.global->data();
+      for_each_kept_run(e, [&](std::int64_t off, std::int64_t n) {
+        blob.insert(blob.end(), g + off, g + off + n);
+      });
+    }
   }
+  return blob;
 }
 
-void scatter_add_weights(const sys::ModelSpec& global_spec, const SlicePlan& plan,
-                         BuiltModel& sliced_model, std::size_t atom_index,
-                         std::vector<Tensor>& acc, std::vector<Tensor>& count,
-                         float weight) {
-  // Enumeration needs a global atom only for tensor shapes; acc/count are the
-  // global-shaped targets, so we enumerate against the sliced model and use
-  // acc/count directly.
-  const AtomSpec& spec = global_spec.atoms[atom_index];
-  const AtomSlice& slice = plan.atoms[atom_index];
-  // Build entries with sliced tensors only (global side unused here): reuse
-  // enumerate by passing the sliced atom for both sides, then redirect.
-  const auto entries = enumerate_entries(spec, slice, sliced_model.atom(atom_index),
-                                         sliced_model.atom(atom_index));
-  if (entries.size() != acc.size() || entries.size() != count.size())
-    throw std::logic_error("scatter_add_weights: accumulator mismatch");
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    scatter_entry(entries[i], acc[i], count[i], weight);
+void scatter_add_weights(const SlicePlan& plan, BuiltModel& global_model,
+                         const nn::ParamBlob& sliced,
+                         std::vector<std::vector<Tensor>>& acc,
+                         std::vector<std::vector<Tensor>>& count, float weight) {
+  const float* src = sliced.data();
+  const float* const end = src + sliced.size();
+  for (std::size_t a = 0; a < global_model.num_atoms(); ++a) {
+    const auto entries = enumerate_entries(global_model.spec().atoms[a],
+                                           plan.atoms[a], global_model.atom(a));
+    if (entries.size() != acc[a].size() || entries.size() != count[a].size())
+      throw std::logic_error("scatter_add_weights: accumulator mismatch");
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      float* sum = acc[a][i].data();
+      float* cnt = count[a][i].data();
+      for_each_kept_run(entries[i], [&](std::int64_t off, std::int64_t n) {
+        if (end - src < n)
+          throw std::invalid_argument("scatter_add_weights: sliced blob too small");
+        for (std::int64_t t = 0; t < n; ++t) {
+          sum[off + t] += weight * src[t];
+          cnt[off + t] += weight;
+        }
+        src += n;
+      });
+    }
+  }
+  if (src != end)
+    throw std::invalid_argument("scatter_add_weights: sliced blob too large");
 }
 
 }  // namespace fp::models

@@ -45,16 +45,19 @@ struct SlicePlan {
 SlicePlan make_slice_plan(const sys::ModelSpec& global, double ratio,
                           SliceScheme scheme, std::int64_t round, Rng& rng);
 
-/// Copies global weights into a freshly built sliced model (gather).
-void gather_weights(const sys::ModelSpec& global_spec, const SlicePlan& plan,
-                    BuiltModel& global_model, BuiltModel& sliced_model);
+/// Gathers the sliced sub-model's weights from the global model, laid out
+/// as BuiltModel::save_all of plan.sliced_spec.
+nn::ParamBlob gather_weights(const SlicePlan& plan, BuiltModel& global_model);
 
-/// Accumulates a trained sliced model back into global-shaped sums/counts.
-/// `acc` and `count` are index-aligned with atom.parameters()+buffers() of
-/// the global model, pre-sized by the caller (see fed::PartialAccumulator).
-void scatter_add_weights(const sys::ModelSpec& global_spec, const SlicePlan& plan,
-                         BuiltModel& sliced_model, std::size_t atom_index,
-                         std::vector<Tensor>& acc, std::vector<Tensor>& count,
-                         float weight);
+/// Accumulates a trained sliced sub-model, given as its save_all blob, back
+/// into global-shaped sums/counts. `acc` and `count` are [atom][tensor],
+/// index-aligned with atom.parameters()+buffers() of the global model and
+/// pre-sized by the caller (see fed::PartialAccumulator); the global model
+/// supplies only the tensor layout. Throws std::invalid_argument when the
+/// blob does not hold exactly the sliced sub-model.
+void scatter_add_weights(const SlicePlan& plan, BuiltModel& global_model,
+                         const nn::ParamBlob& sliced,
+                         std::vector<std::vector<Tensor>>& acc,
+                         std::vector<std::vector<Tensor>>& count, float weight);
 
 }  // namespace fp::models

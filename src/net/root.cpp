@@ -1,23 +1,11 @@
 #include "net/root.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "net/protocol.hpp"
 #include "obs/trace.hpp"
 
 namespace fp::net {
-
-namespace {
-
-fed::NetMethod& net_method(fed::RoundMethod& m) {
-  auto* net = dynamic_cast<fed::NetMethod*>(&m);
-  if (!net)
-    throw std::logic_error("remote dispatch of a method without fed::NetMethod");
-  return *net;
-}
-
-}  // namespace
 
 RootServer::RootServer(const NetConfig& cfg)
     : cfg_(cfg), listener_(cfg.host, cfg.port) {}
@@ -94,7 +82,7 @@ void RootServer::begin_dispatch(fed::RoundMethod& m,
   }
   comm::FrameWriter out;
   comm::StateIO io(out, dispatch_msgs_);
-  net_method(m).net_state(io);
+  m.net_state(io);
   io.finish();
   state_ = out.take();
 }
@@ -103,7 +91,6 @@ double RootServer::run_group(fed::RoundMethod& m,
                              const std::vector<fed::TaskSpec>& tasks,
                              std::size_t begin, std::size_t end,
                              std::vector<fed::Upload>& uploads) {
-  fed::NetMethod& net = net_method(m);
   const std::size_t W = conns_.size();
   const double t0 = obs::now_s();
 
@@ -144,7 +131,7 @@ double RootServer::run_group(fed::RoundMethod& m,
       fed::Upload& up = uploads[i - begin];
       up = read_upload_base(ur);
       comm::StateIO io(ur);
-      net.net_upload(up, io);
+      m.net_upload(up, io);
     }
   }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/codec.hpp"
 #include "fed/runtime/remote.hpp"
 #include "net/socket.hpp"
 

@@ -31,14 +31,11 @@ exp::RunResult serve_root(exp::ExperimentSpec spec,
         "dispatches barrier waves, not event-driven single-client refills");
 
   // Build the setup and construct the method BEFORE accepting workers, so an
-  // unsupported spec fails fast instead of stranding connected workers.
+  // invalid spec fails fast instead of stranding connected workers.
   exp::Setup setup = exp::build_setup(std::move(spec));
   const exp::MethodFactory& factory =
       exp::method_registry().resolve(setup.spec.method);
   exp::MethodRun run = factory(setup);
-  if (!dynamic_cast<fed::NetMethod*>(run.algo.get()))
-    throw exp::SpecError("method " + setup.spec.method +
-                         " has no distributed hooks (fed::NetMethod)");
 
   RootServer server(net_config_of(setup.spec));
   if (on_listening) on_listening(server.port());
@@ -99,14 +96,6 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
       exp::method_registry().resolve(setup.spec.method);
   exp::MethodRun run = factory(setup);
   fed::FederatedAlgorithm& algo = *run.algo;
-  auto* net = dynamic_cast<fed::NetMethod*>(&algo);
-  if (!net) {
-    comm::FrameWriter err;
-    err.str("method " + setup.spec.method + " has no distributed hooks");
-    conn.send_frame(kMsgError, err.take());
-    throw NetError("root shipped a method without distributed hooks: " +
-                   setup.spec.method);
-  }
 
   // Observability follows the root's resolved spec, so both ends agree on
   // whether kMsgTrace frames exist. A worker never writes its own trace
@@ -137,7 +126,7 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
           {
             comm::FrameReader sr(state);
             comm::StateIO io(sr);
-            net->net_state(io);
+            algo.net_state(io);
           }
           const std::uint32_t n = gin.u32();
           std::vector<fed::TaskSpec> tasks;
@@ -161,7 +150,7 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
                                  comm::FrameWriter uw;
                                  write_upload_base(up, uw);
                                  comm::StateIO io(uw, sent);
-                                 net->net_upload(up, io);
+                                 algo.net_upload(up, io);
                                  io.finish();
                                  staged[i] = uw.take();
                                });
@@ -189,7 +178,7 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
           const auto client = static_cast<std::size_t>(cin.u64());
           comm::FrameReader cr(ctx);
           comm::FrameWriter res;
-          net->net_custom_op(op, cr, client, res);
+          algo.net_custom_op(op, cr, client, res);
           out.bytes(res.data());
         }
         conn.send_frame(kMsgCustomResult, out.take());

@@ -165,7 +165,7 @@ TEST_P(SlicePropertyTest, SlicedModelIsConsistent) {
   // Parameter count shrinks monotonically with ratio (within rounding).
   EXPECT_LE(plan.sliced_spec.total_params(), spec.total_params());
   models::BuiltModel global(spec, rng), sliced(plan.sliced_spec, rng);
-  models::gather_weights(spec, plan, global, sliced);
+  sliced.load_all(models::gather_weights(plan, global));
   // Gathered weights are a subset of global values (checked before any
   // train-mode forward, which would update BN running stats).
   const auto gb = global.save_atom(0);

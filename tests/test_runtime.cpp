@@ -317,6 +317,8 @@ class ProbeMethod final : public fed::RoundMethod {
     if (!applied.empty() && applied.back().finalize_round < 0)
       applied.back().finalize_round = t;
   }
+  void net_state(comm::StateIO&) override {}
+  void net_upload(fed::Upload&, comm::StateIO&) override {}
   std::vector<Applied> applied;
 };
 

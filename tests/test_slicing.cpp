@@ -13,7 +13,7 @@ TEST(Slicing, FullRatioIsIdentity) {
   const auto plan = make_slice_plan(spec, 1.0, SliceScheme::kStatic, 0, rng);
   EXPECT_EQ(plan.sliced_spec.total_params(), spec.total_params());
   BuiltModel global(spec, rng), sliced(plan.sliced_spec, rng);
-  gather_weights(spec, plan, global, sliced);
+  sliced.load_all(gather_weights(plan, global));
   EXPECT_EQ(sliced.save_all(), global.save_all());
 }
 
@@ -37,7 +37,7 @@ TEST(Slicing, SlicedModelForwardWorks) {
     const auto spec = tiny_vgg_spec(16, 10, 8);
     const auto plan = make_slice_plan(spec, 0.5, scheme, 3, rng);
     BuiltModel global(spec, rng), sliced(plan.sliced_spec, rng);
-    gather_weights(spec, plan, global, sliced);
+    sliced.load_all(gather_weights(plan, global));
     const Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
     const Tensor y = sliced.forward(x, true);
     EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{2, 10}));
@@ -49,7 +49,7 @@ TEST(Slicing, ResidualModelSliceKeepsIdentityAlignment) {
   const auto spec = tiny_resnet_spec(16, 10, 8);
   const auto plan = make_slice_plan(spec, 0.5, SliceScheme::kStatic, 0, rng);
   BuiltModel global(spec, rng), sliced(plan.sliced_spec, rng);
-  gather_weights(spec, plan, global, sliced);
+  sliced.load_all(gather_weights(plan, global));
   const Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   EXPECT_NO_THROW(sliced.forward(x, true));
   // Identity blocks must keep in == out channel sets: sliced spec block 1
@@ -81,14 +81,13 @@ TEST(Slicing, GatherScatterRoundTripIsExactOnKeptChannels) {
   const auto spec = tiny_vgg_spec(16, 10, 4);
   const auto plan = make_slice_plan(spec, 0.5, SliceScheme::kRolling, 7, rng);
   BuiltModel global(spec, rng), sliced(plan.sliced_spec, rng);
-  gather_weights(spec, plan, global, sliced);
+  sliced.load_all(gather_weights(plan, global));
 
   // Scatter the (untrained) sliced model back with weight 1 and average:
   // kept channels must reproduce the global values they were gathered from.
   fed::PartialAccumulator acc(global);
   acc.reset();
-  for (std::size_t a = 0; a < global.num_atoms(); ++a)
-    acc.add_sliced_atom(plan, sliced, a, 1.0f);
+  acc.add_sliced(plan, global, sliced.save_all(), 1.0f);
   const auto before = global.save_all();
   acc.finalize_into(global);
   const auto after = global.save_all();
@@ -102,15 +101,14 @@ TEST(Slicing, PartialAverageOnlyTouchesTrainedChannels) {
   const auto spec = tiny_cnn_spec(16, 10, 8);
   const auto plan = make_slice_plan(spec, 0.25, SliceScheme::kStatic, 0, rng);
   BuiltModel global(spec, rng), sliced(plan.sliced_spec, rng);
-  gather_weights(spec, plan, global, sliced);
+  sliced.load_all(gather_weights(plan, global));
   // "Train": shift every sliced parameter by +1.
   for (auto* p : sliced.parameters_range(0, sliced.num_atoms()))
     p->add_scalar_(1.0f);
 
   fed::PartialAccumulator acc(global);
   acc.reset();
-  for (std::size_t a = 0; a < global.num_atoms(); ++a)
-    acc.add_sliced_atom(plan, sliced, a, 2.0f);  // weight irrelevant for mean
+  acc.add_sliced(plan, global, sliced.save_all(), 2.0f);  // any weight: mean
   const auto before = global.save_all();
   acc.finalize_into(global);
   const auto after = global.save_all();
