@@ -32,16 +32,25 @@ std::vector<bool> correct_mask(const ShardedNet& net, const Tensor& x,
   return ok;
 }
 
-double clean_accuracy(const ShardedNet& net, const data::Dataset& test,
-                      std::int64_t n, std::int64_t batch_size,
-                      const compute::ComputeConfig& compute) {
+/// The clean pass: one correctness mask per batch of the first n samples.
+std::vector<std::vector<bool>> clean_masks(const ShardedNet& net,
+                                           const data::Dataset& test,
+                                           std::int64_t n,
+                                           std::int64_t batch_size,
+                                           const compute::ComputeConfig& compute) {
   FP_TRACE_SCOPE("evaluate_clean", "eval");
-  std::int64_t correct = 0;
+  std::vector<std::vector<bool>> masks;
   for (std::int64_t start = 0; start < n; start += batch_size) {
     const auto b = data::take_batch(test, start, std::min(batch_size, n - start));
-    const auto mask = correct_mask(net, b.x, b.y, compute);
-    for (const bool ok : mask) correct += ok;
+    masks.push_back(correct_mask(net, b.x, b.y, compute));
   }
+  return masks;
+}
+
+double accuracy(const std::vector<std::vector<bool>>& masks, std::int64_t n) {
+  std::int64_t correct = 0;
+  for (const auto& mask : masks)
+    for (const bool ok : mask) correct += ok;
   return static_cast<double>(correct) / static_cast<double>(n);
 }
 
@@ -96,8 +105,9 @@ double evaluate_clean(models::BuiltModel& model, const data::Dataset& test,
                       const compute::ComputeConfig& compute) {
   obs::PhaseTimer eval_phase(obs::Phase::kEval);
   const std::int64_t n = eval_count(test, max_samples);
-  return clean_accuracy(shard_eval(model, n, batch_size), test, n, batch_size,
-                        compute);
+  return accuracy(
+      clean_masks(shard_eval(model, n, batch_size), test, n, batch_size, compute),
+      n);
 }
 
 double evaluate_pgd(models::BuiltModel& model, const data::Dataset& test,
@@ -116,7 +126,11 @@ RobustEvalResult evaluate_robustness(models::BuiltModel& model,
   // One replica set serves all three metrics and is freed on return.
   const ShardedNet net = shard_eval(model, n, cfg.batch_size);
   RobustEvalResult result;
-  result.clean_acc = clean_accuracy(net, test, n, cfg.batch_size, cfg.compute);
+  // One clean pass: its masks give clean_acc and seed AA's survival. The
+  // predictions consume no RNG, so this is the separate passes' result.
+  std::vector<std::vector<bool>> clean =
+      clean_masks(net, test, n, cfg.batch_size, cfg.compute);
+  result.clean_acc = accuracy(clean, n);
   result.pgd_acc = pgd_accuracy(net, test, n, cfg);
 
   // AutoAttackLite: a sample is robust only if it survives APGD-CE and
@@ -130,10 +144,11 @@ RobustEvalResult evaluate_robustness(models::BuiltModel& model,
   const bool use_dlr = test.num_classes >= 3;
 
   std::int64_t robust = 0;
-  for (std::int64_t start = 0; start < n; start += cfg.batch_size) {
+  for (std::int64_t start = 0, batch = 0; start < n;
+       start += cfg.batch_size, ++batch) {
     const auto b =
         data::take_batch(test, start, std::min(cfg.batch_size, n - start));
-    auto surviving = correct_mask(net, b.x, b.y, cfg.compute);
+    auto& surviving = clean[static_cast<std::size_t>(batch)];
     for (int restart = 0; restart < cfg.aa_restarts; ++restart) {
       apgd_cfg.random_start = restart > 0;
       for (const auto* fn : {&ce_fn, use_dlr ? &dlr_fn : nullptr}) {

@@ -186,6 +186,38 @@ TEST_F(EvalFixture, AttackOrderingCleanGePgdGeAa) {
   EXPECT_LT(r.pgd_acc, r.clean_acc);
 }
 
+// One clean forward per batch serves both clean_acc and AA's survival
+// mask. Only the classification forwards run int8 (attack steps stay fp32),
+// so qgemm calls count them.
+TEST_F(EvalFixture, RobustEvalMakesOneCleanPass) {
+  RobustEvalConfig cfg;
+  cfg.pgd_steps = 1;
+  cfg.aa_restarts = 0;  // AA accuracy = the clean survivors
+  cfg.batch_size = 32;
+  cfg.max_samples = 64;
+  cfg.compute.precision = compute::Precision::kInt8;
+  const obs::Counter& qgemm = obs::counter("kernel.qgemm_calls");
+  const auto calls = [&qgemm](const auto& run) {
+    const std::int64_t before = qgemm.value();
+    run();
+    return qgemm.value() - before;
+  };
+  double clean = 0.0;
+  RobustEvalResult r;
+  const std::int64_t clean_calls = calls([&] {
+    clean = evaluate_clean(*model_, data_->test, cfg.batch_size,
+                           cfg.max_samples, cfg.compute);
+  });
+  const std::int64_t pgd_calls =
+      calls([&] { evaluate_pgd(*model_, data_->test, cfg); });
+  const std::int64_t robust_calls =
+      calls([&] { r = evaluate_robustness(*model_, data_->test, cfg); });
+  ASSERT_GT(clean_calls, 0);
+  EXPECT_EQ(robust_calls, clean_calls + pgd_calls);
+  EXPECT_EQ(r.clean_acc, clean);
+  EXPECT_EQ(r.aa_acc, clean);
+}
+
 TEST_F(EvalFixture, StrongerEpsilonHurtsMore) {
   RobustEvalConfig weak, strong;
   weak.epsilon = 2.0f / 255.0f;
