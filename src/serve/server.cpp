@@ -58,7 +58,7 @@ void InferenceServer::stop() {
   listener_.reset();
   {
     std::lock_guard<std::mutex> lk(handlers_mu_);
-    for (std::thread& t : handlers_) t.join();
+    for (Handler& h : handlers_) h.thread.join();
     handlers_.clear();
   }
   // Last: in-flight predicts have all fanned back by now, so this only
@@ -82,24 +82,35 @@ void InferenceServer::accept_loop() {
     }
     obs::counter("serve.conns").add(1);
     std::lock_guard<std::mutex> lk(handlers_mu_);
-    handlers_.emplace_back(
-        [this, c = std::move(conn)]() mutable { handle_conn(std::move(c)); });
+    // Join the finished handlers first, so the threads held are those of
+    // live connections: at most max_conns.
+    handlers_.remove_if([](Handler& h) {
+      if (!h.done.load(std::memory_order_acquire)) return false;
+      h.thread.join();
+      return true;
+    });
+    if (static_cast<std::int64_t>(handlers_.size()) >= cfg_.max_conns) {
+      // Over capacity: refuse before reading anything.
+      try {
+        net::HttpConn http(std::move(conn));
+        http.write_response(503, "text/plain", "too many connections\n",
+                            /*keep_alive=*/false);
+      } catch (const net::NetError&) {
+      }
+      continue;
+    }
+    // A list node stays put until it is reaped, after its thread is done.
+    Handler& h = handlers_.emplace_back();
+    h.thread = std::thread([this, &h, c = std::move(conn)]() mutable {
+      handle_conn(std::move(c));
+      h.done.store(true, std::memory_order_release);
+    });
   }
 }
 
 void InferenceServer::handle_conn(net::TcpConn conn) {
   obs::set_thread_name("serve-conn");
-  if (active_conns_.fetch_add(1, std::memory_order_relaxed) >= cfg_.max_conns) {
-    // Over capacity: refuse before reading anything.
-    try {
-      net::HttpConn http(std::move(conn));
-      http.write_response(503, "text/plain", "too many connections\n",
-                          /*keep_alive=*/false);
-    } catch (const net::NetError&) {
-    }
-    active_conns_.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
+  active_conns_.fetch_add(1, std::memory_order_relaxed);
   try {
     net::HttpConn http(std::move(conn));
     net::HttpRequest req;

@@ -1,8 +1,10 @@
 // The batched HTTP inference server (DESIGN.md §12).
 //
 // Topology: one acceptor thread parks connections onto thread-per-connection
-// handlers; handlers parse JSON predict requests and block in the
-// micro-batcher, whose single batcher thread runs the only model forwards
+// handlers, at most serve.max_conns of them: the acceptor joins finished
+// handlers as it goes and answers connections over the cap with a 503.
+// Handlers parse JSON predict requests and block in the micro-batcher,
+// whose single batcher thread runs the only model forwards
 // (BuiltModel is not thread-safe — funneling every forward through one
 // thread is the synchronization story, and the batched kernels still
 // parallelize internally over the shared worker pool).
@@ -20,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -92,8 +95,12 @@ class InferenceServer {
 
   std::unique_ptr<net::TcpListener> listener_;
   std::thread acceptor_;
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};  ///< set as the thread's last act
+  };
   std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  std::list<Handler> handlers_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
 

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -388,6 +389,53 @@ TEST(InferenceServer, FreshMetricsBodyIsPinned) {
             "\"batches\":0,\"errors\":0,\"rejected\":0,\"active_conns\":1,"
             "\"latency_ms\":{\"p50\":0,\"p95\":0,\"p99\":0,\"mean\":0},"
             "\"batch_size\":{\"mean\":0,\"max\":0}}}");
+  server.stop();
+}
+
+/// This process's address-space size (VmSize in /proc/self/status), in kB.
+std::int64_t vm_size_kb() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  return -1;
+}
+
+// Each handler thread holds its stack (about 8 MB of address space) until it
+// is joined: sequential connections must not leave one behind apiece.
+TEST(InferenceServer, SequentialConnectionsKeepAddressSpaceBounded) {
+  serve::ServedModel served = test_served_model("fp32", false);
+  const serve::ServeConfig cfg = serve::serve_config_of(served.spec);
+  serve::InferenceServer server(std::move(served), cfg);
+  server.start();
+  const auto one_request = [&server] {
+    net::HttpConn http = connect_to(server);
+    EXPECT_EQ(request(http, "GET", "/healthz").status, 200);
+  };
+  for (int i = 0; i < 8; ++i) one_request();
+  const std::int64_t before = vm_size_kb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 300; ++i) one_request();
+  // 300 unjoined stacks would add about 2.4 GB.
+  EXPECT_LT(vm_size_kb() - before, 256 * 1024);
+  server.stop();
+}
+
+TEST(InferenceServer, ConnectionsOverMaxConnsGet503) {
+  serve::ServedModel served = test_served_model("fp32", false);
+  serve::ServeConfig cfg = serve::serve_config_of(served.spec);
+  cfg.max_conns = 2;
+  serve::InferenceServer server(std::move(served), cfg);
+  server.start();
+  net::HttpConn a = connect_to(server);
+  net::HttpConn b = connect_to(server);
+  EXPECT_EQ(request(a, "GET", "/healthz").status, 200);
+  EXPECT_EQ(request(b, "GET", "/healthz").status, 200);
+  // The refusal comes before any request is read.
+  net::HttpConn c = connect_to(server);
+  net::HttpResponse refused;
+  EXPECT_EQ(c.read_response(&refused, 10.0), net::HttpConn::Read::kRequest);
+  EXPECT_EQ(refused.status, 503);
+  EXPECT_EQ(request(a, "GET", "/healthz").status, 200);
   server.stop();
 }
 
