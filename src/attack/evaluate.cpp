@@ -32,25 +32,20 @@ std::vector<bool> correct_mask(const ShardedNet& net, const Tensor& x,
   return ok;
 }
 
-/// The clean pass: one correctness mask per batch of the first n samples.
-std::vector<std::vector<bool>> clean_masks(const ShardedNet& net,
-                                           const data::Dataset& test,
-                                           std::int64_t n,
-                                           std::int64_t batch_size,
-                                           const compute::ComputeConfig& compute) {
+/// Clean accuracy; `masks`, when given, receives each batch's correctness
+/// mask.
+double clean_accuracy(const ShardedNet& net, const data::Dataset& test,
+                      std::int64_t n, std::int64_t batch_size,
+                      const compute::ComputeConfig& compute,
+                      std::vector<std::vector<bool>>* masks = nullptr) {
   FP_TRACE_SCOPE("evaluate_clean", "eval");
-  std::vector<std::vector<bool>> masks;
+  std::int64_t correct = 0;
   for (std::int64_t start = 0; start < n; start += batch_size) {
     const auto b = data::take_batch(test, start, std::min(batch_size, n - start));
-    masks.push_back(correct_mask(net, b.x, b.y, compute));
-  }
-  return masks;
-}
-
-double accuracy(const std::vector<std::vector<bool>>& masks, std::int64_t n) {
-  std::int64_t correct = 0;
-  for (const auto& mask : masks)
+    auto mask = correct_mask(net, b.x, b.y, compute);
     for (const bool ok : mask) correct += ok;
+    if (masks) masks->push_back(std::move(mask));
+  }
   return static_cast<double>(correct) / static_cast<double>(n);
 }
 
@@ -105,9 +100,8 @@ double evaluate_clean(models::BuiltModel& model, const data::Dataset& test,
                       const compute::ComputeConfig& compute) {
   obs::PhaseTimer eval_phase(obs::Phase::kEval);
   const std::int64_t n = eval_count(test, max_samples);
-  return accuracy(
-      clean_masks(shard_eval(model, n, batch_size), test, n, batch_size, compute),
-      n);
+  return clean_accuracy(shard_eval(model, n, batch_size), test, n, batch_size,
+                        compute);
 }
 
 double evaluate_pgd(models::BuiltModel& model, const data::Dataset& test,
@@ -126,11 +120,10 @@ RobustEvalResult evaluate_robustness(models::BuiltModel& model,
   // One replica set serves all three metrics and is freed on return.
   const ShardedNet net = shard_eval(model, n, cfg.batch_size);
   RobustEvalResult result;
-  // One clean pass: its masks give clean_acc and seed AA's survival. The
-  // predictions consume no RNG, so this is the separate passes' result.
-  std::vector<std::vector<bool>> clean =
-      clean_masks(net, test, n, cfg.batch_size, cfg.compute);
-  result.clean_acc = accuracy(clean, n);
+  // One clean pass: its masks also seed AA's survival below.
+  std::vector<std::vector<bool>> clean;
+  result.clean_acc =
+      clean_accuracy(net, test, n, cfg.batch_size, cfg.compute, &clean);
   result.pgd_acc = pgd_accuracy(net, test, n, cfg);
 
   // AutoAttackLite: a sample is robust only if it survives APGD-CE and

@@ -160,9 +160,9 @@ namespace {
 
 /// One global tensor and the kept indices of its slice.
 struct Entry {
-  Tensor* global = nullptr;
-  const std::vector<std::int64_t>* out = nullptr;  // null = identity
-  const std::vector<std::int64_t>* in = nullptr;   // null = identity / 1-D tensor
+  const Tensor* global = nullptr;
+  const std::vector<std::int64_t>* out = nullptr;
+  const std::vector<std::int64_t>* in = nullptr;  ///< null for a 1-D tensor
 };
 
 /// Collects parameter entries (into `params`) and buffer entries (into
@@ -211,42 +211,21 @@ std::vector<Entry> enumerate_entries(const AtomSpec& spec, const AtomSlice& slic
   return params;
 }
 
-/// Per-row element count of the innermost (non-indexed) dimensions.
-std::int64_t tail_numel(const Tensor& t) {
-  std::int64_t n = 1;
-  for (std::size_t d = 2; d < t.ndim(); ++d) n *= t.dim(d);
-  return n;
-}
-
 /// Calls fn(offset, n) for each contiguous run of the global tensor that the
 /// slice keeps, in the sliced tensor's row-major order: the sliced tensor
 /// is exactly these runs, back to back.
 template <class Fn>
 void for_each_kept_run(const Entry& e, Fn&& fn) {
-  static const std::vector<std::int64_t> kIdentity;
   const Tensor& g = *e.global;
-  const auto& out = e.out ? *e.out : kIdentity;
-  if (g.ndim() == 1) {  // bias / gamma / running stats
-    if (out.empty()) {
-      fn(0, g.numel());
-      return;
-    }
-    for (const std::int64_t o : out) fn(o, 1);
+  if (!e.in) {  // bias / gamma / running stats: 1-D over output channels
+    for (const std::int64_t o : *e.out) fn(o, 1);
     return;
   }
   // Weight: [O, I, ...]: rows by out, columns by in.
-  const auto& in = e.in ? *e.in : kIdentity;
   const std::int64_t gi = g.dim(1);
-  const std::int64_t tail = tail_numel(g);
-  const auto rows = out.empty() ? g.dim(0) : static_cast<std::int64_t>(out.size());
-  const auto cols = in.empty() ? gi : static_cast<std::int64_t>(in.size());
-  for (std::int64_t o = 0; o < rows; ++o) {
-    const std::int64_t go = out.empty() ? o : out[static_cast<std::size_t>(o)];
-    for (std::int64_t i = 0; i < cols; ++i) {
-      const std::int64_t gin = in.empty() ? i : in[static_cast<std::size_t>(i)];
-      fn((go * gi + gin) * tail, tail);
-    }
-  }
+  const std::int64_t tail = g.numel() / (g.dim(0) * gi);  // kernel window
+  for (const std::int64_t o : *e.out)
+    for (const std::int64_t i : *e.in) fn((o * gi + i) * tail, tail);
 }
 
 }  // namespace

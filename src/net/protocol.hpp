@@ -23,8 +23,8 @@
 // kMsgWelcome), so framing never desynchronizes.
 //
 // The dispatch state and each upload payload are written by the method's
-// fed::NetMethod functions through a comm::StateIO: scalars as-is, blobs as
-// the WireMessages the sender's channel captured.
+// RoundMethod::net_state / net_upload through a comm::StateIO: scalars
+// as-is, blobs as the WireMessages the sender's channel captured.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,7 @@ void write_task(const fed::TaskSpec& task, comm::FrameWriter& out);
 fed::TaskSpec read_task(comm::FrameReader& in);
 
 /// Everything in an Upload except the method's payload, in a fixed field
-/// order (the payload follows, written by NetMethod::net_upload).
+/// order (the payload follows, written by RoundMethod::net_upload).
 void write_upload_base(const fed::Upload& up, comm::FrameWriter& out);
 fed::Upload read_upload_base(comm::FrameReader& in);
 

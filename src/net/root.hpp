@@ -4,12 +4,12 @@
 // The root owns ALL server state (model, accumulators, schedulers, device
 // sampling); workers only ever hold per-round replicas. Each dispatch runs
 // begin_dispatch under a comm::CaptureScope and writes the method's state
-// once (NetMethod::net_state); each group then flows as: kMsgGroup with that
-// state to every owning worker (all sends complete before any receive, so
-// workers compute concurrently) -> kMsgGroupResult per worker, read through
-// NetMethod::net_upload against the root's own broadcast references in
-// global slot order. A worker that disconnects or exceeds net.timeout_s
-// mid-round fails the round with a NetError naming the worker.
+// once (RoundMethod::net_state); each group then flows as: kMsgGroup with
+// that state to every owning worker (all sends complete before any receive,
+// so workers compute concurrently) -> kMsgGroupResult per worker, read
+// through RoundMethod::net_upload against the root's own broadcast
+// references in global slot order. A worker that disconnects or exceeds
+// net.timeout_s mid-round fails the round with a NetError naming the worker.
 #pragma once
 
 #include <cstdint>
