@@ -144,9 +144,9 @@ void PartialTrainingFAT::net_state(comm::StateIO& io) {
     io(broadcast_bytes_[i]);
   }
   if (io.reading()) {
-    // The plans are a pure function of the round and the ratios: a sync
-    // round has one dispatch, so its slice stream starts fresh, and every
-    // group of the round redraws the same plans.
+    // The root's plans, redrawn: a sync round has one dispatch, so its
+    // slice stream starts fresh, and every group of the round redraws the
+    // same plans from the round and the ratios.
     slice_rng_round_ = -1;
     draw_plans();
   }

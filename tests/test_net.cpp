@@ -429,8 +429,8 @@ INSTANTIATE_TEST_SUITE_P(
         NetCase{"FedDropInt8", "FedDrop-AT", "comm.codec=int8"},
         // Top-k deltas decode against the slot's broadcast slice.
         NetCase{"HeteroFlTopK", "HeteroFL-AT", "comm.codec=topk"},
-        // Each wave ships the state again: the random plans must be redrawn
-        // identically, not continued from the previous wave's draws.
+        // Two waves: each ships the round's state again, and the second
+        // wave's slots index the whole dispatch.
         NetCase{"FedDropTwoAggregatorWaves", "FedDrop-AT",
                 "env.aggregators=2"}),
     [](const ::testing::TestParamInfo<NetCase>& info) {
