@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels that dominate
 // training time on this substrate: GEMM (blocked vs reference), conv2d
-// forward/backward (batched vs per-sample), the conv unfold/fold against
-// the seed's loops with the GEMMs beside them, a full train step, BatchNorm,
+// forward/backward (batched vs per-sample), the GEMM shapes the convs and
+// Linear layers issue, the conv unfold/fold against the seed's loops with
+// the GEMMs beside them, one conv's attack step, a full train step, BatchNorm,
 // one PGD attack step, the attack-step backward with and without
 // parameter gradients, an eval attack step plain vs sample-sharded, and
 // partial-average aggregation.
@@ -83,6 +84,84 @@ void BM_GemmReference(benchmark::State& state) {
       flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512);
+
+// The GEMMs the workloads actually issue, one row per call shape: forward,
+// input gradient and weight gradient of each TinyVGG-w8 conv at batch 32
+// (as nn::Conv2d calls them over a whole batch), the 32x10x128 Linear, and
+// VGG-16's first block at 16 px. The last row, `tinyvgg_conv_sum`, runs the
+// 18 TinyVGG conv GEMMs back to back: the conv aggregate.
+struct GemmShape {
+  const char* label;
+  bool ta, tb;
+  std::int64_t m, n, k;
+  float beta;
+};
+
+std::vector<GemmShape> gemm_shapes() {
+  std::vector<GemmShape> s;
+  const std::int64_t batch = 32;
+  const auto conv = [&](const char* tag, std::int64_t in, std::int64_t out,
+                        std::int64_t px) {
+    const std::int64_t rows = in * 9, cols = batch * px * px;
+    s.push_back({tag, false, false, out, cols, rows, 0.0f});  // forward
+    s.push_back({tag, true, false, rows, cols, out, 0.0f});   // input grad
+    s.push_back({tag, false, true, out, rows, cols, 1.0f});   // weight grad
+  };
+  conv("tiny 3->8@16", 3, 8, 16);
+  conv("tiny 8->8@16", 8, 8, 16);
+  conv("tiny 8->16@8", 8, 16, 8);
+  conv("tiny 16->16@8", 16, 16, 8);
+  conv("tiny 16->32@4", 16, 32, 4);
+  conv("tiny 32->32@4", 32, 32, 4);
+  s.push_back({"linear fwd", false, true, 32, 10, 128, 0.0f});
+  s.push_back({"linear dgrad", false, false, 32, 128, 10, 0.0f});
+  s.push_back({"linear wgrad", true, false, 10, 128, 32, 1.0f});
+  conv("vgg16 3->64@16", 3, 64, 16);
+  conv("vgg16 64->64@16", 64, 64, 16);
+  return s;
+}
+
+constexpr std::int64_t kTinyConvGemms = 18;
+
+void BM_GemmShapes(benchmark::State& state) {
+  const std::vector<GemmShape> all = gemm_shapes();
+  const auto idx = static_cast<std::size_t>(state.range(0));
+  const bool sum = idx == all.size();
+  const std::vector<GemmShape> run =
+      sum ? std::vector<GemmShape>(all.begin(), all.begin() + kTinyConvGemms)
+          : std::vector<GemmShape>{all[idx]};
+  Rng rng(3);
+  std::vector<Tensor> a, b, c;
+  double flops = 0.0;
+  for (const GemmShape& g : run) {
+    a.push_back(Tensor::randn({g.m * g.k}, rng));
+    b.push_back(Tensor::randn({g.k * g.n}, rng));
+    c.push_back(Tensor({g.m * g.n}));
+    flops += 2.0 * static_cast<double>(g.m * g.n * g.k);
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const GemmShape& g = run[i];
+      gemm(g.ta, g.tb, g.m, g.n, g.k, 1.0f, a[i].data(), b[i].data(), g.beta,
+           c[i].data());
+    }
+    benchmark::DoNotOptimize(c.back().data());
+    benchmark::ClobberMemory();
+  }
+  if (sum) {
+    state.SetLabel("tinyvgg_conv_sum");
+  } else {
+    const GemmShape& g = run[0];
+    state.SetLabel(std::string(g.label) + " " + std::to_string(g.m) + "x" +
+                   std::to_string(g.n) + "x" + std::to_string(g.k) +
+                   (g.ta ? " T" : " N") + (g.tb ? "T" : "N"));
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmShapes)
+    ->DenseRange(0, static_cast<int>(gemm_shapes().size()))
+    ->UseRealTime();
 
 // Block-quantized int8 GEMM (C = A * B^T): weights packed once, activations
 // quantized on pack per call — the inference pipeline's steady state. The
@@ -298,6 +377,26 @@ void tiny_vgg_w8_convs(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_ConvUnfold)->Apply(tiny_vgg_w8_convs);
 BENCHMARK(BM_ConvFold)->Apply(tiny_vgg_w8_convs);
+
+// One attack step through one conv layer at batch 32: forward, then the
+// backward under InputGradScope (grad_in only), as attack::pgd runs every
+// layer of the model. One row per TinyVGG-w8 conv geometry.
+void BM_ConvAttackStep(benchmark::State& state) {
+  Rng rng(13);
+  nn::Conv2d conv(state.range(0), state.range(1), 3, 1, 1, rng);
+  const Tensor x = Tensor::randn(
+      {kConvBatch, state.range(0), state.range(2), state.range(2)}, rng);
+  const compute::InputGradScope scope;
+  const Tensor g = Tensor::randn(conv.forward(x, false).shape(), rng);
+  for (auto _ : state) {
+    Tensor y = conv.forward(x, false);
+    Tensor gx = conv.backward(g);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(gx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kConvBatch);
+}
+BENCHMARK(BM_ConvAttackStep)->Apply(tiny_vgg_w8_convs);
 
 // Inference forward of a 3x3 conv under each compute mode, against the
 // manually timed fp32 im2col+blocked-GEMM forward of the same layer.
