@@ -12,16 +12,27 @@
 // element access happens only in pack_a/pack_b, and the microkernel always
 // consumes the same contiguous micro-panel layout.
 //
-// Three register-tiled microkernels are compiled via function-level target
+// The register-tiled microkernels are compiled via function-level target
 // attributes and selected once at startup with __builtin_cpu_supports:
-//   AVX-512F 14x32, AVX2+FMA 6x16, portable 6x16 (baseline fallback).
+//   AVX-512F 14x32 and 8x48, AVX2+FMA 6x16, portable 6x16 (baseline
+//   fallback).
 // The blocking constants travel with the kernel so each variant keeps its
-// packed panels inside L1/L2.
+// packed panels inside L1/L2. On AVX-512 each call picks the tile that pads
+// fewer rows of op(A): 8x48 for M = 8, 16, 32, 72, 144, 288 (the conv
+// shapes), 14x32 for M = 27.
+//
+// beta == 0 never reads C: the first KC panel stores alpha*acc + 0 (the sum
+// the zero-filled C of a memset would have given, -0 included) and later
+// panels accumulate. When a panel is shallow (the input-gradient GEMMs,
+// K = C_out) the tiles are walked row panel outermost, so consecutive
+// microkernels write along the same C rows.
 //
 // Determinism: each C element accumulates in k-ascending order across KC
 // panels, entirely within one (ic, jr) tile owned by one chunk; the thread
-// count only changes which thread computes a tile, never the summation
-// order. See core/parallel.hpp for the pool-wide contract.
+// count and the tile shape only change which microkernel call computes an
+// element, never its summation order (KC is the same for both AVX-512
+// tiles and K is never split). See core/parallel.hpp for the pool-wide
+// contract.
 #include <algorithm>
 #include <cstring>
 #include <vector>
@@ -40,9 +51,12 @@ namespace fp {
 
 namespace {
 
+/// c[0:rows, 0:cols] = alpha * (packed A panel x packed B panel) + base,
+/// where base is c itself, or 0 when `store` (the first KC panel of a
+/// beta == 0 call, which must not read C).
 using MicroKernel = void (*)(std::int64_t kb, const float* pa, const float* pb,
                              float* c, std::int64_t ldc, float alpha,
-                             std::int64_t rows, std::int64_t cols);
+                             std::int64_t rows, std::int64_t cols, bool store);
 
 struct KernelConfig {
   std::int64_t mr, nr;  ///< microkernel tile
@@ -54,6 +68,56 @@ inline std::int64_t round_up(std::int64_t x, std::int64_t to) {
   return (x + to - 1) / to * to;
 }
 
+#ifdef FP_GEMM_X86
+/// In-register transpose of the 8x8 block src[i*ld + j] into dst[j*w + i].
+__attribute__((target("avx"))) void transpose8x8(const float* src,
+                                                 std::int64_t ld, float* dst,
+                                                 std::int64_t w) {
+  __m256 r[8], t[8];
+  for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * ld);
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  for (int h = 0; h < 8; h += 4) {
+    r[h] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    r[h + 1] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    r[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    r[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int j = 0; j < 4; ++j) {
+    _mm256_storeu_ps(dst + j * w, _mm256_permute2f128_ps(r[j], r[j + 4], 0x20));
+    _mm256_storeu_ps(dst + (j + 4) * w,
+                     _mm256_permute2f128_ps(r[j], r[j + 4], 0x31));
+  }
+}
+
+const bool kHasAvx = __builtin_cpu_supports("avx");
+#endif
+
+/// dst[p*w + r] = src[r*ld + p] for r < rows, p < kb, and 0 for rows <= r < w:
+/// the packing of operands whose micro-panel rows are contiguous along k
+/// (A untransposed, B transposed). Whole 8x8 blocks go through registers.
+void pack_transposed(const float* src, std::int64_t ld, std::int64_t rows,
+                     std::int64_t kb, std::int64_t w, float* dst) {
+  std::int64_t r0 = 0;
+#ifdef FP_GEMM_X86
+  if (kHasAvx) {
+    for (; r0 + 8 <= rows; r0 += 8) {
+      std::int64_t p = 0;
+      for (; p + 8 <= kb; p += 8)
+        transpose8x8(src + r0 * ld + p, ld, dst + p * w + r0, w);
+      for (; p < kb; ++p)
+        for (std::int64_t r = r0; r < r0 + 8; ++r) dst[p * w + r] = src[r * ld + p];
+    }
+  }
+#endif
+  for (std::int64_t p = 0; p < kb; ++p) {
+    for (std::int64_t r = r0; r < rows; ++r) dst[p * w + r] = src[r * ld + p];
+    for (std::int64_t r = rows; r < w; ++r) dst[p * w + r] = 0.0f;
+  }
+}
+
 /// Packs op(A)[i0:i0+mb, p0:p0+kb] into mr-row micro-panels, zero-padding the
 /// ragged last panel so the microkernel never branches on row count.
 void pack_a(const float* a, bool ta, std::int64_t m, std::int64_t k,
@@ -62,11 +126,7 @@ void pack_a(const float* a, bool ta, std::int64_t m, std::int64_t k,
   for (std::int64_t ir = 0; ir < mb; ir += mr) {
     const std::int64_t rows = std::min(mr, mb - ir);
     if (!ta) {
-      for (std::int64_t p = 0; p < kb; ++p) {
-        for (std::int64_t r = 0; r < rows; ++r)
-          dst[p * mr + r] = a[(i0 + ir + r) * k + p0 + p];
-        for (std::int64_t r = rows; r < mr; ++r) dst[p * mr + r] = 0.0f;
-      }
+      pack_transposed(a + (i0 + ir) * k + p0, k, rows, kb, mr, dst);
     } else {
       // A stored [k, m]: rows of op(A) are contiguous along p's stride m.
       for (std::int64_t p = 0; p < kb; ++p) {
@@ -93,15 +153,22 @@ void pack_b(const float* b, bool tb, std::int64_t k, std::int64_t n,
       }
     } else {
       // B stored [n, k]: op(B) columns are contiguous rows of the storage.
-      for (std::int64_t c = 0; c < cols; ++c) {
-        const float* bc = b + (j0 + jr + c) * k + p0;
-        for (std::int64_t p = 0; p < kb; ++p) dst[p * nr + c] = bc[p];
-      }
-      for (std::int64_t c = cols; c < nr; ++c)
-        for (std::int64_t p = 0; p < kb; ++p) dst[p * nr + c] = 0.0f;
+      pack_transposed(b + (j0 + jr) * k + p0, k, cols, kb, nr, dst);
     }
     dst += nr * kb;
   }
+}
+
+/// The scalar edge of the 6x16 kernels: a ragged tile spilled to `tile`.
+template <std::int64_t MR, std::int64_t NR>
+inline void store_edge(const float (&tile)[MR][NR], float* c, std::int64_t ldc,
+                       float alpha, std::int64_t rows, std::int64_t cols,
+                       bool store) {
+  for (std::int64_t r = 0; r < rows; ++r)
+    for (std::int64_t j = 0; j < cols; ++j) {
+      float& cv = c[r * ldc + j];
+      cv = (store ? 0.0f : cv) + alpha * tile[r][j];
+    }
 }
 
 // ---- portable 6x16 microkernel ---------------------------------------------
@@ -110,7 +177,7 @@ constexpr std::int64_t GEN_MR = 6, GEN_NR = 16;
 
 void kernel_generic(std::int64_t kb, const float* pa, const float* pb, float* c,
                     std::int64_t ldc, float alpha, std::int64_t rows,
-                    std::int64_t cols) {
+                    std::int64_t cols, bool store) {
   float acc[GEN_MR][GEN_NR] = {};
   for (std::int64_t p = 0; p < kb; ++p) {
     const float* ap = pa + p * GEN_MR;
@@ -120,8 +187,7 @@ void kernel_generic(std::int64_t kb, const float* pa, const float* pb, float* c,
       for (std::int64_t j = 0; j < GEN_NR; ++j) acc[r][j] += av * bp[j];
     }
   }
-  for (std::int64_t r = 0; r < rows; ++r)
-    for (std::int64_t j = 0; j < cols; ++j) c[r * ldc + j] += alpha * acc[r][j];
+  store_edge(acc, c, ldc, alpha, rows, cols, store);
 }
 
 #ifdef FP_GEMM_X86
@@ -130,7 +196,8 @@ void kernel_generic(std::int64_t kb, const float* pa, const float* pb, float* c,
 
 __attribute__((target("avx2,fma"))) void kernel_avx2(
     std::int64_t kb, const float* pa, const float* pb, float* c,
-    std::int64_t ldc, float alpha, std::int64_t rows, std::int64_t cols) {
+    std::int64_t ldc, float alpha, std::int64_t rows, std::int64_t cols,
+    bool store) {
   __m256 acc[GEN_MR][2];
   for (std::int64_t r = 0; r < GEN_MR; ++r)
     acc[r][0] = acc[r][1] = _mm256_setzero_ps();
@@ -148,9 +215,10 @@ __attribute__((target("avx2,fma"))) void kernel_avx2(
   if (rows == GEN_MR && cols == GEN_NR) {
     for (std::int64_t r = 0; r < GEN_MR; ++r) {
       float* cr = c + r * ldc;
-      _mm256_storeu_ps(cr, _mm256_fmadd_ps(va, acc[r][0], _mm256_loadu_ps(cr)));
-      _mm256_storeu_ps(cr + 8,
-                       _mm256_fmadd_ps(va, acc[r][1], _mm256_loadu_ps(cr + 8)));
+      const __m256 c0 = store ? _mm256_setzero_ps() : _mm256_loadu_ps(cr);
+      const __m256 c1 = store ? _mm256_setzero_ps() : _mm256_loadu_ps(cr + 8);
+      _mm256_storeu_ps(cr, _mm256_fmadd_ps(va, acc[r][0], c0));
+      _mm256_storeu_ps(cr + 8, _mm256_fmadd_ps(va, acc[r][1], c1));
     }
     return;
   }
@@ -159,65 +227,93 @@ __attribute__((target("avx2,fma"))) void kernel_avx2(
     _mm256_store_ps(tile[r], acc[r][0]);
     _mm256_store_ps(tile[r] + 8, acc[r][1]);
   }
-  for (std::int64_t r = 0; r < rows; ++r)
-    for (std::int64_t j = 0; j < cols; ++j) c[r * ldc + j] += alpha * tile[r][j];
+  store_edge(tile, c, ldc, alpha, rows, cols, store);
 }
 
-// ---- AVX-512F 14x32 microkernel --------------------------------------------
-// 28 zmm accumulators + 2 B vectors + 1 broadcast = 31 of 32 registers.
+// ---- AVX-512F MRx(16*NV) microkernels --------------------------------------
+// 14x32: 28 zmm accumulators + 2 B vectors + 1 broadcast = 31 of 32
+// registers. 8x48: 24 accumulators + 3 B vectors + 1 broadcast = 28.
+// Ragged tiles store through lane masks with the same fma as full ones.
 
-constexpr std::int64_t A5_MR = 14, A5_NR = 32;
-
+template <int MR, int NV>
 __attribute__((target("avx512f"))) void kernel_avx512(
     std::int64_t kb, const float* pa, const float* pb, float* c,
-    std::int64_t ldc, float alpha, std::int64_t rows, std::int64_t cols) {
-  __m512 acc[A5_MR][2];
-  for (std::int64_t r = 0; r < A5_MR; ++r)
-    acc[r][0] = acc[r][1] = _mm512_setzero_ps();
+    std::int64_t ldc, float alpha, std::int64_t rows, std::int64_t cols,
+    bool store) {
+  constexpr int NR = 16 * NV;
+  __m512 acc[MR][NV];
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_ps();
   for (std::int64_t p = 0; p < kb; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(pb + p * A5_NR);
-    const __m512 b1 = _mm512_loadu_ps(pb + p * A5_NR + 16);
-    const float* ap = pa + p * A5_MR;
-    for (std::int64_t r = 0; r < A5_MR; ++r) {
+    __m512 bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = _mm512_loadu_ps(pb + p * NR + 16 * v);
+    const float* ap = pa + p * MR;
+    for (int r = 0; r < MR; ++r) {
       const __m512 av = _mm512_set1_ps(ap[r]);
-      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
     }
   }
   const __m512 va = _mm512_set1_ps(alpha);
-  if (rows == A5_MR && cols == A5_NR) {
-    for (std::int64_t r = 0; r < A5_MR; ++r) {
-      float* cr = c + r * ldc;
-      _mm512_storeu_ps(cr, _mm512_fmadd_ps(va, acc[r][0], _mm512_loadu_ps(cr)));
-      _mm512_storeu_ps(
-          cr + 16, _mm512_fmadd_ps(va, acc[r][1], _mm512_loadu_ps(cr + 16)));
+  __mmask16 mask[NV];
+  for (int v = 0; v < NV; ++v) {
+    const std::int64_t lanes = std::clamp<std::int64_t>(cols - 16 * v, 0, 16);
+    mask[v] = static_cast<__mmask16>((1u << lanes) - 1u);
+  }
+  for (int r = 0; r < MR; ++r) {
+    if (r >= rows) break;
+    float* cr = c + r * ldc;
+    for (int v = 0; v < NV; ++v) {
+      const __m512 base = store ? _mm512_setzero_ps()
+                                : _mm512_maskz_loadu_ps(mask[v], cr + 16 * v);
+      _mm512_mask_storeu_ps(cr + 16 * v, mask[v],
+                            _mm512_fmadd_ps(va, acc[r][v], base));
     }
-    return;
   }
-  alignas(64) float tile[A5_MR][A5_NR];
-  for (std::int64_t r = 0; r < A5_MR; ++r) {
-    _mm512_store_ps(tile[r], acc[r][0]);
-    _mm512_store_ps(tile[r] + 16, acc[r][1]);
-  }
-  for (std::int64_t r = 0; r < rows; ++r)
-    for (std::int64_t j = 0; j < cols; ++j) c[r * ldc + j] += alpha * tile[r][j];
 }
 
 #endif  // FP_GEMM_X86
 
-KernelConfig pick_config() {
+/// The wide tile every shape may use, and on AVX-512 a narrow-M alternative.
+struct KernelSet {
+  KernelConfig wide;
+  KernelConfig narrow;
+  bool has_narrow = false;
+};
+
+KernelSet pick_kernels() {
 #ifdef FP_GEMM_X86
   if (__builtin_cpu_supports("avx512f"))
     // kc keeps one packed A micro-panel (14*176*4 ~ 10 KB) plus one packed B
-    // micro-panel (32*176*4 ~ 22 KB) inside a 48 KB L1d.
-    return {A5_MR, A5_NR, /*kc=*/176, /*mc=*/14 * 8, /*nc=*/2048, &kernel_avx512};
+    // micro-panel (32*176*4 ~ 22 KB, 48*176*4 ~ 33 KB) inside a 48 KB L1d.
+    // Both tiles share kc (the summation order) and mc (the row split).
+    return {{14, 32, /*kc=*/176, /*mc=*/14 * 8, /*nc=*/2048,
+             &kernel_avx512<14, 2>},
+            {8, 48, /*kc=*/176, /*mc=*/14 * 8, /*nc=*/48 * 43,
+             &kernel_avx512<8, 3>},
+            true};
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return {GEN_MR, GEN_NR, /*kc=*/256, /*mc=*/72, /*nc=*/2048, &kernel_avx2};
+    return {{GEN_MR, GEN_NR, /*kc=*/256, /*mc=*/72, /*nc=*/2048, &kernel_avx2},
+            {},
+            false};
 #endif
-  return {GEN_MR, GEN_NR, /*kc=*/256, /*mc=*/72, /*nc=*/2048, &kernel_generic};
+  return {{GEN_MR, GEN_NR, /*kc=*/256, /*mc=*/72, /*nc=*/2048, &kernel_generic},
+          {},
+          false};
 }
 
-const KernelConfig kCfg = pick_config();
+const KernelSet kKernels = pick_kernels();
+
+/// The tile that pads fewer rows of an m-row op(A); ties keep the wide one.
+const KernelConfig& config_for(std::int64_t m) {
+  const auto pad = [m](const KernelConfig& k) { return round_up(m, k.mr) - m; };
+  if (kKernels.has_narrow && pad(kKernels.narrow) < pad(kKernels.wide))
+    return kKernels.narrow;
+  return kKernels.wide;
+}
+
+/// Panels at most this deep walk their tiles row panel outermost.
+constexpr std::int64_t kShallowKb = 32;
 
 /// Grow-only per-thread packing buffers. Safe because a nested gemm runs
 /// entirely inline on its caller's thread, and worker-owned buffers are only
@@ -232,18 +328,22 @@ std::vector<float>& tls_pack_b() {
 }
 
 /// All (jr, ir) tiles of one packed (A block, B panel) pair.
-void run_block(const float* packed_a, std::int64_t mb, const float* packed_b,
-               std::int64_t nb, std::int64_t kb, float* c_block,
-               std::int64_t ldc, float alpha, std::int64_t jr_begin,
-               std::int64_t jr_end) {
-  for (std::int64_t jr = jr_begin; jr < jr_end; jr += kCfg.nr) {
-    const float* pb = packed_b + (jr / kCfg.nr) * kCfg.nr * kb;
-    const std::int64_t cols = std::min(kCfg.nr, nb - jr);
-    for (std::int64_t ir = 0; ir < mb; ir += kCfg.mr) {
-      const float* pa = packed_a + (ir / kCfg.mr) * kCfg.mr * kb;
-      kCfg.kernel(kb, pa, pb, c_block + ir * ldc + jr, ldc, alpha,
-                  std::min(kCfg.mr, mb - ir), cols);
-    }
+void run_block(const KernelConfig& cfg, const float* packed_a, std::int64_t mb,
+               const float* packed_b, std::int64_t nb, std::int64_t kb,
+               float* c_block, std::int64_t ldc, float alpha, bool store,
+               std::int64_t jr_begin, std::int64_t jr_end) {
+  const auto tile = [&](std::int64_t ir, std::int64_t jr) {
+    cfg.kernel(kb, packed_a + (ir / cfg.mr) * cfg.mr * kb,
+               packed_b + (jr / cfg.nr) * cfg.nr * kb, c_block + ir * ldc + jr,
+               ldc, alpha, std::min(cfg.mr, mb - ir), std::min(cfg.nr, nb - jr),
+               store);
+  };
+  if (kb <= kShallowKb) {
+    for (std::int64_t ir = 0; ir < mb; ir += cfg.mr)
+      for (std::int64_t jr = jr_begin; jr < jr_end; jr += cfg.nr) tile(ir, jr);
+  } else {
+    for (std::int64_t jr = jr_begin; jr < jr_end; jr += cfg.nr)
+      for (std::int64_t ir = 0; ir < mb; ir += cfg.mr) tile(ir, jr);
   }
 }
 
@@ -256,47 +356,52 @@ void gemm(bool transpose_a, bool transpose_b, std::int64_t m, std::int64_t n,
   static obs::Counter& calls = obs::counter("kernel.gemm_calls");
   calls.add();
   if (m <= 0 || n <= 0) return;
+  const bool product = k > 0 && alpha != 0.0f;
   if (beta == 0.0f) {
-    std::memset(c, 0, static_cast<std::size_t>(m * n) * sizeof(float));
+    // With a product the first KC panel overwrites C instead.
+    if (!product)
+      std::memset(c, 0, static_cast<std::size_t>(m * n) * sizeof(float));
   } else if (beta != 1.0f) {
     for (std::int64_t i = 0; i < m * n; ++i) c[i] *= beta;
   }
-  if (k <= 0 || alpha == 0.0f) return;
+  if (!product) return;
 
-  const std::int64_t row_blocks = (m + kCfg.mc - 1) / kCfg.mc;
+  const KernelConfig& cfg = config_for(m);
+  const std::int64_t row_blocks = (m + cfg.mc - 1) / cfg.mc;
   // Row blocks feed the pool when there are enough of them; otherwise (wide
   // outputs with few rows, the batched-conv shape) the whole A block is
   // packed once and B's column micro-panels are spread instead.
   const bool split_rows = row_blocks >= core::num_threads();
 
-  for (std::int64_t jc = 0; jc < n; jc += kCfg.nc) {
-    const std::int64_t nb = std::min(kCfg.nc, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += kCfg.kc) {
-      const std::int64_t kb = std::min(kCfg.kc, k - pc);
+  for (std::int64_t jc = 0; jc < n; jc += cfg.nc) {
+    const std::int64_t nb = std::min(cfg.nc, n - jc);
+    for (std::int64_t pc = 0; pc < k; pc += cfg.kc) {
+      const std::int64_t kb = std::min(cfg.kc, k - pc);
+      const bool store = beta == 0.0f && pc == 0;
       auto& packed_b = tls_pack_b();
-      packed_b.resize(static_cast<std::size_t>(round_up(nb, kCfg.nr) * kb));
-      pack_b(b, transpose_b, k, n, pc, kb, jc, nb, kCfg.nr, packed_b.data());
+      packed_b.resize(static_cast<std::size_t>(round_up(nb, cfg.nr) * kb));
+      pack_b(b, transpose_b, k, n, pc, kb, jc, nb, cfg.nr, packed_b.data());
 
       if (split_rows) {
         core::parallel_for(0, row_blocks, 1, [&](std::int64_t b0, std::int64_t b1) {
           auto& packed_a = tls_pack_a();
-          packed_a.resize(static_cast<std::size_t>(round_up(kCfg.mc, kCfg.mr) * kb));
+          packed_a.resize(static_cast<std::size_t>(round_up(cfg.mc, cfg.mr) * kb));
           for (std::int64_t blk = b0; blk < b1; ++blk) {
-            const std::int64_t ic = blk * kCfg.mc;
-            const std::int64_t mb = std::min(kCfg.mc, m - ic);
-            pack_a(a, transpose_a, m, k, ic, mb, pc, kb, kCfg.mr, packed_a.data());
-            run_block(packed_a.data(), mb, packed_b.data(), nb, kb,
-                      c + ic * n + jc, n, alpha, 0, nb);
+            const std::int64_t ic = blk * cfg.mc;
+            const std::int64_t mb = std::min(cfg.mc, m - ic);
+            pack_a(a, transpose_a, m, k, ic, mb, pc, kb, cfg.mr, packed_a.data());
+            run_block(cfg, packed_a.data(), mb, packed_b.data(), nb, kb,
+                      c + ic * n + jc, n, alpha, store, 0, nb);
           }
         });
       } else {
         auto& packed_a = tls_pack_a();
-        packed_a.resize(static_cast<std::size_t>(round_up(m, kCfg.mr) * kb));
-        pack_a(a, transpose_a, m, k, 0, m, pc, kb, kCfg.mr, packed_a.data());
-        const std::int64_t col_blocks = (nb + kCfg.nr - 1) / kCfg.nr;
+        packed_a.resize(static_cast<std::size_t>(round_up(m, cfg.mr) * kb));
+        pack_a(a, transpose_a, m, k, 0, m, pc, kb, cfg.mr, packed_a.data());
+        const std::int64_t col_blocks = (nb + cfg.nr - 1) / cfg.nr;
         core::parallel_for(0, col_blocks, 1, [&](std::int64_t b0, std::int64_t b1) {
-          run_block(packed_a.data(), m, packed_b.data(), nb, kb, c + jc, n,
-                    alpha, b0 * kCfg.nr, std::min(nb, b1 * kCfg.nr));
+          run_block(cfg, packed_a.data(), m, packed_b.data(), nb, kb, c + jc, n,
+                    alpha, store, b0 * cfg.nr, std::min(nb, b1 * cfg.nr));
         });
       }
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 
@@ -55,6 +56,21 @@ TEST_P(BlockedGemmTest, MatchesReferenceOddSizesAlphaBeta) {
   for (const auto& gc : cases) expect_matches_reference(ta, tb, gc);
 }
 
+TEST_P(BlockedGemmTest, MatchesReferenceOnConvShapes) {
+  // The conv workloads' M values (C_out, and C_in*9 for the input-gradient
+  // GEMMs; 27 is the one that keeps the 14-row tile), against N and K that
+  // straddle the 48-wide tile, a KC panel and an NC panel.
+  const auto [ta, tb] = GetParam();
+  const float alpha_beta[][2] = {{1.0f, 0.0f}, {1.0f, 1.0f}, {0.5f, 0.25f}};
+  int i = 0;
+  for (const std::int64_t m : {8, 16, 27, 72, 144, 288})
+    for (const std::int64_t n : {27, 72, 144, 2049})
+      for (const std::int64_t k : {8, 16, 72, 177}) {
+        const auto& ab = alpha_beta[i++ % 3];
+        expect_matches_reference(ta, tb, {m, n, k, ab[0], ab[1]});
+      }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTransposes, BlockedGemmTest,
                          ::testing::Combine(::testing::Bool(), ::testing::Bool()));
 
@@ -82,18 +98,53 @@ TEST(BlockedGemm, PropagatesNanFromZeroTimesInf) {
   }
 }
 
+TEST(BlockedGemm, BetaZeroNeverReadsC) {
+  // beta == 0 overwrites C: NaN and Inf already there must give the same
+  // bytes as zeros, on either tile and with several KC panels.
+  const float junk[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  for (const std::int64_t m : {8, 27}) {
+    const std::int64_t n = 75, k = 400;
+    Rng rng(3 + static_cast<std::uint64_t>(m));
+    const Tensor a = Tensor::randn({m, k}, rng), b = Tensor::randn({k, n}, rng);
+    Tensor zeros({m, n}), dirty({m, n});
+    for (std::int64_t i = 0; i < m * n; ++i) dirty[i] = junk[i % 3];
+    for (auto* c : {&zeros, &dirty})
+      gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c->data());
+    EXPECT_EQ(std::memcmp(zeros.data(), dirty.data(),
+                          static_cast<std::size_t>(m * n) * sizeof(float)),
+              0)
+        << "m=" << m;
+  }
+}
+
 TEST(BlockedGemm, BitIdenticalAcrossThreadCounts) {
-  Rng rng(99);
-  const std::int64_t m = 150, n = 170, k = 190;
-  const Tensor a = Tensor::randn({m, k}, rng), b = Tensor::randn({k, n}, rng);
-  Tensor c1({m, n}), c4({m, n});
-  core::set_num_threads(1);
-  gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
-  core::set_num_threads(4);
-  gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c4.data());
-  core::set_num_threads(1);
-  for (std::int64_t i = 0; i < m * n; ++i)
-    ASSERT_EQ(c1[i], c4[i]) << "thread count changed the summation order at " << i;
+  // A square-ish shape plus the conv shapes: forward (few rows, wide),
+  // input gradient (shallow K) and weight gradient (deep K, beta = 1).
+  const GemmCase cases[] = {{150, 170, 190, 1.0f, 0.0f},
+                            {8, 8192, 72, 1.0f, 0.0f},
+                            {72, 8192, 8, 1.0f, 0.0f},
+                            {16, 144, 2048, 1.0f, 1.0f},
+                            {288, 512, 32, 1.0f, 0.0f}};
+  for (const auto& gc : cases) {
+    Rng rng(99);
+    const Tensor a = Tensor::randn({gc.m, gc.k}, rng);
+    const Tensor b = Tensor::randn({gc.k, gc.n}, rng);
+    const Tensor c0 = Tensor::randn({gc.m, gc.n}, rng);
+    Tensor c1 = c0, c4 = c0;
+    core::set_num_threads(1);
+    gemm(false, false, gc.m, gc.n, gc.k, gc.alpha, a.data(), b.data(), gc.beta,
+         c1.data());
+    core::set_num_threads(4);
+    gemm(false, false, gc.m, gc.n, gc.k, gc.alpha, a.data(), b.data(), gc.beta,
+         c4.data());
+    core::set_num_threads(1);
+    for (std::int64_t i = 0; i < gc.m * gc.n; ++i)
+      ASSERT_EQ(c1[i], c4[i]) << "thread count changed the summation order at "
+                              << i << " (m=" << gc.m << " n=" << gc.n
+                              << " k=" << gc.k << ")";
+  }
 }
 
 }  // namespace
