@@ -11,6 +11,18 @@
 namespace fp::nn {
 
 namespace {
+/// Samples per tile of an n-sample batch: the fewest tiles of at most
+/// Conv2d::kTileUnfoldBytes (or one sample), evened out so no tile is a
+/// runt.
+std::int64_t tile_samples(const Conv2dGeometry& g, std::int64_t n) {
+  const std::int64_t sample_bytes =
+      g.col_rows() * g.col_cols() * static_cast<std::int64_t>(sizeof(float));
+  const std::int64_t most =
+      std::max<std::int64_t>(1, Conv2d::kTileUnfoldBytes / sample_bytes);
+  const std::int64_t tiles = (n + most - 1) / most;
+  return (n + tiles - 1) / tiles;
+}
+
 /// Scatters [out_c, N*oh*ow] GEMM output back to NCHW, folding in the bias.
 void scatter_bias(const float* iocols, float* od, const float* bias,
                   bool has_bias, std::int64_t n, std::int64_t out_channels,
@@ -94,17 +106,26 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   scratch_cols_.resize(static_cast<std::size_t>(rows * batch_cols));
   scratch_iocols_.resize(static_cast<std::size_t>(out_channels_ * batch_cols));
 
-  // Unfold the whole minibatch into one [rows, N*oh*ow] matrix (sample i
-  // owns the column slice [i*ohow, (i+1)*ohow)).
-  float* cols = scratch_cols_.data();
-  im2col(g, x.data(), n, cols);
-
-  // One GEMM for the whole batch: [out_c, rows] x [rows, N*oh*ow].
-  gemm(false, false, out_channels_, batch_cols, rows, 1.0f, weight_.data(),
-       cols, 0.0f, scratch_iocols_.data());
-
-  scatter_bias(scratch_iocols_.data(), out.data(), bias_.data(), has_bias_, n,
-               out_channels_, ohow, batch_cols);
+  // A backward with parameter gradients needs the whole batch's unfold, so
+  // outside an InputGradScope the tile is the whole batch and
+  // scratch_cols_ keeps it. Under the scope (attack steps) each tile's
+  // unfold is consumed by its GEMM while it is still in L2.
+  unfold_whole_ = !compute::input_grad_only();
+  const std::int64_t tile = unfold_whole_ ? n : tile_samples(g, n);
+  const std::int64_t in_plane = in_channels_ * h * w;
+  const std::int64_t out_plane = out_channels_ * ohow;
+  for (std::int64_t i0 = 0; i0 < n; i0 += tile) {
+    // Unfold the tile into [rows, tn*oh*ow] at the front of scratch_cols_
+    // (sample i0+i owns the column slice [i*ohow, (i+1)*ohow)), then one
+    // GEMM for the tile: [out_c, rows] x [rows, tn*oh*ow].
+    const std::int64_t tn = std::min(tile, n - i0), tile_cols = tn * ohow;
+    float* cols = scratch_cols_.data();
+    im2col(g, x.data() + i0 * in_plane, tn, cols);
+    gemm(false, false, out_channels_, tile_cols, rows, 1.0f, weight_.data(),
+         cols, 0.0f, scratch_iocols_.data());
+    scatter_bias(scratch_iocols_.data(), out.data() + i0 * out_plane,
+                 bias_.data(), has_bias_, tn, out_channels_, ohow, tile_cols);
+  }
   return out;
 }
 
@@ -201,49 +222,58 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   scratch_grad_cols_.resize(static_cast<std::size_t>(rows * batch_cols));
 
   // Under an InputGradScope only grad_in is wanted: the grad_bias reduction
-  // and the grad_W GEMM are skipped. Read on this thread, not in a pool body.
+  // and the grad_W GEMM are skipped, and the work goes tile by tile. With
+  // parameter gradients the tile is the whole batch (one grad_W GEMM over
+  // the whole unfold). Read on this thread, not in a pool body.
   const bool param_grads = !compute::input_grad_only();
   const bool bias_grad = param_grads && has_bias_;
+  const std::int64_t tile = param_grads ? n : tile_samples(g, n);
+  const std::int64_t in_plane = in_channels_ * h * w;
 
-  // Gather grad_out from NCHW into [out_c, N*oh*ow], folding the grad_bias
-  // reduction into the same pass (per channel, samples in fixed order, so the
-  // sum is identical for any thread count).
+  // A forward under the scope left only its last tile in scratch_cols_.
+  if (param_grads && !unfold_whole_) {
+    im2col(g, x.data(), n, scratch_cols_.data());
+    unfold_whole_ = true;
+  }
+
   const float* god = grad_out.data();
   float* iocols = scratch_iocols_.data();
-  core::parallel_for(0, out_channels_, 1, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t c = c0; c < c1; ++c) {
-      double s = 0.0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* src = god + i * out_plane + c * ohow;
-        float* dst = iocols + c * batch_cols + i * ohow;
-        std::copy(src, src + ohow, dst);
-        if (bias_grad)
-          for (std::int64_t p = 0; p < ohow; ++p) s += src[p];
-      }
-      if (bias_grad) grad_bias_[c] += static_cast<float>(s);
-    }
-  });
-
-  // scratch_cols_ still holds the forward pass's unfold of cached_input_
-  // (forward always rewrites it together with cached_input_), so backward
-  // reuses it instead of redoing the whole-batch im2col.
-  const float* cols = scratch_cols_.data();
-
-  // grad_W += go[out_c, N*oh*ow] * cols^T — one GEMM over the whole batch.
-  if (param_grads)
-    gemm(false, true, out_channels_, rows, batch_cols, 1.0f, iocols, cols, 1.0f,
-         grad_weight_.data());
-
-  // grad_cols = W^T * go, then fold each sample's slice back to image space.
-  gemm(true, false, rows, batch_cols, out_channels_, 1.0f, weight_.data(),
-       iocols, 0.0f, scratch_grad_cols_.data());
   Tensor grad_in({n, in_channels_, h, w});
-  col2im(g, scratch_grad_cols_.data(), n, grad_in.data());
+  for (std::int64_t i0 = 0; i0 < n; i0 += tile) {
+    const std::int64_t tn = std::min(tile, n - i0), tile_cols = tn * ohow;
+    // Gather grad_out from NCHW into [out_c, tn*oh*ow], folding the grad_bias
+    // reduction into the same pass (per channel, samples in fixed order, so
+    // the sum is identical for any thread count; bias_grad implies one tile).
+    core::parallel_for(0, out_channels_, 1, [&](std::int64_t c0, std::int64_t c1) {
+      for (std::int64_t c = c0; c < c1; ++c) {
+        double s = 0.0;
+        for (std::int64_t i = 0; i < tn; ++i) {
+          const float* src = god + (i0 + i) * out_plane + c * ohow;
+          float* dst = iocols + c * tile_cols + i * ohow;
+          std::copy(src, src + ohow, dst);
+          if (bias_grad)
+            for (std::int64_t p = 0; p < ohow; ++p) s += src[p];
+        }
+        if (bias_grad) grad_bias_[c] += static_cast<float>(s);
+      }
+    });
+
+    // grad_W += go[out_c, N*oh*ow] * cols^T — one GEMM over the whole batch.
+    if (param_grads)
+      gemm(false, true, out_channels_, rows, batch_cols, 1.0f, iocols,
+           scratch_cols_.data(), 1.0f, grad_weight_.data());
+
+    // grad_cols = W^T * go, then fold each sample's slice back to image space.
+    gemm(true, false, rows, tile_cols, out_channels_, 1.0f, weight_.data(),
+         iocols, 0.0f, scratch_grad_cols_.data());
+    col2im(g, scratch_grad_cols_.data(), tn, grad_in.data() + i0 * in_plane);
+  }
   return grad_in;
 }
 
 void Conv2d::drop_cached_activations() {
   cached_input_ = Tensor();
+  unfold_whole_ = false;
   Scratch().swap(scratch_cols_);
   Scratch().swap(scratch_iocols_);
   Scratch().swap(scratch_grad_cols_);

@@ -1,10 +1,14 @@
 // 2-D convolution layer (square kernels), batched im2col + GEMM
-// implementation: one fp::im2col call unfolds the whole minibatch into a
-// [C_in*K*K, N*H_out*W_out] column matrix (span copies, see tensor/ops.hpp),
-// each direction issues a single large GEMM, and one fp::col2im call folds
-// the input gradient back, bit-identically to the seed's per-sample loops.
-// The bias add / grad_bias reduction are folded into the parallel
-// gather/scatter passes. The geometry is validated: the constructor rejects
+// implementation: fp::im2col unfolds a tile of samples into a
+// [C_in*K*K, n*H_out*W_out] column matrix (span copies, see tensor/ops.hpp),
+// one GEMM per direction covers the tile, and fp::col2im folds the input
+// gradient back, bit-identically to the seed's per-sample loops. Under an
+// InputGradScope (attack steps) a tile is as many samples as fit ~256 KB of
+// unfold, so each tile stays in L2 from unfold to GEMM to fold; otherwise
+// the tile is the whole batch, whose unfold the weight-gradient GEMM reads.
+// Tiles split GEMM columns only, never K, so every output is the same for
+// any tile size. The bias add / grad_bias reduction are folded into the
+// parallel gather/scatter passes. The geometry is validated: the constructor rejects
 // kernel < 1, stride < 1 and padding < 0, and forward rejects an input
 // smaller than the kernel after padding.
 #pragma once
@@ -23,6 +27,11 @@ class Conv2d final : public Layer {
   /// Kaiming-uniform initialized convolution. Input is NCHW.
   Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
          std::int64_t stride, std::int64_t padding, Rng& rng, bool bias = true);
+
+  /// Unfold bytes per sample tile under an InputGradScope: one tile's
+  /// im2col columns, its GEMM output and the packed panels stay in a
+  /// core's L2 between the phases.
+  static constexpr std::int64_t kTileUnfoldBytes = 256 * 1024;
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -54,12 +63,17 @@ class Conv2d final : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   Tensor cached_input_; ///< NCHW input from the last forward
+  /// scratch_cols_ holds the whole unfold of cached_input_ (a forward under
+  /// an InputGradScope leaves only its last tile there).
+  bool unfold_whole_ = false;
 
   // Grow-only scratch buffers reused across forward/backward calls (a model
   // instance is only ever driven by one thread at a time). Not part of the
   // layer's parameter/buffer state. Tracked so training-time high-water
   // measurements see them (mem subsystem).
   using Scratch = std::vector<float, mem::TrackedAlloc<float>>;
+  // Sized for the whole batch (the planner prices them so); a tile uses
+  // the front.
   Scratch scratch_cols_;    ///< im2col of the minibatch [rows, N*oh*ow]
   Scratch scratch_iocols_;  ///< output/grad-output as [out_c, N*oh*ow]
   Scratch scratch_grad_cols_;

@@ -375,27 +375,40 @@ TEST_F(EvalFixture, ShardedPrefixLossGradIsByteIdentical) {
   }
 }
 
-TEST_F(EvalFixture, ShardedLossGradIssuesShardsTimesThePlainGemms) {
-  // Every shard runs the plain call's GEMMs on its rows and nothing else. A
-  // worker that did not re-open the caller's InputGradScope would add its
-  // weight-gradient GEMMs and break the equality.
+TEST_F(EvalFixture, ShardedLossGradIssuesThePlainGemmsOfEachShard) {
+  // Every shard runs the plain call's GEMMs on its rows and nothing else.
+  // A conv's GEMM count depends on its rows (it works in sample tiles), so
+  // the sharded call must issue the sum over shards of the plain call on
+  // that shard's rows. A worker that did not re-open the caller's
+  // InputGradScope would add its weight-gradient GEMMs and run its convs
+  // whole-batch, and break the equality.
   const int saved_threads = core::num_threads();
   core::set_num_threads(4);
   obs::Counter& gemms = obs::counter("kernel.gemm_calls");
-  const auto b = data::take_batch(data_->test, 0, 96);
-  const auto count = [&](const LossGradFn& fn) {
+  const std::int64_t rows = 96;
+  const auto b = data::take_batch(data_->test, 0, rows);
+  const auto count = [&](const LossGradFn& fn, const Tensor& x,
+                         const std::vector<std::int64_t>& y) {
     const compute::InputGradScope scope;
     Tensor g;
     const std::int64_t before = gemms.value();
-    fn(b.x, b.y, &g);
+    fn(x, y, &g);
     return gemms.value() - before;
   };
-  const std::int64_t plain = count(model_ce_lossgrad(*model_));
-  ASSERT_GT(plain, 0);
-  for (std::size_t shards = 1; shards <= 4; ++shards) {
-    const ShardedNet net = shard_model(*model_, shards);
-    EXPECT_EQ(count(net.lossgrad(cross_entropy, cross_entropy_grad)),
-              static_cast<std::int64_t>(shards) * plain)
+  ASSERT_GT(count(model_ce_lossgrad(*model_), b.x, b.y), 0);
+  for (std::int64_t shards = 1; shards <= 4; ++shards) {
+    std::int64_t expected = 0;
+    for (std::int64_t s = 0; s < shards; ++s) {
+      // shard_begin's split: rows * s / shards.
+      const std::int64_t begin = rows * s / shards;
+      const std::int64_t end = rows * (s + 1) / shards;
+      expected += count(model_ce_lossgrad(*model_),
+                        b.x.slice_rows(begin, end - begin),
+                        {b.y.begin() + begin, b.y.begin() + end});
+    }
+    const ShardedNet net = shard_model(*model_, static_cast<std::size_t>(shards));
+    EXPECT_EQ(count(net.lossgrad(cross_entropy, cross_entropy_grad), b.x, b.y),
+              expected)
         << shards << " shards";
   }
   core::set_num_threads(saved_threads);

@@ -1,13 +1,18 @@
-// The batched Conv2d path (whole-minibatch im2col + one GEMM per direction)
-// against the seed's per-sample loop, plus finite-difference grad checks.
+// The batched Conv2d path (im2col + one GEMM per direction per sample tile)
+// against the seed's per-sample loop and, byte for byte, against a
+// whole-batch im2col/gemm/col2im oracle, plus finite-difference grad checks.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 
 #include "grad_check.hpp"
 #include "nn/conv.hpp"
+#include "tensor/compute_mode.hpp"
 #include "tensor/ops.hpp"
 
 namespace fp {
@@ -94,6 +99,113 @@ TEST(Conv2dBatched, BackwardAccumulatesAcrossCalls) {
   for (std::int64_t i = 0; i < once.numel(); ++i) {
     const float tol = 1e-4f * (std::abs(once[i]) + 1.0f);
     ASSERT_NEAR(twice[i], 2.0f * once[i], tol);
+  }
+}
+
+/// Whole-batch forward and backward of a conv, built from the kernels the
+/// layer uses (one unfold, one GEMM per direction, one fold): the result
+/// any sample tiling must reproduce exactly.
+struct WholeBatchOracle {
+  Tensor out, grad_in, grad_w, grad_b;
+
+  WholeBatchOracle(nn::Conv2d& conv, const Tensor& x, const Tensor& go) {
+    const std::int64_t n = x.dim(0);
+    const Conv2dGeometry g{conv.in_channels(), conv.out_channels(),
+                           conv.kernel(),      conv.stride(),
+                           conv.padding(),     x.dim(2),
+                           x.dim(3)};
+    const std::int64_t oc = g.out_channels, rows = g.col_rows();
+    const std::int64_t ohow = g.col_cols(), cols_n = n * ohow;
+    Tensor cols({rows, cols_n}), io({oc, cols_n}), gcols({rows, cols_n});
+    im2col(g, x.data(), n, cols.data());
+    gemm(false, false, oc, cols_n, rows, 1.0f, conv.weight().data(),
+         cols.data(), 0.0f, io.data());
+    out = Tensor({n, oc, g.out_h(), g.out_w()});
+    for (std::int64_t i = 0; i < n; ++i)
+      for (std::int64_t c = 0; c < oc; ++c)
+        for (std::int64_t p = 0; p < ohow; ++p)
+          out[(i * oc + c) * ohow + p] = io[c * cols_n + i * ohow + p] +
+                                         (conv.has_bias() ? conv.bias()[c] : 0.0f);
+    grad_b = Tensor({oc});
+    for (std::int64_t c = 0; c < oc; ++c) {
+      double s = 0.0;
+      for (std::int64_t i = 0; i < n; ++i)
+        for (std::int64_t p = 0; p < ohow; ++p) {
+          const float v = go[(i * oc + c) * ohow + p];
+          io[c * cols_n + i * ohow + p] = v;
+          s += v;
+        }
+      grad_b[c] += static_cast<float>(s);
+    }
+    grad_w = Tensor({oc, rows});
+    gemm(false, true, oc, rows, cols_n, 1.0f, io.data(), cols.data(), 1.0f,
+         grad_w.data());
+    gemm(true, false, rows, cols_n, oc, 1.0f, conv.weight().data(), io.data(),
+         0.0f, gcols.data());
+    grad_in = Tensor(x.shape());
+    col2im(g, gcols.data(), n, grad_in.data());
+  }
+};
+
+void expect_same_bytes(const Tensor& got, const Tensor& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.numel(), want.numel()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(got.numel()) * sizeof(float)),
+            0)
+      << what << " differs from the whole-batch oracle";
+}
+
+TEST(Conv2dBatched, SampleTilesMatchTheWholeBatchOracleByteForByte) {
+  // {in_c, out_c, px}: a 16-px conv (3 samples of unfold per tile) and a
+  // 4-px one (14 per tile), both 3x3 "same" with bias.
+  const std::int64_t geometries[][3] = {{8, 8, 16}, {32, 32, 4}};
+  for (const auto& geo : geometries) {
+    const std::int64_t in_c = geo[0], out_c = geo[1], px = geo[2];
+    const std::int64_t tile = nn::Conv2d::kTileUnfoldBytes /
+                              (in_c * 9 * px * px * static_cast<std::int64_t>(sizeof(float)));
+    ASSERT_GE(tile, 2);
+    for (const std::int64_t n : std::set<std::int64_t>{1, tile - 1, tile, tile + 1, 32}) {
+      Rng rng(400 + static_cast<std::uint64_t>(n * 3 + px));
+      const Tensor x = Tensor::randn({n, in_c, px, px}, rng);
+      const Tensor go = Tensor::randn({n, out_c, px, px}, rng);
+      // Three runs on fresh layers with the same weights: scopes
+      // {forward, backward} of {out, out}, {in, in}, and {in, out}. The last
+      // is a scoped forward (tiles) followed by a full backward, which must
+      // re-unfold the whole batch rather than read the last tile's columns.
+      for (const int mode : {0, 1, 2}) {
+        const std::string what = std::to_string(in_c) + "->" +
+                                 std::to_string(out_c) + "@" + std::to_string(px) +
+                                 " n=" + std::to_string(n) + " mode " +
+                                 std::to_string(mode);
+        Rng wrng(7);
+        nn::Conv2d conv(in_c, out_c, 3, 1, 1, wrng);
+        for (auto& v : conv.bias().span()) v = wrng.uniform(-1.0f, 1.0f);
+        const WholeBatchOracle want(conv, x, go);
+        conv.zero_grad();
+        Tensor out, grad_in;
+        {
+          std::optional<compute::InputGradScope> scope;
+          if (mode != 0) scope.emplace();
+          out = conv.forward(x, false);
+        }
+        {
+          std::optional<compute::InputGradScope> scope;
+          if (mode == 1) scope.emplace();
+          grad_in = conv.backward(go);
+        }
+        expect_same_bytes(out, want.out, what + " forward");
+        expect_same_bytes(grad_in, want.grad_in, what + " grad_in");
+        if (mode == 1) {
+          // Input-gradient-only: the parameter gradients stay zero.
+          for (const Tensor* grad : conv.gradients())
+            for (const float v : grad->span()) ASSERT_EQ(v, 0.0f) << what;
+        } else {
+          expect_same_bytes(*conv.gradients()[0], want.grad_w, what + " grad_W");
+          expect_same_bytes(*conv.gradients()[1], want.grad_b, what + " grad_b");
+        }
+      }
+    }
   }
 }
 
