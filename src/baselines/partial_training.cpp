@@ -9,6 +9,31 @@
 
 namespace fp::baselines {
 
+namespace {
+/// FNV-1a over a slice plan's kept indices, each list prefixed by its
+/// length: what a worker's redrawn plan must share with the root's.
+std::uint64_t plan_fingerprint(const models::SlicePlan& plan) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto mix_list = [&mix](const std::vector<std::int64_t>& v) {
+    mix(static_cast<std::int64_t>(v.size()));
+    for (const std::int64_t i : v) mix(i);
+  };
+  for (const models::AtomSlice& atom : plan.atoms)
+    for (const auto* layers : {&atom.layers, &atom.shortcut})
+      for (const models::LayerSlice& l : *layers) {
+        mix_list(l.in);
+        mix_list(l.out);
+      }
+  return h;
+}
+}  // namespace
+
 PartialTrainingFAT::PartialTrainingFAT(fed::FedEnv& env, PartialTrainingConfig cfg)
     : FederatedAlgorithm(env, cfg.fl),
       init_rng_(cfg.fl.seed ^ 0x9a27),
@@ -138,17 +163,27 @@ void PartialTrainingFAT::net_state(comm::StateIO& io) {
     broadcast_.assign(slots, {});
     broadcast_bytes_.assign(slots, 0);
   }
+  std::vector<std::uint64_t> prints(slots);
   for (std::size_t i = 0; i < slots; ++i) {
+    if (!io.reading()) prints[i] = plan_fingerprint(plans_[i]);
     io(ratios_[i]);
     io.msg(broadcast_[i]);
     io(broadcast_bytes_[i]);
+    io(prints[i]);
   }
   if (io.reading()) {
     // The root's plans, redrawn: a sync round has one dispatch, so its
     // slice stream starts fresh, and every group of the round redraws the
-    // same plans from the round and the ratios.
+    // same plans from the round and the ratios. The root's fingerprints
+    // check that they are the same.
     slice_rng_round_ = -1;
     draw_plans();
+    for (std::size_t i = 0; i < slots; ++i)
+      if (plan_fingerprint(plans_[i]) != prints[i])
+        throw std::runtime_error(name() + ": slot " + std::to_string(i) +
+                                 "'s redrawn slice plan for round " +
+                                 std::to_string(round_) +
+                                 " differs from the root's");
   }
 }
 

@@ -12,7 +12,8 @@
 //   history and final metrics IDENTICAL to the single-process run — for jFAT
 //   and FedProphet, under identity, int8 and top-k wire codecs, and with two
 //   aggregation waves sharing one dispatch — because each end ships the
-//   encoded messages its channel captured.
+//   encoded messages its channel captured. A partial-training worker checks
+//   the slice plans it redraws against the root's fingerprints.
 // * Tracing: a traced distributed run with in-process workers keeps every
 //   root round span.
 // * Failure: a worker that drops mid-round fails the round with a diagnostic
@@ -29,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "comm/channel.hpp"
 #include "comm/wire.hpp"
 #include "exp/runner.hpp"
 #include "net/protocol.hpp"
@@ -436,6 +438,62 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<NetCase>& info) {
       return std::string(info.param.name);
     });
+
+// A worker redraws a partial-training dispatch's slice plans instead of
+// receiving them; the root ships a fingerprint of each so a worker whose
+// redraw differs fails naming the slot. Reading one dispatch state twice
+// (a second group of the same round) must redraw the same plans, which
+// needs the slice stream restarted on every read.
+TEST(NetState, PartialTrainingWorkerChecksItsRedrawnPlans) {
+  const auto state_of = [](fed::FederatedAlgorithm& root) {
+    std::vector<fed::TaskSpec> tasks(3);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      tasks[i].round = 1;
+      tasks[i].slot = i;
+      tasks[i].client = i;
+      tasks[i].lr = 0.05f;
+      tasks[i].weight = 1.0f / 3.0f;
+      tasks[i].has_device = true;
+      tasks[i].device.avail_mem_bytes = 1;  // the smallest slice
+    }
+    comm::CaptureScope capture;
+    root.begin_dispatch(tasks);
+    const std::vector<comm::WireMessage> msgs = capture.take();
+    comm::FrameWriter out;
+    comm::StateIO io(out, msgs);
+    root.net_state(io);
+    io.finish();
+    return out.take();
+  };
+  const auto read_state = [](fed::FederatedAlgorithm& worker,
+                             const std::vector<std::uint8_t>& state) {
+    comm::FrameReader in(state);
+    comm::StateIO io(in);
+    worker.net_state(io);
+  };
+  exp::ExperimentSpec spec = tiny_net_spec("FedDrop-AT");
+  auto root_setup = exp::build_setup(spec);
+  exp::MethodRun root = exp::method_registry().resolve(spec.method)(root_setup);
+  const std::vector<std::uint8_t> state = state_of(*root.algo);
+
+  auto worker_setup = exp::build_setup(spec);
+  exp::MethodRun worker =
+      exp::method_registry().resolve(spec.method)(worker_setup);
+  EXPECT_NO_THROW(read_state(*worker.algo, state));
+  EXPECT_NO_THROW(read_state(*worker.algo, state)) << "second group, same round";
+
+  // Another seed draws other random slices.
+  exp::apply_override(spec, "fl.seed=124");
+  auto other_setup = exp::build_setup(spec);
+  exp::MethodRun other = exp::method_registry().resolve(spec.method)(other_setup);
+  try {
+    read_state(*other.algo, state);
+    ADD_FAILURE() << "a different redraw was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("slot 0"), std::string::npos)
+        << e.what();
+  }
+}
 
 // ---- tracing ----------------------------------------------------------------
 
