@@ -23,6 +23,25 @@ std::int64_t tile_samples(const Conv2dGeometry& g, std::int64_t n) {
   return (n + tiles - 1) / tiles;
 }
 
+/// body(i0, tn, s0) for each tile of samples [i0, i0+tn) of an n-sample
+/// batch cut into `tile`-sample tiles. Several tiles are spread over the
+/// pool, their kernels inline; a chunk of tiles rolls through the scratch
+/// columns of its first tile's samples, from sample s0 on, so chunks never
+/// share scratch and the whole-batch buffers hold every chunk. One tile runs
+/// on the caller, whose kernels use the pool.
+template <class Body>
+void for_each_tile(std::int64_t n, std::int64_t tile, const Body& body) {
+  const auto run = [&](std::int64_t t0, std::int64_t t1) {
+    for (std::int64_t t = t0; t < t1; ++t)
+      body(t * tile, std::min(tile, n - t * tile), t0 * tile);
+  };
+  const std::int64_t tiles = (n + tile - 1) / tile;
+  if (tiles == 1)
+    run(0, 1);
+  else
+    core::parallel_for(0, tiles, 1, run);
+}
+
 /// Scatters [out_c, N*oh*ow] GEMM output back to NCHW, folding in the bias.
 void scatter_bias(const float* iocols, float* od, const float* bias,
                   bool has_bias, std::int64_t n, std::int64_t out_channels,
@@ -114,18 +133,19 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   const std::int64_t tile = unfold_whole_ ? n : tile_samples(g, n);
   const std::int64_t in_plane = in_channels_ * h * w;
   const std::int64_t out_plane = out_channels_ * ohow;
-  for (std::int64_t i0 = 0; i0 < n; i0 += tile) {
-    // Unfold the tile into [rows, tn*oh*ow] at the front of scratch_cols_
-    // (sample i0+i owns the column slice [i*ohow, (i+1)*ohow)), then one
-    // GEMM for the tile: [out_c, rows] x [rows, tn*oh*ow].
-    const std::int64_t tn = std::min(tile, n - i0), tile_cols = tn * ohow;
-    float* cols = scratch_cols_.data();
+  for_each_tile(n, tile, [&](std::int64_t i0, std::int64_t tn, std::int64_t s0) {
+    // Unfold the tile into [rows, tn*oh*ow] (sample i0+i owns the column
+    // slice [i*ohow, (i+1)*ohow)), then one GEMM for the tile:
+    // [out_c, rows] x [rows, tn*oh*ow].
+    const std::int64_t tile_cols = tn * ohow;
+    float* cols = scratch_cols_.data() + rows * s0 * ohow;
+    float* iocols = scratch_iocols_.data() + out_channels_ * s0 * ohow;
     im2col(g, x.data() + i0 * in_plane, tn, cols);
     gemm(false, false, out_channels_, tile_cols, rows, 1.0f, weight_.data(),
-         cols, 0.0f, scratch_iocols_.data());
-    scatter_bias(scratch_iocols_.data(), out.data() + i0 * out_plane,
-                 bias_.data(), has_bias_, tn, out_channels_, ohow, tile_cols);
-  }
+         cols, 0.0f, iocols);
+    scatter_bias(iocols, out.data() + i0 * out_plane, bias_.data(), has_bias_,
+                 tn, out_channels_, ohow, tile_cols);
+  });
   return out;
 }
 
@@ -237,14 +257,16 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   }
 
   const float* god = grad_out.data();
-  float* iocols = scratch_iocols_.data();
   Tensor grad_in({n, in_channels_, h, w});
-  for (std::int64_t i0 = 0; i0 < n; i0 += tile) {
-    const std::int64_t tn = std::min(tile, n - i0), tile_cols = tn * ohow;
+  for_each_tile(n, tile, [&](std::int64_t i0, std::int64_t tn, std::int64_t s0) {
+    const std::int64_t tile_cols = tn * ohow;
+    float* iocols = scratch_iocols_.data() + out_channels_ * s0 * ohow;
+    float* grad_cols = scratch_grad_cols_.data() + rows * s0 * ohow;
     // Gather grad_out from NCHW into [out_c, tn*oh*ow], folding the grad_bias
     // reduction into the same pass (per channel, samples in fixed order, so
     // the sum is identical for any thread count; bias_grad implies one tile).
-    core::parallel_for(0, out_channels_, 1, [&](std::int64_t c0, std::int64_t c1) {
+    core::parallel_for(0, out_channels_, 1, [&](std::int64_t c0,
+                                                std::int64_t c1) {
       for (std::int64_t c = c0; c < c1; ++c) {
         double s = 0.0;
         for (std::int64_t i = 0; i < tn; ++i) {
@@ -258,16 +280,18 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       }
     });
 
-    // grad_W += go[out_c, N*oh*ow] * cols^T — one GEMM over the whole batch.
-    if (param_grads)
-      gemm(false, true, out_channels_, rows, batch_cols, 1.0f, iocols,
-           scratch_cols_.data(), 1.0f, grad_weight_.data());
-
     // grad_cols = W^T * go, then fold each sample's slice back to image space.
     gemm(true, false, rows, tile_cols, out_channels_, 1.0f, weight_.data(),
-         iocols, 0.0f, scratch_grad_cols_.data());
-    col2im(g, scratch_grad_cols_.data(), tn, grad_in.data() + i0 * in_plane);
-  }
+         iocols, 0.0f, grad_cols);
+    col2im(g, grad_cols, tn, grad_in.data() + i0 * in_plane);
+  });
+
+  // grad_W += go[out_c, N*oh*ow] * cols^T — one GEMM over the whole batch
+  // (the one tile's gathered grad_out).
+  if (param_grads)
+    gemm(false, true, out_channels_, rows, batch_cols, 1.0f,
+         scratch_iocols_.data(), scratch_cols_.data(), 1.0f,
+         grad_weight_.data());
   return grad_in;
 }
 

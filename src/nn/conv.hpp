@@ -3,14 +3,15 @@
 // [C_in*K*K, n*H_out*W_out] column matrix (span copies, see tensor/ops.hpp),
 // one GEMM per direction covers the tile, and fp::col2im folds the input
 // gradient back, bit-identically to the seed's per-sample loops. Under an
-// InputGradScope (attack steps) a tile is as many samples as fit ~256 KB of
-// unfold, so each tile stays in L2 from unfold to GEMM to fold; otherwise
-// the tile is the whole batch, whose unfold the weight-gradient GEMM reads.
-// Tiles split GEMM columns only, never K, so every output is the same for
-// any tile size. The bias add / grad_bias reduction are folded into the
-// parallel gather/scatter passes. The geometry is validated: the constructor rejects
-// kernel < 1, stride < 1 and padding < 0, and forward rejects an input
-// smaller than the kernel after padding.
+// InputGradScope (attack steps) a tile is as many samples as fit
+// kTileUnfoldBytes of unfold, so each tile stays in L2 from unfold to GEMM
+// to fold, and several tiles spread over the pool; otherwise the tile is
+// the whole batch, whose unfold the weight-gradient GEMM reads. Tiles split
+// GEMM columns only, never K, so every output is the same for any tile
+// size. The bias add / grad_bias reduction are folded into the parallel
+// gather/scatter passes. The geometry is validated: the constructor
+// rejects kernel < 1, stride < 1 and padding < 0, and forward rejects an
+// input smaller than the kernel after padding.
 #pragma once
 
 #include <vector>

@@ -108,7 +108,8 @@ void pack_transposed(const float* src, std::int64_t ld, std::int64_t rows,
       for (; p + 8 <= kb; p += 8)
         transpose8x8(src + r0 * ld + p, ld, dst + p * w + r0, w);
       for (; p < kb; ++p)
-        for (std::int64_t r = r0; r < r0 + 8; ++r) dst[p * w + r] = src[r * ld + p];
+        for (std::int64_t r = r0; r < r0 + 8; ++r)
+          dst[p * w + r] = src[r * ld + p];
     }
   }
 #endif

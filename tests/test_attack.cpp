@@ -406,7 +406,8 @@ TEST_F(EvalFixture, ShardedLossGradIssuesThePlainGemmsOfEachShard) {
                         b.x.slice_rows(begin, end - begin),
                         {b.y.begin() + begin, b.y.begin() + end});
     }
-    const ShardedNet net = shard_model(*model_, static_cast<std::size_t>(shards));
+    const ShardedNet net =
+        shard_model(*model_, static_cast<std::size_t>(shards));
     EXPECT_EQ(count(net.lossgrad(cross_entropy, cross_entropy_grad), b.x, b.y),
               expected)
         << shards << " shards";

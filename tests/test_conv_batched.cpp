@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/parallel.hpp"
 #include "grad_check.hpp"
 #include "nn/conv.hpp"
 #include "tensor/compute_mode.hpp"
@@ -124,8 +125,9 @@ struct WholeBatchOracle {
     for (std::int64_t i = 0; i < n; ++i)
       for (std::int64_t c = 0; c < oc; ++c)
         for (std::int64_t p = 0; p < ohow; ++p)
-          out[(i * oc + c) * ohow + p] = io[c * cols_n + i * ohow + p] +
-                                         (conv.has_bias() ? conv.bias()[c] : 0.0f);
+          out[(i * oc + c) * ohow + p] =
+              io[c * cols_n + i * ohow + p] +
+              (conv.has_bias() ? conv.bias()[c] : 0.0f);
     grad_b = Tensor({oc});
     for (std::int64_t c = 0; c < oc; ++c) {
       double s = 0.0;
@@ -158,55 +160,65 @@ void expect_same_bytes(const Tensor& got, const Tensor& want,
 
 TEST(Conv2dBatched, SampleTilesMatchTheWholeBatchOracleByteForByte) {
   // {in_c, out_c, px}: a 16-px conv (3 samples of unfold per tile) and a
-  // 4-px one (14 per tile), both 3x3 "same" with bias.
+  // 4-px one (14 per tile), both 3x3 "same" with bias. One thread runs the
+  // tiles in turn; four spread them over the pool.
   const std::int64_t geometries[][3] = {{8, 8, 16}, {32, 32, 4}};
-  for (const auto& geo : geometries) {
-    const std::int64_t in_c = geo[0], out_c = geo[1], px = geo[2];
-    const std::int64_t tile = nn::Conv2d::kTileUnfoldBytes /
-                              (in_c * 9 * px * px * static_cast<std::int64_t>(sizeof(float)));
-    ASSERT_GE(tile, 2);
-    for (const std::int64_t n : std::set<std::int64_t>{1, tile - 1, tile, tile + 1, 32}) {
-      Rng rng(400 + static_cast<std::uint64_t>(n * 3 + px));
-      const Tensor x = Tensor::randn({n, in_c, px, px}, rng);
-      const Tensor go = Tensor::randn({n, out_c, px, px}, rng);
-      // Three runs on fresh layers with the same weights: scopes
-      // {forward, backward} of {out, out}, {in, in}, and {in, out}. The last
-      // is a scoped forward (tiles) followed by a full backward, which must
-      // re-unfold the whole batch rather than read the last tile's columns.
-      for (const int mode : {0, 1, 2}) {
-        const std::string what = std::to_string(in_c) + "->" +
-                                 std::to_string(out_c) + "@" + std::to_string(px) +
-                                 " n=" + std::to_string(n) + " mode " +
-                                 std::to_string(mode);
-        Rng wrng(7);
-        nn::Conv2d conv(in_c, out_c, 3, 1, 1, wrng);
-        for (auto& v : conv.bias().span()) v = wrng.uniform(-1.0f, 1.0f);
-        const WholeBatchOracle want(conv, x, go);
-        conv.zero_grad();
-        Tensor out, grad_in;
-        {
-          std::optional<compute::InputGradScope> scope;
-          if (mode != 0) scope.emplace();
-          out = conv.forward(x, false);
-        }
-        {
-          std::optional<compute::InputGradScope> scope;
-          if (mode == 1) scope.emplace();
-          grad_in = conv.backward(go);
-        }
-        expect_same_bytes(out, want.out, what + " forward");
-        expect_same_bytes(grad_in, want.grad_in, what + " grad_in");
-        if (mode == 1) {
-          // Input-gradient-only: the parameter gradients stay zero.
-          for (const Tensor* grad : conv.gradients())
-            for (const float v : grad->span()) ASSERT_EQ(v, 0.0f) << what;
-        } else {
-          expect_same_bytes(*conv.gradients()[0], want.grad_w, what + " grad_W");
-          expect_same_bytes(*conv.gradients()[1], want.grad_b, what + " grad_b");
+  const int saved_threads = core::num_threads();
+  for (const int threads : {1, 4}) {
+    core::set_num_threads(threads);
+    for (const auto& geo : geometries) {
+      const std::int64_t in_c = geo[0], out_c = geo[1], px = geo[2];
+      const std::int64_t sample_bytes =
+          in_c * 9 * px * px * static_cast<std::int64_t>(sizeof(float));
+      const std::int64_t tile = nn::Conv2d::kTileUnfoldBytes / sample_bytes;
+      ASSERT_GE(tile, 2);
+      const std::set<std::int64_t> batches{1, tile - 1, tile, tile + 1, 32};
+      for (const std::int64_t n : batches) {
+        Rng rng(400 + static_cast<std::uint64_t>(n * 3 + px));
+        const Tensor x = Tensor::randn({n, in_c, px, px}, rng);
+        const Tensor go = Tensor::randn({n, out_c, px, px}, rng);
+        // Three runs on fresh layers with the same weights: scopes
+        // {forward, backward} of {out, out}, {in, in}, and {in, out}. The last
+        // is a scoped forward (tiles) followed by a full backward, which must
+        // re-unfold the whole batch rather than read the last tile's columns.
+        for (const int mode : {0, 1, 2}) {
+          const std::string what =
+              std::to_string(threads) + " threads " + std::to_string(in_c) +
+              "->" + std::to_string(out_c) + "@" + std::to_string(px) +
+              " n=" + std::to_string(n) + " mode " + std::to_string(mode);
+          Rng wrng(7);
+          nn::Conv2d conv(in_c, out_c, 3, 1, 1, wrng);
+          for (auto& v : conv.bias().span()) v = wrng.uniform(-1.0f, 1.0f);
+          const WholeBatchOracle want(conv, x, go);
+          conv.zero_grad();
+          Tensor out, grad_in;
+          {
+            std::optional<compute::InputGradScope> scope;
+            if (mode != 0) scope.emplace();
+            out = conv.forward(x, false);
+          }
+          {
+            std::optional<compute::InputGradScope> scope;
+            if (mode == 1) scope.emplace();
+            grad_in = conv.backward(go);
+          }
+          expect_same_bytes(out, want.out, what + " forward");
+          expect_same_bytes(grad_in, want.grad_in, what + " grad_in");
+          if (mode == 1) {
+            // Input-gradient-only: the parameter gradients stay zero.
+            for (const Tensor* grad : conv.gradients())
+              for (const float v : grad->span()) ASSERT_EQ(v, 0.0f) << what;
+          } else {
+            expect_same_bytes(*conv.gradients()[0], want.grad_w,
+                              what + " grad_W");
+            expect_same_bytes(*conv.gradients()[1], want.grad_b,
+                              what + " grad_b");
+          }
         }
       }
     }
   }
+  core::set_num_threads(saved_threads);
 }
 
 /// Runs `fn`, which must throw std::invalid_argument whose message contains

@@ -485,7 +485,8 @@ TEST(NetState, PartialTrainingWorkerChecksItsRedrawnPlans) {
   // Another seed draws other random slices.
   exp::apply_override(spec, "fl.seed=124");
   auto other_setup = exp::build_setup(spec);
-  exp::MethodRun other = exp::method_registry().resolve(spec.method)(other_setup);
+  exp::MethodRun other =
+      exp::method_registry().resolve(spec.method)(other_setup);
   try {
     read_state(*other.algo, state);
     ADD_FAILURE() << "a different redraw was accepted";
