@@ -73,8 +73,8 @@ class Conv2d final : public Layer {
   // layer's parameter/buffer state. Tracked so training-time high-water
   // measurements see them (mem subsystem).
   using Scratch = std::vector<float, mem::TrackedAlloc<float>>;
-  // Sized for the whole batch (the planner prices them so); a tile uses
-  // the front.
+  // Sized for the whole batch (the planner prices them so); sample tiles
+  // use the front, or a chunk of tiles on a pool thread its own slice.
   Scratch scratch_cols_;    ///< im2col of the minibatch [rows, N*oh*ow]
   Scratch scratch_iocols_;  ///< output/grad-output as [out_c, N*oh*ow]
   Scratch scratch_grad_cols_;
