@@ -1,12 +1,19 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define FP_OPS_X86 1
+#endif
 
 namespace fp {
 
@@ -186,6 +193,64 @@ void fold_tap(const SpanPlan& p, const Tap& t, const float* src, float* plane) {
   }
 }
 
+#ifdef FP_OPS_X86
+/// The fold of one H-row plane at stride 1 with rows of at most 16 floats.
+/// Every image row stays in its own zmm for the whole plane; the taps are
+/// added in (kh, kw) order, each row through the lane mask of the tap's
+/// valid columns, so every pixel gets the adds fold_tap gives it, in the
+/// same order, and no others. Consecutive adds go to different rows, so
+/// they do not wait on each other.
+template <int H>
+__attribute__((target("avx512f"))) void fold_plane_avx512(
+    const SpanPlan& p, const float* src, std::int64_t ld, float* plane) {
+  const auto lanes = [](std::int64_t lo, std::int64_t hi) {
+    return static_cast<__mmask16>(((1u << hi) - 1u) & ~((1u << lo) - 1u));
+  };
+  const std::int64_t w = p.in_w;
+  const __mmask16 row = lanes(0, w);
+  const __m512i iota = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6,
+                                        5, 4, 3, 2, 1, 0);
+  __m512 acc[H];
+#pragma GCC unroll 16
+  for (int iy = 0; iy < H; ++iy)
+    acc[iy] = _mm512_maskz_loadu_ps(row, plane + iy * w);
+  for (std::size_t r = 0; r < p.taps.size(); ++r) {
+    const Tap& t = p.taps[r];
+    if (t.xs.hi <= t.xs.lo) continue;
+    // Output column x lands on image column x + dx, output row y on
+    // image row y + dy.
+    const __mmask16 from = lanes(t.xs.lo, t.xs.hi);
+    const __mmask16 to = lanes(t.xs.lo + t.dx, t.xs.hi + t.dx);
+    const __m512i shift =
+        _mm512_sub_epi32(iota, _mm512_set1_epi32(static_cast<int>(t.dx)));
+    const float* tap = src + static_cast<std::int64_t>(r) * ld;
+#pragma GCC unroll 16
+    for (int iy = 0; iy < H; ++iy) {
+      const std::int64_t y = iy - t.dy;
+      if (y < t.ys.lo || y >= t.ys.hi) continue;
+      const __m512 v = _mm512_maskz_loadu_ps(from, tap + y * p.ow);
+      acc[iy] = _mm512_mask_add_ps(acc[iy], to, acc[iy],
+                                   _mm512_permutexvar_ps(shift, v));
+    }
+  }
+#pragma GCC unroll 16
+  for (int iy = 0; iy < H; ++iy)
+    _mm512_mask_storeu_ps(plane + iy * w, row, acc[iy]);
+}
+
+/// fold_plane_avx512<H> for H = 1..16, indexed by H - 1.
+using FoldPlane = void (*)(const SpanPlan&, const float*, std::int64_t,
+                           float*);
+template <std::size_t... I>
+constexpr std::array<FoldPlane, sizeof...(I)> fold_planes(
+    std::index_sequence<I...>) {
+  return {&fold_plane_avx512<static_cast<int>(I) + 1>...};
+}
+constexpr auto kFoldPlane = fold_planes(std::make_index_sequence<16>());
+
+const bool kHasAvx512 = __builtin_cpu_supports("avx512f");
+#endif
+
 /// Elements per parallel chunk below which splitting costs more than it saves.
 constexpr std::int64_t kSpanChunkElems = 4096;
 
@@ -224,6 +289,12 @@ void col2im(const Conv2dGeometry& g, const float* columns, std::int64_t n,
   const std::int64_t kk = static_cast<std::int64_t>(p.taps.size());
   const std::int64_t plane = g.in_h * g.in_w, ld = n * p.ohow;
   if (n <= 0 || p.ohow <= 0) return;
+#ifdef FP_OPS_X86
+  // Planes of at most 16x16 at stride 1 (every TinyVGG conv): their span
+  // loops are bound by per-row overhead, so they fold in registers.
+  const bool rows_in_zmm = kHasAvx512 && g.stride == 1 && g.in_h <= 16 &&
+                           g.in_w <= 16 && p.ow <= 16;
+#endif
   // Unit u = sample * C + channel owns one image plane and adds all of its
   // taps in (kh, kw) order; no pixel is touched by two units.
   core::parallel_for(
@@ -233,6 +304,12 @@ void col2im(const Conv2dGeometry& g, const float* columns, std::int64_t n,
         for (std::int64_t u = u0; u < u1; ++u) {
           const float* src =
               columns + (u % g.in_channels) * kk * ld + (u / g.in_channels) * p.ohow;
+#ifdef FP_OPS_X86
+          if (rows_in_zmm) {
+            kFoldPlane[g.in_h - 1](p, src, ld, images + u * plane);
+            continue;
+          }
+#endif
           for (std::int64_t r = 0; r < kk; ++r)
             fold_tap(p, p.taps[r], src + r * ld, images + u * plane);
         }

@@ -113,7 +113,8 @@ bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
 /// fold accumulates into a non-zero image, so the tap order is pinned too.
 TEST(Im2Col, BatchedMatchesReferenceBytes) {
   const std::int64_t channels = 2;
-  const std::int64_t planes[][2] = {{1, 1}, {2, 3}, {5, 7}, {8, 8}};
+  const std::int64_t planes[][2] = {{1, 1}, {2, 3},  {5, 7},
+                                    {8, 8}, {16, 16}, {3, 17}};
   const int saved_threads = core::num_threads();
   core::set_num_threads(4);
   Rng rng(21);
