@@ -19,7 +19,7 @@ std::int64_t tile_samples(const Conv2dGeometry& g, std::int64_t n) {
       g.col_rows() * g.col_cols() * static_cast<std::int64_t>(sizeof(float));
   const std::int64_t most =
       std::max<std::int64_t>(1, Conv2d::kTileUnfoldBytes / sample_bytes);
-  const std::int64_t tiles = (n + most - 1) / most;
+  const std::int64_t tiles = std::max<std::int64_t>(1, (n + most - 1) / most);
   return (n + tiles - 1) / tiles;
 }
 
@@ -31,6 +31,7 @@ std::int64_t tile_samples(const Conv2dGeometry& g, std::int64_t n) {
 /// on the caller, whose kernels use the pool.
 template <class Body>
 void for_each_tile(std::int64_t n, std::int64_t tile, const Body& body) {
+  if (n <= 0) return;
   const auto run = [&](std::int64_t t0, std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t)
       body(t * tile, std::min(tile, n - t * tile), t0 * tile);

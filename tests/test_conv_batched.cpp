@@ -221,6 +221,18 @@ TEST(Conv2dBatched, SampleTilesMatchTheWholeBatchOracleByteForByte) {
   core::set_num_threads(saved_threads);
 }
 
+TEST(Conv2dBatched, EmptyBatchForwardsInAndOutOfTheScope) {
+  // Zero samples make zero tiles, not a division by zero.
+  Rng rng(3);
+  nn::Conv2d conv(2, 3, 3, 1, 1, rng);
+  for (const bool scoped : {false, true}) {
+    std::optional<compute::InputGradScope> scope;
+    if (scoped) scope.emplace();
+    EXPECT_EQ(conv.forward(Tensor({0, 2, 5, 5}), false).shape_str(),
+              "[0, 3, 5, 5]");
+  }
+}
+
 /// Runs `fn`, which must throw std::invalid_argument whose message contains
 /// every one of `parts`.
 template <class Fn>
