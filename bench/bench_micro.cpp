@@ -3,9 +3,9 @@
 // forward/backward (batched vs per-sample), the GEMM shapes the convs and
 // Linear layers issue, the conv unfold/fold against the seed's loops with
 // the GEMMs beside them, one conv's attack step, a full train step, BatchNorm,
-// one PGD attack step, the attack-step backward with and without
-// parameter gradients, an eval attack step plain vs sample-sharded, and
-// partial-average aggregation.
+// the BatchNorm/ReLU/max-pool passes of an attack step, one PGD attack step,
+// the attack-step backward with and without parameter gradients, an eval
+// attack step plain vs sample-sharded, and partial-average aggregation.
 //
 // Thread count is controlled by FP_NUM_THREADS (see core/parallel.hpp), so
 // the before/after numbers the ISSUE asks for are, e.g.:
@@ -17,6 +17,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/attacks.hpp"
@@ -24,8 +25,10 @@
 #include "attack/sharded.hpp"
 #include "fed/aggregator.hpp"
 #include "models/zoo.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/norm.hpp"
+#include "nn/pool.hpp"
 #include "obs/trace.hpp"
 #include "tensor/compute_mode.hpp"
 #include "tensor/ops.hpp"
@@ -511,6 +514,57 @@ void BM_BatchNormForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchNormForward);
+
+// The non-GEMM layer passes of an attack step at the TinyVGG-w8 activation
+// shapes (batch 32): one row per (pass, channels, plane side). BatchNorm
+// backward runs under InputGradScope as attack steps do (train mode still
+// needs both channel sums; eval mode needs none). Everything allocates from
+// a bound ClientMemScope's arena, as local training does. A forward drops
+// the layer's previous cache first: the arena reclaims a freed block only
+// once everything above it is freed, so a cache replaced under a live one
+// would walk the bump pointer to the slab's end and onto the heap.
+enum NormActPass : std::int64_t {
+  kBnFwdTrain, kBnFwdEval, kBnBwdTrain, kBnBwdEval,
+  kReluFwd, kReluBwd, kPoolFwd, kPoolBwd, kNormActPasses
+};
+
+void BM_NormActPool(benchmark::State& state) {
+  static constexpr const char* kLabels[] = {
+      "bn_fwd_train", "bn_fwd_eval", "bn_bwd_train", "bn_bwd_eval",
+      "relu_fwd",     "relu_bwd",    "pool_fwd",     "pool_bwd"};
+  const auto pass = static_cast<NormActPass>(state.range(0));
+  const std::int64_t c = state.range(1), px = state.range(2);
+  const mem::ClientMemScope mem_scope(mem::Budget{64 << 20});
+  Rng rng(21);
+  const Tensor x = Tensor::randn({kConvBatch, c, px, px}, rng);
+  nn::BatchNorm2d bn(c);
+  nn::ReLU relu;
+  nn::MaxPool2d pool(2);
+  const bool train = pass != kBnFwdEval && pass != kBnBwdEval;
+  nn::Layer& layer = pass <= kBnBwdEval  ? static_cast<nn::Layer&>(bn)
+                     : pass <= kReluBwd ? static_cast<nn::Layer&>(relu)
+                                        : static_cast<nn::Layer&>(pool);
+  const bool backward = pass == kBnBwdTrain || pass == kBnBwdEval ||
+                        pass == kReluBwd || pass == kPoolBwd;
+  const compute::InputGradScope grad_scope;
+  const Tensor g = Tensor::randn(layer.forward(x, train).shape(), rng);
+  for (auto _ : state) {
+    if (!backward) layer.drop_cached_activations();
+    Tensor y = backward ? layer.backward(g) : layer.forward(x, train);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(kLabels[pass]);
+  state.SetBytesProcessed(state.iterations() * x.numel() *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_NormActPool)->Apply([](benchmark::internal::Benchmark* b) {
+  b->ArgNames({"pass", "c", "px"});
+  for (std::int64_t pass = 0; pass < kNormActPasses; ++pass)
+    for (const auto& s : {std::pair<std::int64_t, std::int64_t>{8, 16},
+                          {16, 8}, {32, 4}})
+      b->Args({pass, s.first, s.second});
+});
 
 void BM_PgdStep(benchmark::State& state) {
   Rng rng(5);
