@@ -122,7 +122,8 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   const std::int64_t rows = g.col_rows();
   const std::int64_t batch_cols = n * ohow;
 
-  Tensor out({n, out_channels_, oh, ow});
+  // scatter_bias writes every element of out.
+  Tensor out({n, out_channels_, oh, ow}, Tensor::Uninit{});
   scratch_cols_.resize(static_cast<std::size_t>(rows * batch_cols));
   scratch_iocols_.resize(static_cast<std::size_t>(out_channels_ * batch_cols));
 

@@ -24,6 +24,11 @@ Tensor::Tensor(std::vector<std::int64_t> shape)
       numel_(shape_numel(shape_)),
       data_(static_cast<std::size_t>(numel_), 0.0f) {}
 
+Tensor::Tensor(std::vector<std::int64_t> shape, Uninit)
+    : shape_(std::move(shape)),
+      numel_(shape_numel(shape_)),
+      data_(static_cast<std::size_t>(numel_)) {}
+
 Tensor Tensor::full(std::vector<std::int64_t> shape, float value) {
   Tensor t(std::move(shape));
   t.fill(value);

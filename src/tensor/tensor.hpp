@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/arena.hpp"
@@ -24,6 +25,13 @@ class Tensor {
   explicit Tensor(std::vector<std::int64_t> shape);
   Tensor(std::initializer_list<std::int64_t> shape)
       : Tensor(std::vector<std::int64_t>(shape)) {}
+
+  /// Tag of the constructor below.
+  struct Uninit {};
+  /// Allocates the same tracked bytes as Tensor(shape) but leaves them as
+  /// the allocator returned them: only for outputs that a kernel overwrites
+  /// in full before anyone reads them.
+  Tensor(std::vector<std::int64_t> shape, Uninit);
 
   // ---- factories -----------------------------------------------------------
   static Tensor zeros(std::vector<std::int64_t> shape) { return Tensor(std::move(shape)); }
@@ -104,11 +112,26 @@ class Tensor {
   void check_same_shape(const Tensor& other, const char* op) const;
   std::vector<std::int64_t> shape_;
   std::int64_t numel_ = 0;
+  /// mem::TrackedAlloc whose value-initialization is a no-op, so
+  /// `data_(n)` leaves the storage unwritten (the Uninit constructor); every
+  /// other path constructs its elements from explicit values.
+  template <class T>
+  struct StorageAlloc : mem::TrackedAlloc<T> {
+    template <class U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
   /// Storage routes through the memory subsystem: inside a training-time
   /// mem::ClientMemScope it comes from the bound arena (and is counted
   /// against the client's budget), otherwise it is a plain aligned heap
   /// allocation.
-  std::vector<float, mem::TrackedAlloc<float>> data_;
+  std::vector<float, StorageAlloc<float>> data_;
 };
 
 }  // namespace fp

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/parallel.hpp"
 #include "grad_check.hpp"
+#include "mem/arena.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
@@ -387,6 +395,394 @@ TEST(InputGradScope, NestsRestoresAndStaysOnItsThread) {
     EXPECT_FALSE(other_thread);
   }
   EXPECT_FALSE(compute::input_grad_only());
+}
+
+// ---- Byte parity of the BatchNorm, ReLU and max-pool kernels --------------
+// Each layer is checked against a scalar oracle restated here (the loops the
+// layers ran before their AVX-512 kernels, with max-pool's window index
+// seeded at the window's first tap): on a host that takes the vector paths,
+// every output, running statistic and gradient must match byte for byte.
+
+/// The first differing element of two same-shaped tensors, for messages.
+std::string first_difference(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return a.shape_str() + " vs " + b.shape_str();
+  for (std::int64_t i = 0; i < a.numel(); ++i)
+    if (std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)) != 0)
+      return "element " + std::to_string(i) + ": " + std::to_string(a[i]) +
+             " vs " + std::to_string(b[i]);
+  return "none";
+}
+
+#define EXPECT_SAME_BYTES(a, b, what)                \
+  EXPECT_TRUE(same_bytes((a), (b))) << what << ": " \
+                                    << first_difference((a), (b))
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+const float kNaN = std::numeric_limits<float>::quiet_NaN();
+const float kDenormal = std::numeric_limits<float>::denorm_min() * 37.0f;
+
+/// Writes ±0 and denormals over every channel of an NCHW tensor, NaN into
+/// channel 1, +inf into channel 2 and both infinities into channel 10 (8
+/// channels apart from 2, so it shares a vector lane with it).
+void sprinkle_specials(Tensor& t, Rng& rng) {
+  const std::int64_t n = t.dim(0), c = t.dim(1), plane = t.numel() / (n * c);
+  const auto at = [&](std::int64_t ch) {
+    const auto i = static_cast<std::int64_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(n)));
+    const auto j = static_cast<std::int64_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(plane)));
+    return &t.data()[(i * c + ch) * plane + j];
+  };
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    *at(ch) = 0.0f;
+    *at(ch) = -0.0f;
+    *at(ch) = kDenormal;
+    *at(ch) = -kDenormal;
+  }
+  if (c > 1) *at(1) = kNaN;
+  if (c > 2) *at(2) = kInf;
+  if (c > 10) {
+    *at(10) = kInf;
+    *at(10) = -kInf;
+  }
+}
+
+struct BnOracle {
+  Tensor gamma, beta, running_mean[2], running_var[2], dgamma, dbeta;
+  Tensor xhat, inv_std;
+  bool train = false;
+
+  explicit BnOracle(nn::BatchNorm2d& bn)
+      : gamma(*bn.parameters()[0]),
+        beta(*bn.parameters()[1]),
+        running_mean{bn.running_mean(0), bn.running_mean(1)},
+        running_var{bn.running_var(0), bn.running_var(1)},
+        dgamma(*bn.gradients()[0]),
+        dbeta(*bn.gradients()[1]) {}
+
+  Tensor forward(const Tensor& x, bool is_train, bool track, int bank,
+                 float momentum = 0.1f, float eps = 1e-5f) {
+    const std::int64_t n = x.dim(0), c = x.dim(1), plane = x.dim(2) * x.dim(3);
+    const std::int64_t count = n * plane;
+    train = is_train;
+    xhat = Tensor(x.shape());
+    inv_std = Tensor({c});
+    Tensor out(x.shape());
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      double mean, var;
+      if (train) {
+        double s = 0.0, s2 = 0.0;
+        for (std::int64_t i = 0; i < n; ++i) {
+          const float* p = x.data() + (i * c + ch) * plane;
+          for (std::int64_t j = 0; j < plane; ++j) {
+            s += p[j];
+            s2 += static_cast<double>(p[j]) * p[j];
+          }
+        }
+        mean = s / count;
+        var = s2 / count - mean * mean;
+        if (var < 0.0) var = 0.0;
+        if (track) {
+          const double unbiased = count > 1 ? var * count / (count - 1) : var;
+          Tensor& rm = running_mean[bank];
+          Tensor& rv = running_var[bank];
+          rm[ch] = (1.0f - momentum) * rm[ch] +
+                   momentum * static_cast<float>(mean);
+          rv[ch] = (1.0f - momentum) * rv[ch] +
+                   momentum * static_cast<float>(unbiased);
+        }
+      } else {
+        mean = running_mean[bank][ch];
+        var = running_var[bank][ch];
+      }
+      const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
+      inv_std[ch] = is;
+      const float g = gamma[ch], b = beta[ch], mu = static_cast<float>(mean);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::int64_t off = (i * c + ch) * plane;
+        for (std::int64_t j = 0; j < plane; ++j) {
+          xhat[off + j] = (x[off + j] - mu) * is;
+          out[off + j] = g * xhat[off + j] + b;
+        }
+      }
+    }
+    return out;
+  }
+
+  Tensor backward(const Tensor& go, bool param_grads) {
+    const std::int64_t n = go.dim(0), c = go.dim(1),
+                       plane = go.dim(2) * go.dim(3);
+    const std::int64_t count = n * plane;
+    Tensor gi(go.shape());
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      double sum_go = 0.0, sum_go_xhat = 0.0;
+      for (std::int64_t i = 0; i < n; ++i)
+        for (std::int64_t j = 0; j < plane; ++j) {
+          const std::int64_t k = (i * c + ch) * plane + j;
+          sum_go += go[k];
+          sum_go_xhat += static_cast<double>(go[k]) * xhat[k];
+        }
+      if (param_grads) {
+        dgamma[ch] += static_cast<float>(sum_go_xhat);
+        dbeta[ch] += static_cast<float>(sum_go);
+      }
+      const float kc = train ? gamma[ch] * inv_std[ch] /
+                                   static_cast<float>(count)
+                             : gamma[ch] * inv_std[ch];
+      for (std::int64_t i = 0; i < n; ++i)
+        for (std::int64_t j = 0; j < plane; ++j) {
+          const std::int64_t k = (i * c + ch) * plane + j;
+          gi[k] = train ? kc * (static_cast<float>(count) * go[k] -
+                                static_cast<float>(sum_go) -
+                                xhat[k] * static_cast<float>(sum_go_xhat))
+                        : kc * go[k];
+        }
+    }
+    return gi;
+  }
+};
+
+/// Channel counts, plane sides and batch sizes the kernels must agree on:
+/// partial channel blocks (3, 12), planes off a multiple of 8 (1, 4, 9) and
+/// a 16-wide plane tail.
+constexpr std::int64_t kParityChannels[] = {3, 8, 12, 32, 64};
+constexpr std::int64_t kParitySides[] = {1, 2, 3, 4, 8, 16};
+constexpr std::int64_t kParityBatches[] = {1, 5, 32};
+
+TEST(NormActPoolParity, BatchNormMatchesScalarOracle) {
+  Rng rng(40);
+  int shape = 0;
+  for (const std::int64_t c : kParityChannels)
+    for (const std::int64_t side : kParitySides)
+      for (const std::int64_t n : kParityBatches) {
+        ++shape;
+        Tensor x = Tensor::randn({n, c, side, side}, rng, 2.0f);
+        x.add_scalar_(0.5f);
+        sprinkle_specials(x, rng);
+        Tensor go = Tensor::randn(x.shape(), rng);
+        sprinkle_specials(go, rng);
+        for (const bool train : {true, false})
+          for (const bool scoped : {false, true}) {
+            const bool track = (shape + scoped) % 2 == 0;
+            const int bank = (shape / 2 + train) % 2;
+            nn::BatchNorm2d bn(c);
+            for (auto* t : {bn.parameters()[0], bn.parameters()[1],
+                            bn.gradients()[0], bn.gradients()[1],
+                            &bn.running_mean(0), &bn.running_mean(1)})
+              *t = Tensor::randn({c}, rng);
+            for (const int b : {0, 1})
+              bn.running_var(b) = Tensor::rand_uniform({c}, rng, 0.1f, 3.0f);
+            bn.set_track_stats(track);
+            bn.use_bank(bank);
+            BnOracle oracle(bn);
+            const std::string what =
+                "c=" + std::to_string(c) + " side=" + std::to_string(side) +
+                " n=" + std::to_string(n) + " train=" + std::to_string(train) +
+                " scoped=" + std::to_string(scoped) +
+                " track=" + std::to_string(track) +
+                " bank=" + std::to_string(bank);
+            const Tensor want_y = oracle.forward(x, train, track, bank);
+            EXPECT_SAME_BYTES(bn.forward(x, train), want_y, what + " forward");
+            for (const int b : {0, 1}) {
+              EXPECT_SAME_BYTES(bn.running_mean(b), oracle.running_mean[b],
+                                what + " running mean");
+              EXPECT_SAME_BYTES(bn.running_var(b), oracle.running_var[b],
+                                what + " running var");
+            }
+            std::optional<compute::InputGradScope> scope;
+            if (scoped) scope.emplace();
+            const Tensor want_gi = oracle.backward(go, !scoped);
+            EXPECT_SAME_BYTES(bn.backward(go), want_gi, what + " backward");
+            EXPECT_SAME_BYTES(*bn.gradients()[0], oracle.dgamma,
+                              what + " dgamma");
+            EXPECT_SAME_BYTES(*bn.gradients()[1], oracle.dbeta,
+                              what + " dbeta");
+          }
+      }
+}
+
+TEST(NormActPoolParity, ReluMatchesScalarOracle) {
+  Rng rng(41);
+  for (const std::int64_t c : kParityChannels)
+    for (const std::int64_t side : kParitySides)
+      for (const std::int64_t n : kParityBatches) {
+        Tensor x = Tensor::randn({n, c, side, side}, rng);
+        sprinkle_specials(x, rng);
+        Tensor go = Tensor::randn(x.shape(), rng);
+        sprinkle_specials(go, rng);
+        Tensor want_y(x.shape()), want_gi(x.shape());
+        for (std::int64_t i = 0; i < x.numel(); ++i) {
+          const bool pos = x[i] > 0.0f;
+          want_y[i] = pos ? x[i] : 0.0f;
+          want_gi[i] = go[i] * (pos ? 1.0f : 0.0f);
+        }
+        nn::ReLU relu;
+        const std::string what = "shape " + x.shape_str();
+        EXPECT_SAME_BYTES(relu.forward(x, true), want_y, what + " forward");
+        EXPECT_SAME_BYTES(relu.backward(go), want_gi, what + " backward");
+      }
+}
+
+/// The max-pool loop with each window's index seeded at its first tap:
+/// out and the flat input index of every output.
+Tensor max_pool_oracle(const Tensor& x, std::int64_t k, std::int64_t s,
+                       std::vector<std::int64_t>& argmax) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t oh = (h - k) / s + 1, ow = (w - k) / s + 1;
+  Tensor out({n, c, oh, ow});
+  argmax.assign(static_cast<std::size_t>(out.numel()), 0);
+  std::int64_t oi = 0;
+  for (std::int64_t p = 0; p < n * c; ++p)
+    for (std::int64_t y = 0; y < oh; ++y)
+      for (std::int64_t x2 = 0; x2 < ow; ++x2, ++oi) {
+        float best = -kInf;
+        std::int64_t best_idx = p * h * w + y * s * w + x2 * s;
+        for (std::int64_t ky = 0; ky < k; ++ky)
+          for (std::int64_t kx = 0; kx < k; ++kx) {
+            const std::int64_t idx = p * h * w + (y * s + ky) * w + x2 * s + kx;
+            if (x[idx] > best) {
+              best = x[idx];
+              best_idx = idx;
+            }
+          }
+        out[oi] = best;
+        argmax[static_cast<std::size_t>(oi)] = best_idx;
+      }
+  return out;
+}
+
+TEST(NormActPoolParity, MaxPoolMatchesScalarOracle) {
+  Rng rng(42);
+  // 2x2/2 planes of up to 16 outputs a row take the vector path (32x32 and
+  // 33x31 load a second vector per row); 34 wide (17 outputs), the other
+  // windows and strides take the scalar loop.
+  const std::pair<std::int64_t, std::int64_t> planes[] = {
+      {2, 2}, {4, 4}, {8, 8}, {16, 16}, {5, 5}, {7, 9},
+      {34, 34}, {32, 32}, {33, 31}, {3, 34}};
+  const std::pair<std::int64_t, std::int64_t> windows[] = {
+      {2, 2}, {3, 2}, {2, 1}, {3, 3}};
+  for (const auto& [h, w] : planes)
+    for (const auto& [k, s] : windows)
+      for (const std::int64_t c : {3, 8})
+        for (const std::int64_t n : {1, 5}) {
+          if (h < k || w < k) continue;
+          // Values on a coarse grid tie often; +0/-0 tie too.
+          Tensor x({n, c, h, w});
+          for (auto& v : x.span())
+            v = std::round(rng.gaussian(0.0f, 2.0f)) / 2.0f;
+          for (std::int64_t i = 0; i < x.numel(); i += 7) x[i] = -0.0f;
+          for (std::int64_t i = 3; i < x.numel(); i += 11) x[i] = kNaN;
+          for (std::int64_t i = 5; i < x.numel(); i += 13) x[i] = -kInf;
+          for (std::int64_t i = 1; i < x.numel(); i += 17) x[i] = kDenormal;
+          // A whole window of -inf and one of NaN in the first plane.
+          for (std::int64_t ky = 0; ky < k; ++ky)
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              x[ky * w + kx] = -kInf;
+              if (h >= 2 * k && w >= 2 * k) x[(k + ky) * w + k + kx] = kNaN;
+            }
+          std::vector<std::int64_t> argmax;
+          const Tensor want_y = max_pool_oracle(x, k, s, argmax);
+          // Distinct gradients, so grad_in pins every argmax.
+          Tensor go(want_y.shape());
+          for (std::int64_t i = 0; i < go.numel(); ++i)
+            go[i] = static_cast<float>(i + 1);
+          Tensor want_gi(x.shape());
+          for (std::int64_t i = 0; i < go.numel(); ++i)
+            want_gi[argmax[static_cast<std::size_t>(i)]] += go[i];
+          nn::MaxPool2d pool(k, s);
+          const std::string what = "shape " + x.shape_str() + " window " +
+                                   std::to_string(k) + "/" + std::to_string(s);
+          EXPECT_SAME_BYTES(pool.forward(x, true), want_y, what + " forward");
+          EXPECT_SAME_BYTES(pool.backward(go), want_gi, what + " backward");
+        }
+}
+
+TEST(MaxPool2d, WindowWithoutAMaximumRoutesGradientIntoItself) {
+  // A window whose taps are all -inf or NaN never beats the initial -inf;
+  // its gradient must stay inside the window (on its first tap), not land
+  // on pixel (0, 0) of the plane. 4x4 takes the vector path, 6 wide with a
+  // 2/1 window the scalar loop.
+  for (const float fill : {-kInf, kNaN}) {
+    for (const auto& [w, k, s] : {std::tuple<std::int64_t, std::int64_t,
+                                             std::int64_t>{4, 2, 2},
+                                  {6, 2, 1}}) {
+      Tensor x({1, 1, 4, w});
+      for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
+      const std::int64_t y0 = 2, x0 = 2;  // the window at rows/cols 2-3
+      for (std::int64_t ky = 0; ky < 2; ++ky)
+        for (std::int64_t kx = 0; kx < 2; ++kx)
+          x[(y0 + ky) * w + x0 + kx] = fill;
+      nn::MaxPool2d pool(k, s);
+      const Tensor y = pool.forward(x, true);
+      const std::int64_t ow = y.dim(3);
+      const std::int64_t cell = (y0 / s) * ow + x0 / s;
+      EXPECT_EQ(y[cell], -kInf);
+      Tensor go(y.shape());
+      go[cell] = 1.0f;
+      const Tensor gi = pool.backward(go);
+      EXPECT_EQ(gi[0], 0.0f) << "w=" << w;
+      EXPECT_EQ(gi[y0 * w + x0], 1.0f) << "w=" << w;
+    }
+  }
+}
+
+TEST(UninitOutputs, PoisonedArenaGivesTheBytesOfAFreshScope) {
+  // Outputs a kernel overwrites in full (Conv2d forward; BatchNorm xhat,
+  // out and grad_in; ReLU mask, out and grad_in; max-pool out) are not
+  // zero-filled. Run every layer's forward and backward over an arena slab
+  // whose bytes are NaN and compare with a fresh scope.
+  Rng rng(43);
+  const Tensor x = Tensor::randn({5, 8, 8, 8}, rng);
+  const auto run = [&x](bool poison, bool scoped) {
+    const mem::ClientMemScope mem_scope(mem::Budget{16 << 20});
+    if (poison) {
+      // Freed at once: the bump pointer rewinds over it, so the layers'
+      // allocations land on the NaN bytes.
+      Tensor(std::vector<std::int64_t>{1 << 20}).fill(kNaN);
+      const Tensor probe({64}, Tensor::Uninit{});
+      EXPECT_TRUE(std::isnan(probe[0]));
+      EXPECT_EQ(mem::current_live_bytes(), 64 * 4);
+    }
+    std::optional<compute::InputGradScope> grad_scope;
+    if (scoped) grad_scope.emplace();
+    Rng init(44);
+    nn::Conv2d conv(8, 8, 3, 1, 1, init);
+    nn::BatchNorm2d bn_train(8), bn_eval(8);
+    nn::ReLU relu;
+    nn::MaxPool2d pool(2);
+    std::vector<Tensor> outs;
+    const std::pair<nn::Layer*, bool> layers[] = {
+        {&conv, true}, {&bn_train, true}, {&bn_eval, false},
+        {&relu, true}, {&pool, true}};
+    for (const auto& [layer, train] : layers) {
+      const Tensor y = layer->forward(x, train);
+      Tensor go(y.shape());
+      for (std::int64_t i = 0; i < go.numel(); ++i)
+        go[i] = 0.01f * static_cast<float>(i % 97) - 0.4f;
+      outs.push_back(y);
+      outs.push_back(layer->backward(go));
+    }
+    return outs;
+  };
+  for (const bool scoped : {false, true}) {
+    const std::vector<Tensor> fresh = run(false, scoped);
+    const std::vector<Tensor> poisoned = run(true, scoped);
+    ASSERT_EQ(fresh.size(), poisoned.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+      EXPECT_SAME_BYTES(poisoned[i], fresh[i],
+                        "output " + std::to_string(i) +
+                            " scoped=" + std::to_string(scoped));
+  }
+}
+
+TEST(UninitOutputs, TrackSameBytesAsZeroedTensors) {
+  const mem::ClientMemScope scope(mem::Budget{0});
+  const Tensor zeroed({3, 5, 7});
+  const std::int64_t one = mem::current_live_bytes();
+  const Tensor uninit({3, 5, 7}, Tensor::Uninit{});
+  EXPECT_EQ(mem::current_live_bytes(), 2 * one);
+  EXPECT_EQ(uninit.shape(), zeroed.shape());
+  EXPECT_EQ(uninit.numel(), zeroed.numel());
 }
 
 }  // namespace
