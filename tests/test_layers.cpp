@@ -403,19 +403,17 @@ TEST(InputGradScope, NestsRestoresAndStaysOnItsThread) {
 // seeded at the window's first tap): on a host that takes the vector paths,
 // every output, running statistic and gradient must match byte for byte.
 
-/// The first differing element of two same-shaped tensors, for messages.
-std::string first_difference(const Tensor& a, const Tensor& b) {
-  if (a.shape() != b.shape()) return a.shape_str() + " vs " + b.shape_str();
-  for (std::int64_t i = 0; i < a.numel(); ++i)
-    if (std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)) != 0)
-      return "element " + std::to_string(i) + ": " + std::to_string(a[i]) +
-             " vs " + std::to_string(b[i]);
-  return "none";
+/// Byte equality, naming the first differing element on failure.
+::testing::AssertionResult bytes_equal(const Tensor& a, const Tensor& b) {
+  if (same_bytes(a, b)) return ::testing::AssertionSuccess();
+  if (a.shape() != b.shape())
+    return ::testing::AssertionFailure() << a.shape_str() << " vs "
+                                         << b.shape_str();
+  std::int64_t i = 0;
+  while (std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)) == 0) ++i;
+  return ::testing::AssertionFailure()
+         << "element " << i << ": " << a[i] << " vs " << b[i];
 }
-
-#define EXPECT_SAME_BYTES(a, b, what)                \
-  EXPECT_TRUE(same_bytes((a), (b))) << what << ": " \
-                                    << first_difference((a), (b))
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 const float kNaN = std::numeric_limits<float>::quiet_NaN();
@@ -582,21 +580,24 @@ TEST(NormActPoolParity, BatchNormMatchesScalarOracle) {
                 " track=" + std::to_string(track) +
                 " bank=" + std::to_string(bank);
             const Tensor want_y = oracle.forward(x, train, track, bank);
-            EXPECT_SAME_BYTES(bn.forward(x, train), want_y, what + " forward");
+            EXPECT_TRUE(bytes_equal(bn.forward(x, train), want_y))
+                << what << " forward";
             for (const int b : {0, 1}) {
-              EXPECT_SAME_BYTES(bn.running_mean(b), oracle.running_mean[b],
-                                what + " running mean");
-              EXPECT_SAME_BYTES(bn.running_var(b), oracle.running_var[b],
-                                what + " running var");
+              EXPECT_TRUE(bytes_equal(bn.running_mean(b),
+                                      oracle.running_mean[b]))
+                  << what << " running mean, bank " << b;
+              EXPECT_TRUE(bytes_equal(bn.running_var(b), oracle.running_var[b]))
+                  << what << " running var, bank " << b;
             }
             std::optional<compute::InputGradScope> scope;
             if (scoped) scope.emplace();
             const Tensor want_gi = oracle.backward(go, !scoped);
-            EXPECT_SAME_BYTES(bn.backward(go), want_gi, what + " backward");
-            EXPECT_SAME_BYTES(*bn.gradients()[0], oracle.dgamma,
-                              what + " dgamma");
-            EXPECT_SAME_BYTES(*bn.gradients()[1], oracle.dbeta,
-                              what + " dbeta");
+            EXPECT_TRUE(bytes_equal(bn.backward(go), want_gi))
+                << what << " backward";
+            EXPECT_TRUE(bytes_equal(*bn.gradients()[0], oracle.dgamma))
+                << what << " dgamma";
+            EXPECT_TRUE(bytes_equal(*bn.gradients()[1], oracle.dbeta))
+                << what << " dbeta";
           }
       }
 }
@@ -618,8 +619,10 @@ TEST(NormActPoolParity, ReluMatchesScalarOracle) {
         }
         nn::ReLU relu;
         const std::string what = "shape " + x.shape_str();
-        EXPECT_SAME_BYTES(relu.forward(x, true), want_y, what + " forward");
-        EXPECT_SAME_BYTES(relu.backward(go), want_gi, what + " backward");
+        EXPECT_TRUE(bytes_equal(relu.forward(x, true), want_y))
+            << what << " forward";
+        EXPECT_TRUE(bytes_equal(relu.backward(go), want_gi))
+            << what << " backward";
       }
 }
 
@@ -692,8 +695,10 @@ TEST(NormActPoolParity, MaxPoolMatchesScalarOracle) {
           nn::MaxPool2d pool(k, s);
           const std::string what = "shape " + x.shape_str() + " window " +
                                    std::to_string(k) + "/" + std::to_string(s);
-          EXPECT_SAME_BYTES(pool.forward(x, true), want_y, what + " forward");
-          EXPECT_SAME_BYTES(pool.backward(go), want_gi, what + " backward");
+          EXPECT_TRUE(bytes_equal(pool.forward(x, true), want_y))
+              << what << " forward";
+          EXPECT_TRUE(bytes_equal(pool.backward(go), want_gi))
+              << what << " backward";
         }
 }
 
@@ -769,9 +774,8 @@ TEST(UninitOutputs, PoisonedArenaGivesTheBytesOfAFreshScope) {
     const std::vector<Tensor> poisoned = run(true, scoped);
     ASSERT_EQ(fresh.size(), poisoned.size());
     for (std::size_t i = 0; i < fresh.size(); ++i)
-      EXPECT_SAME_BYTES(poisoned[i], fresh[i],
-                        "output " + std::to_string(i) +
-                            " scoped=" + std::to_string(scoped));
+      EXPECT_TRUE(bytes_equal(poisoned[i], fresh[i]))
+          << "output " << i << " scoped=" << scoped;
   }
 }
 
