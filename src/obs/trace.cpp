@@ -26,8 +26,10 @@ namespace {
 // Chunked SPSC buffers: the owner thread appends events and publishes them
 // with a release store of the chunk count; the flusher walks chunks with
 // acquire loads and never writes. A full buffer drops (counted) instead of
-// growing unboundedly — 1024 chunks x 256 events = 256k spans per thread,
-// far above any sane sampled run.
+// growing unboundedly — 1024 chunks x 256 events = 256k spans per thread
+// and trace epoch: a thread's first span of a new epoch frees what it holds
+// from earlier ones (reclaim), so a process that traces run after run
+// starts each one with an empty buffer.
 constexpr std::uint32_t kChunkEvents = 256;
 constexpr std::size_t kMaxChunksPerThread = 1024;
 
@@ -53,6 +55,7 @@ struct ThreadBuffer {
   // Owner-thread-only append state.
   Chunk* tail = nullptr;
   std::size_t nchunks = 1;
+  std::int64_t epoch_ns = 0;  ///< the trace epoch of the last append
   std::atomic<std::int64_t> dropped{0};
   // Wire-drain watermark (serialize_new_events); guarded by registry_mu().
   Chunk* drain_chunk = nullptr;
@@ -121,6 +124,58 @@ void walk(const ThreadBuffer& buf, Fn&& fn) {
   }
 }
 
+/// Run by the owner on its first span of a new trace epoch. Events that
+/// began before `epoch` are never flushed again: they go, and so do the
+/// chunks they filled. Events that began at or after it (appended while
+/// configure() was starting the epoch) move to the front in order, and the
+/// wire-drain watermark stays behind exactly the ones already shipped.
+/// Holding registry_mu() keeps the flusher and the drain off the buffer.
+void reclaim(ThreadBuffer& b, std::int64_t epoch) {
+  std::lock_guard<std::mutex> lock(registry_mu());
+  std::size_t drained = 0;  // events before the watermark
+  for (const Chunk* c = b.head; c != b.drain_chunk;
+       c = c->next.load(std::memory_order_relaxed))
+    drained += kChunkEvents;
+  drained += b.drain_idx;
+  std::size_t pos = 0, kept = 0, kept_drained = 0;
+  Chunk* w = b.head;
+  for (Chunk* c = b.head; c != nullptr;
+       c = c->next.load(std::memory_order_relaxed)) {
+    const std::uint32_t n = c->count.load(std::memory_order_relaxed);
+    for (std::uint32_t i = 0; i < n; ++i, ++pos) {
+      if (c->ev[i].t0_ns < epoch) continue;
+      // The write position never passes the read position.
+      if (kept > 0 && kept % kChunkEvents == 0)
+        w = w->next.load(std::memory_order_relaxed);
+      w->ev[kept % kChunkEvents] = c->ev[i];
+      ++kept;
+      if (pos < drained) ++kept_drained;
+    }
+    if (n < kChunkEvents) break;
+  }
+  const auto count_in = [](std::size_t events, std::size_t chunk) {
+    return static_cast<std::uint32_t>(
+        std::min<std::size_t>(kChunkEvents, events - chunk * kChunkEvents));
+  };
+  const std::size_t last = kept == 0 ? 0 : (kept - 1) / kChunkEvents;
+  w->count.store(count_in(kept, last), std::memory_order_relaxed);
+  for (Chunk* c = w->next.load(std::memory_order_relaxed); c != nullptr;) {
+    Chunk* next = c->next.load(std::memory_order_relaxed);
+    delete c;
+    c = next;
+  }
+  w->next.store(nullptr, std::memory_order_relaxed);
+  b.tail = w;
+  b.nchunks = last + 1;
+  const std::size_t mark =
+      kept_drained == 0 ? 0 : (kept_drained - 1) / kChunkEvents;
+  b.drain_chunk = b.head;
+  for (std::size_t k = 0; k < mark; ++k)
+    b.drain_chunk = b.drain_chunk->next.load(std::memory_order_relaxed);
+  b.drain_idx = kept_drained == 0 ? 0 : count_in(kept_drained, mark);
+  b.epoch_ns = epoch;
+}
+
 }  // namespace
 
 namespace detail {
@@ -128,6 +183,8 @@ namespace detail {
 void emit_span(const char* name, const char* cat, const char* arg_name,
                std::int64_t t0_ns, std::int64_t t1_ns, std::int64_t arg) {
   ThreadBuffer& b = this_thread_buffer();
+  const std::int64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);
+  if (b.epoch_ns != epoch) reclaim(b, epoch);
   Chunk* c = b.tail;
   std::uint32_t n = c->count.load(std::memory_order_relaxed);
   if (n == kChunkEvents) {

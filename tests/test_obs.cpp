@@ -12,12 +12,14 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "baselines/whole_model.hpp"
 #include "blob_hash.hpp"
+#include "comm/wire.hpp"
 #include "core/parallel.hpp"
 #include "data/synthetic.hpp"
 #include "exp/json.hpp"
@@ -143,6 +145,55 @@ TEST(Trace, EpochIsolatesRuns) {
   }
   EXPECT_FALSE(saw_stale);
   EXPECT_TRUE(saw_fresh);
+}
+
+TEST(Trace, NewEpochReclaimsTheBuffer) {
+  TracingGuard guard;
+  // 2 x 150k spans on one thread overrun its 256k-span buffer unless each
+  // epoch starts from an empty one.
+  constexpr int kPerEpoch = 150000;
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    set_tracing(true);
+    for (int i = 0; i < kPerEpoch; ++i) {
+      FP_TRACE_SCOPE("obs_epoch_fill", "test");
+    }
+  }
+  std::int64_t count = 0;
+  for (const auto& e : obs::trace_snapshot())
+    if (e.name == "obs_epoch_fill") ++count;
+  EXPECT_EQ(count, kPerEpoch);
+  EXPECT_EQ(obs::dropped_events(), 0);
+}
+
+TEST(Trace, DrainShipsEachEpochsEventsOnce) {
+  TracingGuard guard;
+  const auto drain = [] {
+    comm::FrameWriter out;
+    obs::serialize_new_events(out);
+    return out.take();
+  };
+  set_tracing(true);
+  for (int i = 0; i < 3; ++i) {
+    FP_TRACE_SCOPE("obs_drain_old", "test");
+  }
+  drain();
+  // The new epoch frees the drained buffer: the drain must restart at its
+  // front, ship the new spans once, and nothing the second time.
+  set_tracing(true);
+  for (int i = 0; i < 2; ++i) {
+    FP_TRACE_SCOPE("obs_drain_new", "test");
+  }
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<std::uint8_t> frame = drain();
+    comm::FrameReader in(frame);
+    obs::ingest_remote_events(in, 7 + round, "drain");
+  }
+  std::map<std::string, int> seen;  // "<name>@<pid>"
+  for (const auto& e : obs::trace_snapshot())
+    if (e.pid >= 7) ++seen[e.name + "@" + std::to_string(e.pid)];
+  EXPECT_EQ(seen["obs_drain_new@7"], 2);
+  EXPECT_EQ(seen["obs_drain_new@8"], 0);
+  EXPECT_EQ(seen["obs_drain_old@7"], 0);
 }
 
 TEST(Trace, ConcurrentEmissionIsLossless) {
