@@ -98,6 +98,11 @@ ForeignState& foreign() {
 }
 
 thread_local ThreadBuffer* tls_buf = nullptr;
+/// The name set_thread_name gave this thread. Its buffer, kept with its
+/// registry entry for the life of the process, is made by its first span,
+/// so a thread that never traces allocates nothing here: such allocations
+/// by short-lived untraced threads pinned their malloc arenas' memory.
+thread_local std::string tls_name;
 
 ThreadBuffer& this_thread_buffer() {
   if (tls_buf) return *tls_buf;
@@ -106,7 +111,8 @@ ThreadBuffer& this_thread_buffer() {
   buf->drain_chunk = buf->head;
   std::lock_guard<std::mutex> lock(registry_mu());
   buf->tid = static_cast<std::uint32_t>(registry().size());
-  buf->name = "thread-" + std::to_string(buf->tid);
+  buf->name =
+      tls_name.empty() ? "thread-" + std::to_string(buf->tid) : tls_name;
   tls_buf = buf.get();
   registry().push_back(std::move(buf));
   return *tls_buf;
@@ -244,9 +250,10 @@ void set_thread_name(const char* name) {
   std::snprintf(short_name, sizeof(short_name), "%s", name);
   pthread_setname_np(pthread_self(), short_name);
 #endif
-  ThreadBuffer& b = this_thread_buffer();
+  tls_name = name;
+  if (tls_buf == nullptr) return;
   std::lock_guard<std::mutex> lock(registry_mu());
-  b.name = name;
+  tls_buf->name = name;
 }
 
 std::vector<TraceEvent> trace_snapshot() {

@@ -196,6 +196,33 @@ TEST(Trace, DrainShipsEachEpochsEventsOnce) {
   EXPECT_EQ(seen["obs_drain_old@7"], 0);
 }
 
+TEST(Trace, ThreadsThatNeverTraceMakeNoBuffer) {
+  // The lane count a drain frame carries is the number of thread buffers.
+  const auto lanes = [] {
+    comm::FrameWriter out;
+    obs::serialize_new_events(out);
+    const std::vector<std::uint8_t> frame = out.take();
+    comm::FrameReader in(frame);
+    in.u64();
+    return in.u32();
+  };
+  const std::uint32_t before = lanes();
+  for (int i = 0; i < 3; ++i)
+    std::thread([] { obs::set_thread_name("obs-untraced"); }).join();
+  EXPECT_EQ(lanes(), before);
+  TracingGuard guard;
+  set_tracing(true);
+  std::thread([] {
+    obs::set_thread_name("obs-traced");
+    FP_TRACE_SCOPE("obs_named", "test");
+  }).join();
+  EXPECT_EQ(lanes(), before + 1);
+  bool named = false;
+  for (const auto& e : obs::trace_snapshot())
+    if (e.name == "obs_named") named = e.thread_name == "obs-traced";
+  EXPECT_TRUE(named);
+}
+
 TEST(Trace, ConcurrentEmissionIsLossless) {
   TracingGuard guard;
   set_tracing(true);
