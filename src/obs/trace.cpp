@@ -130,55 +130,23 @@ void walk(const ThreadBuffer& buf, Fn&& fn) {
   }
 }
 
-/// Run by the owner on its first span of a new trace epoch. Events that
-/// began before `epoch` are never flushed again: they go, and so do the
-/// chunks they filled. Events that began at or after it (appended while
-/// configure() was starting the epoch) move to the front in order, and the
-/// wire-drain watermark stays behind exactly the ones already shipped.
-/// Holding registry_mu() keeps the flusher and the drain off the buffer.
+/// Run by the owner on its first span of a new trace epoch: everything it
+/// holds was appended before it saw the epoch, so it began before it (but
+/// for a span racing configure() itself) and is never flushed again. The
+/// buffer keeps one empty chunk and the wire-drain watermark restarts
+/// there; holding registry_mu() keeps the flusher and the drain off it.
 void reclaim(ThreadBuffer& b, std::int64_t epoch) {
   std::lock_guard<std::mutex> lock(registry_mu());
-  std::size_t drained = 0;  // events before the watermark
-  for (const Chunk* c = b.head; c != b.drain_chunk;
-       c = c->next.load(std::memory_order_relaxed))
-    drained += kChunkEvents;
-  drained += b.drain_idx;
-  std::size_t pos = 0, kept = 0, kept_drained = 0;
-  Chunk* w = b.head;
-  for (Chunk* c = b.head; c != nullptr;
-       c = c->next.load(std::memory_order_relaxed)) {
-    const std::uint32_t n = c->count.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n; ++i, ++pos) {
-      if (c->ev[i].t0_ns < epoch) continue;
-      // The write position never passes the read position.
-      if (kept > 0 && kept % kChunkEvents == 0)
-        w = w->next.load(std::memory_order_relaxed);
-      w->ev[kept % kChunkEvents] = c->ev[i];
-      ++kept;
-      if (pos < drained) ++kept_drained;
-    }
-    if (n < kChunkEvents) break;
-  }
-  const auto count_in = [](std::size_t events, std::size_t chunk) {
-    return static_cast<std::uint32_t>(
-        std::min<std::size_t>(kChunkEvents, events - chunk * kChunkEvents));
-  };
-  const std::size_t last = kept == 0 ? 0 : (kept - 1) / kChunkEvents;
-  w->count.store(count_in(kept, last), std::memory_order_relaxed);
-  for (Chunk* c = w->next.load(std::memory_order_relaxed); c != nullptr;) {
+  for (Chunk* c = b.head->next.load(std::memory_order_relaxed); c != nullptr;) {
     Chunk* next = c->next.load(std::memory_order_relaxed);
     delete c;
     c = next;
   }
-  w->next.store(nullptr, std::memory_order_relaxed);
-  b.tail = w;
-  b.nchunks = last + 1;
-  const std::size_t mark =
-      kept_drained == 0 ? 0 : (kept_drained - 1) / kChunkEvents;
-  b.drain_chunk = b.head;
-  for (std::size_t k = 0; k < mark; ++k)
-    b.drain_chunk = b.drain_chunk->next.load(std::memory_order_relaxed);
-  b.drain_idx = kept_drained == 0 ? 0 : count_in(kept_drained, mark);
+  b.head->next.store(nullptr, std::memory_order_relaxed);
+  b.head->count.store(0, std::memory_order_relaxed);
+  b.tail = b.drain_chunk = b.head;
+  b.nchunks = 1;
+  b.drain_idx = 0;
   b.epoch_ns = epoch;
 }
 
