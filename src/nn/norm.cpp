@@ -293,13 +293,11 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   cached_inv_std_ = Tensor({c});
   Tensor out(x.shape(), Tensor::Uninit{});
 
-  std::vector<double> sum, sum_sq;
-  if (train) {
-    sum.resize(static_cast<std::size_t>(c));
-    sum_sq.resize(static_cast<std::size_t>(c));
+  const auto cs = static_cast<std::size_t>(c);
+  std::vector<double> sum(cs), sum_sq(cs);
+  if (train)
     channel_sums(x.data(), x.data(), n, c, plane, sum.data(), sum_sq.data());
-  }
-  std::vector<float> mu(static_cast<std::size_t>(c));
+  std::vector<float> mu(cs);
   for (std::int64_t ch = 0; ch < c; ++ch) {
     double mean, var;
     if (train) {
@@ -320,7 +318,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
       var = running_var_[bank_][ch];
     }
     cached_inv_std_[ch] = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    mu[static_cast<std::size_t>(ch)] = static_cast<float>(mean);
+    mu[ch] = static_cast<float>(mean);
   }
   affine_fwd(x.data(), n, c, plane, mu.data(), cached_inv_std_.data(),
              gamma_.data(), beta_.data(), cached_xhat_.data(), out.data());
@@ -348,18 +346,17 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
                  sum_go.data(), sum_go_xhat.data());
   std::vector<float> k(cs), sgo(cs), sgx(cs);
   for (std::int64_t ch = 0; ch < c; ++ch) {
-    const auto q = static_cast<std::size_t>(ch);
     if (param_grads) {
-      grad_gamma_[ch] += static_cast<float>(sum_go_xhat[q]);
-      grad_beta_[ch] += static_cast<float>(sum_go[q]);
+      grad_gamma_[ch] += static_cast<float>(sum_go_xhat[ch]);
+      grad_beta_[ch] += static_cast<float>(sum_go[ch]);
     }
     // Train mode, the full batch-stat backward:
     //   dx = g*inv_std/count * (count*go - sum_go - xhat*sum_go_xhat);
     // eval mode, a per-channel affine map: dx = g * inv_std * go.
-    k[q] = gamma_[ch] * cached_inv_std_[ch];
-    if (cached_train_) k[q] /= static_cast<float>(count);
-    sgo[q] = static_cast<float>(sum_go[q]);
-    sgx[q] = static_cast<float>(sum_go_xhat[q]);
+    k[ch] = gamma_[ch] * cached_inv_std_[ch];
+    if (cached_train_) k[ch] /= static_cast<float>(count);
+    sgo[ch] = static_cast<float>(sum_go[ch]);
+    sgx[ch] = static_cast<float>(sum_go_xhat[ch]);
   }
   affine_bwd(grad_out.data(), cached_train_ ? cached_xhat_.data() : nullptr, n,
              c, plane, k.data(), static_cast<float>(count), sgo.data(),
