@@ -32,6 +32,12 @@ void relu_bwd_scalar(const float* go, const float* m, std::int64_t count,
 #ifdef FP_ACT_X86
 const bool kHasAvx512 = __builtin_cpu_supports("avx512f");
 
+/// The lanes of a 16-float step with `left` elements still to go.
+inline __mmask16 lanes_left(std::int64_t left) {
+  return left >= 16 ? __mmask16(0xFFFF)
+                    : static_cast<__mmask16>((1u << left) - 1u);
+}
+
 /// relu_fwd_scalar: one ordered compare per 16 lanes, then zero-masking
 /// moves write the mask and the output.
 __attribute__((target("avx512f"))) void relu_fwd_avx512(const float* in,
@@ -39,9 +45,7 @@ __attribute__((target("avx512f"))) void relu_fwd_avx512(const float* in,
                                                         float* m, float* o) {
   const __m512 zero = _mm512_setzero_ps(), one = _mm512_set1_ps(1.0f);
   for (std::int64_t i = 0; i < count; i += 16) {
-    const __mmask16 lanes =
-        count - i >= 16 ? __mmask16(0xFFFF)
-                        : static_cast<__mmask16>((1u << (count - i)) - 1u);
+    const __mmask16 lanes = lanes_left(count - i);
     const __m512 v = _mm512_maskz_loadu_ps(lanes, in + i);
     const __mmask16 pos = _mm512_cmp_ps_mask(v, zero, _CMP_GT_OQ);
     _mm512_mask_storeu_ps(m + i, lanes, _mm512_maskz_mov_ps(pos, one));
@@ -54,9 +58,7 @@ __attribute__((target("avx512f"))) void relu_bwd_avx512(const float* go,
                                                         std::int64_t count,
                                                         float* gi) {
   for (std::int64_t i = 0; i < count; i += 16) {
-    const __mmask16 lanes =
-        count - i >= 16 ? __mmask16(0xFFFF)
-                        : static_cast<__mmask16>((1u << (count - i)) - 1u);
+    const __mmask16 lanes = lanes_left(count - i);
     _mm512_mask_storeu_ps(gi + i, lanes,
                           _mm512_mul_ps(_mm512_maskz_loadu_ps(lanes, go + i),
                                         _mm512_maskz_loadu_ps(lanes, m + i)));
