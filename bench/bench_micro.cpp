@@ -91,7 +91,8 @@ BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512);
 // The GEMMs the workloads actually issue, one row per call shape: forward,
 // input gradient and weight gradient of each TinyVGG-w8 conv at batch 32
 // (as nn::Conv2d calls them over a whole batch), the 32x10x128 Linear, and
-// VGG-16's first block at 16 px. The last row, `tinyvgg_conv_sum`, runs the
+// VGG-16's convs at 16 px: the first block, then one conv of each deeper
+// block (128@8, 256@4, 512@2), whose forwards have 16-64 rows. The last row, `tinyvgg_conv_sum`, runs the
 // 18 TinyVGG conv GEMMs back to back: the conv aggregate.
 struct GemmShape {
   const char* label;
@@ -121,6 +122,9 @@ std::vector<GemmShape> gemm_shapes() {
   s.push_back({"linear wgrad", true, false, 10, 128, 32, 1.0f});
   conv("vgg16 3->64@16", 3, 64, 16);
   conv("vgg16 64->64@16", 64, 64, 16);
+  conv("vgg16 128->128@8", 128, 128, 8);
+  conv("vgg16 256->256@4", 256, 256, 4);
+  conv("vgg16 512->512@2", 512, 512, 2);
   return s;
 }
 
