@@ -10,7 +10,16 @@
 //
 // Packing folds the four transpose variants into one kernel: op(A)/op(B)
 // element access happens only in pack_a/pack_b, and the microkernel always
-// consumes the same contiguous micro-panel layout.
+// consumes the same micro-panel layout: mr floats of A and nr floats of B
+// per k step, B's rows `ldb` apart.
+//
+// When op(A) has few micro-rows (the conv forward, M = C_out), each packed
+// B panel would feed only a handful of microkernel calls, so the copy costs
+// as much memory traffic as the product. On AVX-512 a row-major op(B) is
+// then read in place (ldb = n) instead of packed (ldb = nr): every C
+// element keeps the same fma chain in the same KC panels, only the address
+// its B values are loaded from changes. The ragged last panel of an
+// in-place B loads through lane masks, so no load reads past a row's end.
 //
 // The register-tiled microkernels are compiled via function-level target
 // attributes and selected once at startup with __builtin_cpu_supports:
@@ -34,6 +43,7 @@
 // tiles and K is never split). See core/parallel.hpp for the pool-wide
 // contract.
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -51,17 +61,22 @@ namespace fp {
 
 namespace {
 
-/// c[0:rows, 0:cols] = alpha * (packed A panel x packed B panel) + base,
-/// where base is c itself, or 0 when `store` (the first KC panel of a
-/// beta == 0 call, which must not read C).
+/// c[0:rows, 0:cols] = alpha * (packed A panel x B panel) + base, where
+/// row p of the B panel starts at pb + p * ldb (ldb = nr when packed) and
+/// base is c itself, or 0 when `store` (the first KC panel of a beta == 0
+/// call, which must not read C).
 using MicroKernel = void (*)(std::int64_t kb, const float* pa, const float* pb,
-                             float* c, std::int64_t ldc, float alpha,
-                             std::int64_t rows, std::int64_t cols, bool store);
+                             std::int64_t ldb, float* c, std::int64_t ldc,
+                             float alpha, std::int64_t rows, std::int64_t cols,
+                             bool store);
 
 struct KernelConfig {
   std::int64_t mr, nr;  ///< microkernel tile
   std::int64_t kc, mc, nc;  ///< cache blocking (L1 / L2 / L3 resident panels)
-  MicroKernel kernel;
+  MicroKernel kernel;  ///< packed B
+  /// Row-major op(B) read in place: whole nr-wide panels, and the ragged
+  /// last panel (null when the tile always packs B).
+  MicroKernel in_place = nullptr, in_place_tail = nullptr;
 };
 
 inline std::int64_t round_up(std::int64_t x, std::int64_t to) {
@@ -176,13 +191,13 @@ inline void store_edge(const float (&tile)[MR][NR], float* c, std::int64_t ldc,
 
 constexpr std::int64_t GEN_MR = 6, GEN_NR = 16;
 
-void kernel_generic(std::int64_t kb, const float* pa, const float* pb, float* c,
-                    std::int64_t ldc, float alpha, std::int64_t rows,
-                    std::int64_t cols, bool store) {
+void kernel_generic(std::int64_t kb, const float* pa, const float* pb,
+                    std::int64_t ldb, float* c, std::int64_t ldc, float alpha,
+                    std::int64_t rows, std::int64_t cols, bool store) {
   float acc[GEN_MR][GEN_NR] = {};
   for (std::int64_t p = 0; p < kb; ++p) {
     const float* ap = pa + p * GEN_MR;
-    const float* bp = pb + p * GEN_NR;
+    const float* bp = pb + p * ldb;
     for (std::int64_t r = 0; r < GEN_MR; ++r) {
       const float av = ap[r];
       for (std::int64_t j = 0; j < GEN_NR; ++j) acc[r][j] += av * bp[j];
@@ -196,15 +211,15 @@ void kernel_generic(std::int64_t kb, const float* pa, const float* pb, float* c,
 // ---- AVX2+FMA 6x16 microkernel ---------------------------------------------
 
 __attribute__((target("avx2,fma"))) void kernel_avx2(
-    std::int64_t kb, const float* pa, const float* pb, float* c,
-    std::int64_t ldc, float alpha, std::int64_t rows, std::int64_t cols,
-    bool store) {
+    std::int64_t kb, const float* pa, const float* pb, std::int64_t ldb,
+    float* c, std::int64_t ldc, float alpha, std::int64_t rows,
+    std::int64_t cols, bool store) {
   __m256 acc[GEN_MR][2];
   for (std::int64_t r = 0; r < GEN_MR; ++r)
     acc[r][0] = acc[r][1] = _mm256_setzero_ps();
   for (std::int64_t p = 0; p < kb; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(pb + p * GEN_NR);
-    const __m256 b1 = _mm256_loadu_ps(pb + p * GEN_NR + 8);
+    const __m256 b0 = _mm256_loadu_ps(pb + p * ldb);
+    const __m256 b1 = _mm256_loadu_ps(pb + p * ldb + 8);
     const float* ap = pa + p * GEN_MR;
     for (std::int64_t r = 0; r < GEN_MR; ++r) {
       const __m256 av = _mm256_broadcast_ss(ap + r);
@@ -235,19 +250,35 @@ __attribute__((target("avx2,fma"))) void kernel_avx2(
 // 14x32: 28 zmm accumulators + 2 B vectors + 1 broadcast = 31 of 32
 // registers. 8x48: 24 accumulators + 3 B vectors + 1 broadcast = 28.
 // Ragged tiles store through lane masks with the same fma as full ones.
+// Packed panels are zero-padded to nr and load whole vectors at the
+// constant stride nr; an in-place B strides by ldb, and only its ragged last
+// panel loads through lane masks.
 
-template <int MR, int NV>
-__attribute__((target("avx512f"))) void kernel_avx512(
-    std::int64_t kb, const float* pa, const float* pb, float* c,
-    std::int64_t ldc, float alpha, std::int64_t rows, std::int64_t cols,
-    bool store) {
+enum class BRead { kPacked, kInPlace, kInPlaceTail };
+
+// The k loop starts on a cache line: placed 8 bytes past a 32-byte
+// boundary, the 8x48 loop ran 4% slower on 4608x128x512 TN.
+template <int MR, int NV, BRead kRead>
+__attribute__((target("avx512f"), optimize("align-loops=64"))) void
+kernel_avx512(std::int64_t kb, const float* pa, const float* pb,
+              std::int64_t ldb, float* c, std::int64_t ldc, float alpha,
+              std::int64_t rows, std::int64_t cols, bool store) {
+  __mmask16 mask[NV];
+  for (int v = 0; v < NV; ++v) {
+    const std::int64_t lanes = std::clamp<std::int64_t>(cols - 16 * v, 0, 16);
+    mask[v] = static_cast<__mmask16>((1u << lanes) - 1u);
+  }
   constexpr int NR = 16 * NV;
+  if constexpr (kRead == BRead::kPacked) ldb = NR;
   __m512 acc[MR][NV];
   for (int r = 0; r < MR; ++r)
     for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_ps();
   for (std::int64_t p = 0; p < kb; ++p) {
     __m512 bv[NV];
-    for (int v = 0; v < NV; ++v) bv[v] = _mm512_loadu_ps(pb + p * NR + 16 * v);
+    for (int v = 0; v < NV; ++v)
+      bv[v] = kRead == BRead::kInPlaceTail
+                  ? _mm512_maskz_loadu_ps(mask[v], pb + p * ldb + 16 * v)
+                  : _mm512_loadu_ps(pb + p * ldb + 16 * v);
     const float* ap = pa + p * MR;
     for (int r = 0; r < MR; ++r) {
       const __m512 av = _mm512_set1_ps(ap[r]);
@@ -256,11 +287,6 @@ __attribute__((target("avx512f"))) void kernel_avx512(
     }
   }
   const __m512 va = _mm512_set1_ps(alpha);
-  __mmask16 mask[NV];
-  for (int v = 0; v < NV; ++v) {
-    const std::int64_t lanes = std::clamp<std::int64_t>(cols - 16 * v, 0, 16);
-    mask[v] = static_cast<__mmask16>((1u << lanes) - 1u);
-  }
   for (int r = 0; r < MR; ++r) {
     if (r >= rows) break;
     float* cr = c + r * ldc;
@@ -289,9 +315,13 @@ KernelSet pick_kernels() {
     // micro-panel (32*176*4 ~ 22 KB, 48*176*4 ~ 33 KB) inside a 48 KB L1d.
     // Both tiles share kc (the summation order) and mc (the row split).
     return {{14, 32, /*kc=*/176, /*mc=*/14 * 8, /*nc=*/2048,
-             &kernel_avx512<14, 2>},
+             &kernel_avx512<14, 2, BRead::kPacked>,
+             &kernel_avx512<14, 2, BRead::kInPlace>,
+             &kernel_avx512<14, 2, BRead::kInPlaceTail>},
             {8, 48, /*kc=*/176, /*mc=*/14 * 8, /*nc=*/48 * 43,
-             &kernel_avx512<8, 3>},
+             &kernel_avx512<8, 3, BRead::kPacked>,
+             &kernel_avx512<8, 3, BRead::kInPlace>,
+             &kernel_avx512<8, 3, BRead::kInPlaceTail>},
             true};
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
     return {{GEN_MR, GEN_NR, /*kc=*/256, /*mc=*/72, /*nc=*/2048, &kernel_avx2},
@@ -313,31 +343,55 @@ const KernelConfig& config_for(std::int64_t m) {
   return kKernels.wide;
 }
 
+/// Kernels with an in-place variant read op(B) in place up to this many
+/// micro-rows of op(A); past it a packed panel is reused by enough rows to
+/// repay its copy (the BM_GemmShapes sweep behind the value is in
+/// DESIGN.md §2.2).
+constexpr std::int64_t kInPlaceBRows = 8;
+
 /// Panels at most this deep walk their tiles row panel outermost.
 constexpr std::int64_t kShallowKb = 32;
 
-/// Grow-only per-thread packing buffers. Safe because a nested gemm runs
-/// entirely inline on its caller's thread, and worker-owned buffers are only
-/// touched by their own thread.
-std::vector<float>& tls_pack_a() {
-  thread_local std::vector<float> buf;
-  return buf;
-}
-std::vector<float>& tls_pack_b() {
-  thread_local std::vector<float> buf;
-  return buf;
+/// `floats` floats of a grow-only buffer, starting on a 64-byte boundary so
+/// that packed panels (rows of 32 or 48 floats) load whole cache lines.
+float* cache_aligned(std::vector<float>& buf, std::int64_t floats) {
+  buf.resize(static_cast<std::size_t>(floats) + 15);
+  const auto at = reinterpret_cast<std::uintptr_t>(buf.data());
+  return reinterpret_cast<float*>((at + 63) & ~std::uintptr_t{63});
 }
 
-/// All (jr, ir) tiles of one packed (A block, B panel) pair.
+/// Per-thread packing buffers. Safe because a nested gemm runs entirely
+/// inline on its caller's thread, and worker-owned buffers are only touched
+/// by their own thread.
+float* pack_buffer_a(std::int64_t floats) {
+  thread_local std::vector<float> buf;
+  return cache_aligned(buf, floats);
+}
+float* pack_buffer_b(std::int64_t floats) {
+  thread_local std::vector<float> buf;
+  return cache_aligned(buf, floats);
+}
+
+/// One KC x NC panel of op(B) as the microkernels read it: micro-panel
+/// jr / nr starts at data + (jr / nr) * step, its rows ld apart; a ragged
+/// last micro-panel goes to `tail`, the others to `full`.
+struct BPanel {
+  const float* data;
+  std::int64_t ld, step;
+  MicroKernel full, tail;
+};
+
+/// All (jr, ir) tiles of one (packed A block, B panel) pair.
 void run_block(const KernelConfig& cfg, const float* packed_a, std::int64_t mb,
-               const float* packed_b, std::int64_t nb, std::int64_t kb,
+               const BPanel& bp, std::int64_t nb, std::int64_t kb,
                float* c_block, std::int64_t ldc, float alpha, bool store,
                std::int64_t jr_begin, std::int64_t jr_end) {
   const auto tile = [&](std::int64_t ir, std::int64_t jr) {
-    cfg.kernel(kb, packed_a + (ir / cfg.mr) * cfg.mr * kb,
-               packed_b + (jr / cfg.nr) * cfg.nr * kb, c_block + ir * ldc + jr,
-               ldc, alpha, std::min(cfg.mr, mb - ir), std::min(cfg.nr, nb - jr),
-               store);
+    const std::int64_t cols = std::min(cfg.nr, nb - jr);
+    (cols < cfg.nr ? bp.tail : bp.full)(
+        kb, packed_a + (ir / cfg.mr) * cfg.mr * kb,
+        bp.data + (jr / cfg.nr) * bp.step, bp.ld, c_block + ir * ldc + jr, ldc,
+        alpha, std::min(cfg.mr, mb - ir), cols, store);
   };
   if (kb <= kShallowKb) {
     for (std::int64_t ir = 0; ir < mb; ir += cfg.mr)
@@ -373,36 +427,39 @@ void gemm(bool transpose_a, bool transpose_b, std::int64_t m, std::int64_t n,
   // outputs with few rows, the batched-conv shape) the whole A block is
   // packed once and B's column micro-panels are spread instead.
   const bool split_rows = row_blocks >= core::num_threads();
+  const bool b_in_place = cfg.in_place && !transpose_b &&
+                          round_up(m, cfg.mr) / cfg.mr <= kInPlaceBRows;
 
   for (std::int64_t jc = 0; jc < n; jc += cfg.nc) {
     const std::int64_t nb = std::min(cfg.nc, n - jc);
     for (std::int64_t pc = 0; pc < k; pc += cfg.kc) {
       const std::int64_t kb = std::min(cfg.kc, k - pc);
       const bool store = beta == 0.0f && pc == 0;
-      auto& packed_b = tls_pack_b();
-      packed_b.resize(static_cast<std::size_t>(round_up(nb, cfg.nr) * kb));
-      pack_b(b, transpose_b, k, n, pc, kb, jc, nb, cfg.nr, packed_b.data());
+      BPanel bp{b + pc * n + jc, n, cfg.nr, cfg.in_place, cfg.in_place_tail};
+      if (!b_in_place) {
+        float* packed_b = pack_buffer_b(round_up(nb, cfg.nr) * kb);
+        pack_b(b, transpose_b, k, n, pc, kb, jc, nb, cfg.nr, packed_b);
+        bp = {packed_b, cfg.nr, cfg.nr * kb, cfg.kernel, cfg.kernel};
+      }
 
       if (split_rows) {
         core::parallel_for(0, row_blocks, 1, [&](std::int64_t b0, std::int64_t b1) {
-          auto& packed_a = tls_pack_a();
-          packed_a.resize(static_cast<std::size_t>(round_up(cfg.mc, cfg.mr) * kb));
+          float* packed_a = pack_buffer_a(round_up(cfg.mc, cfg.mr) * kb);
           for (std::int64_t blk = b0; blk < b1; ++blk) {
             const std::int64_t ic = blk * cfg.mc;
             const std::int64_t mb = std::min(cfg.mc, m - ic);
-            pack_a(a, transpose_a, m, k, ic, mb, pc, kb, cfg.mr, packed_a.data());
-            run_block(cfg, packed_a.data(), mb, packed_b.data(), nb, kb,
-                      c + ic * n + jc, n, alpha, store, 0, nb);
+            pack_a(a, transpose_a, m, k, ic, mb, pc, kb, cfg.mr, packed_a);
+            run_block(cfg, packed_a, mb, bp, nb, kb, c + ic * n + jc,
+                      n, alpha, store, 0, nb);
           }
         });
       } else {
-        auto& packed_a = tls_pack_a();
-        packed_a.resize(static_cast<std::size_t>(round_up(m, cfg.mr) * kb));
-        pack_a(a, transpose_a, m, k, 0, m, pc, kb, cfg.mr, packed_a.data());
+        float* packed_a = pack_buffer_a(round_up(m, cfg.mr) * kb);
+        pack_a(a, transpose_a, m, k, 0, m, pc, kb, cfg.mr, packed_a);
         const std::int64_t col_blocks = (nb + cfg.nr - 1) / cfg.nr;
         core::parallel_for(0, col_blocks, 1, [&](std::int64_t b0, std::int64_t b1) {
-          run_block(cfg, packed_a.data(), m, packed_b.data(), nb, kb, c + jc, n,
-                    alpha, store, b0 * cfg.nr, std::min(nb, b1 * cfg.nr));
+          run_block(cfg, packed_a, m, bp, nb, kb, c + jc, n, alpha,
+                    store, b0 * cfg.nr, std::min(nb, b1 * cfg.nr));
         });
       }
     }

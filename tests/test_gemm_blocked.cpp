@@ -1,11 +1,17 @@
 // Parity and determinism tests for the blocked GEMM (tensor/gemm.cpp)
-// against the seed's reference loops (gemm_reference).
+// against the seed's reference loops (gemm_reference), and byte-for-byte
+// against a scalar oracle of the blocked summation on FMA hosts.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "core/parallel.hpp"
 #include "tensor/ops.hpp"
@@ -146,6 +152,106 @@ TEST(BlockedGemm, BitIdenticalAcrossThreadCounts) {
                               << " k=" << gc.k << ")";
   }
 }
+
+// The KC depth of this host's GEMM kernel, or 0 when the kernel does not
+// fuse its multiply-adds (the portable fallback), so no fma oracle holds.
+std::int64_t fused_kernel_kc() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (__builtin_cpu_supports("avx512f")) return 176;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    return 256;
+#endif
+  return 0;
+}
+
+/// C as the blocked kernel computes it: per KC panel one std::fma chain in
+/// k order from +0, folded in as fma(alpha, acc, base), where base is 0 for
+/// the first panel of a beta == 0 call and the running C otherwise.
+std::vector<float> blocked_oracle(bool ta, bool tb, std::int64_t m,
+                                  std::int64_t n, std::int64_t k, float alpha,
+                                  const float* a, const float* b, float beta,
+                                  const float* c0, std::int64_t kc) {
+  std::vector<float> c(c0, c0 + m * n);
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      float cv = beta == 1.0f ? c[i * n + j] : c[i * n + j] * beta;
+      for (std::int64_t pc = 0; pc < k; pc += kc) {
+        float acc = 0.0f;
+        for (std::int64_t p = pc; p < std::min(k, pc + kc); ++p)
+          acc = std::fma(ta ? a[p * m + i] : a[i * k + p],
+                         tb ? b[j * k + p] : b[p * n + j], acc);
+        cv = std::fma(alpha, acc, beta == 0.0f && pc == 0 ? 0.0f : cv);
+      }
+      c[i * n + j] = cv;
+    }
+  return c;
+}
+
+class GemmOracleTest : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(GemmOracleTest, BlockedSumIsByteExact) {
+  const std::int64_t kc = fused_kernel_kc();
+  if (kc == 0) GTEST_SKIP() << "the portable kernel does not fuse multiply-adds";
+  const auto [ta, tb] = GetParam();
+  // M on both sides of the in-place B cut-off (64 rows = 8 micro-rows of the
+  // 8x48 tile, 72 = 9; 8 and 27 are 1 and 2 micro-rows), N with
+  // n % 48 in {1, 17, 47} (and one N past the 48 * 43 column panel), K of
+  // one, two and three KC panels.
+  struct Shape {
+    std::int64_t m, n, k;
+  };
+  std::vector<Shape> shapes;
+  for (const std::int64_t m : {8, 27, 64, 72})
+    for (const std::int64_t n : {49, 65, 95})
+      for (const std::int64_t k : {8, 177, 400}) shapes.push_back({m, n, k});
+  shapes.push_back({64, 48 * 43 + 17, 40});
+  for (const Shape& sh : shapes)
+    for (const float beta : {0.0f, 1.0f}) {
+      Rng rng(0xb10c + static_cast<std::uint64_t>(sh.m * 7 + sh.n * 3 + sh.k));
+      const Tensor a = Tensor::randn({sh.m * sh.k}, rng);
+      const Tensor b = Tensor::randn({sh.k * sh.n}, rng);
+      Tensor c = Tensor::randn({sh.m * sh.n}, rng);
+      const std::vector<float> want =
+          blocked_oracle(ta, tb, sh.m, sh.n, sh.k, 0.75f, a.data(), b.data(),
+                         beta, c.data(), kc);
+      gemm(ta, tb, sh.m, sh.n, sh.k, 0.75f, a.data(), b.data(), beta, c.data());
+      ASSERT_EQ(std::memcmp(c.data(), want.data(), want.size() * sizeof(float)),
+                0)
+          << "ta=" << ta << " tb=" << tb << " m=" << sh.m << " n=" << sh.n
+          << " k=" << sh.k << " beta=" << beta;
+    }
+}
+
+TEST_P(GemmOracleTest, LastRowOfBEndsAtAGuardPage) {
+  // B's last element is the last float before a PROT_NONE page, so any load
+  // past the end of op(B)'s storage faults; the in-place ragged panel (m = 8,
+  // n % 48 = 17) must read through lane masks.
+  const auto [ta, tb] = GetParam();
+  const std::int64_t m = 8, n = 65, k = 20;
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t b_bytes = static_cast<std::size_t>(k * n) * sizeof(float);
+  const std::size_t data_bytes = (b_bytes + page - 1) / page * page;
+  void* region = mmap(nullptr, data_bytes + page, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(region, MAP_FAILED);
+  auto* base = static_cast<unsigned char*>(region);
+  ASSERT_EQ(mprotect(base + data_bytes, page, PROT_NONE), 0);
+  float* b = reinterpret_cast<float*>(base + data_bytes - b_bytes);
+  Rng rng(41);
+  const Tensor b_src = Tensor::randn({k * n}, rng);
+  std::memcpy(b, b_src.data(), b_bytes);
+  const Tensor a = Tensor::randn({m * k}, rng);
+  Tensor c({m * n}), c_ref({m * n});
+  gemm(ta, tb, m, n, k, 1.0f, a.data(), b, 0.0f, c.data());
+  gemm_reference(ta, tb, m, n, k, 1.0f, a.data(), b_src.data(), 0.0f,
+                 c_ref.data());
+  for (std::int64_t i = 0; i < m * n; ++i)
+    ASSERT_NEAR(c[i], c_ref[i], 5e-4f * (std::abs(c_ref[i]) + 1.0f)) << i;
+  munmap(region, data_bytes + page);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTransposes, GemmOracleTest,
+                         ::testing::Combine(::testing::Bool(), ::testing::Bool()));
 
 }  // namespace
 }  // namespace fp
