@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -16,6 +17,19 @@ namespace fp::core {
 namespace {
 
 thread_local bool tls_in_region = false;
+
+/// Marks the current thread as inside a parallel region for its lifetime and
+/// restores the previous mark on exit, exceptions included.
+class RegionScope {
+ public:
+  RegionScope() : saved_(tls_in_region) { tls_in_region = true; }
+  ~RegionScope() { tls_in_region = saved_; }
+  RegionScope(const RegionScope&) = delete;
+  RegionScope& operator=(const RegionScope&) = delete;
+
+ private:
+  bool saved_;
+};
 
 class ThreadPool {
  public:
@@ -41,14 +55,14 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Runs task(i) for every i in [0, n); blocks until all complete.
+  /// Runs task(i) for every i in [0, n); blocks until every claimed index
+  /// has finished. After a task throws, unstarted indices are skipped, and
+  /// the lowest-index exception is rethrown here.
   void run(std::int64_t n, const std::function<void(std::int64_t)>& task) {
     if (n <= 0) return;
     if (workers_.empty() || n == 1 || tls_in_region) {
-      const bool saved = tls_in_region;
-      tls_in_region = true;
+      const RegionScope region;
       for (std::int64_t i = 0; i < n; ++i) task(i);
-      tls_in_region = saved;
       return;
     }
     // Each run owns its Job: a straggler from a previous job drains from its
@@ -69,6 +83,7 @@ class ThreadPool {
       cv_done_.wait(lock, [&] { return job->completed.load() == n; });
       if (job_ == job) job_.reset();
     }
+    if (job->error) std::rethrow_exception(job->error);
   }
 
  private:
@@ -77,24 +92,38 @@ class ThreadPool {
     const std::function<void(std::int64_t)>* fn = nullptr;
     std::atomic<std::int64_t> next{0};
     std::atomic<std::int64_t> completed{0};
+    std::atomic<bool> failed{false};
+    std::mutex error_mu;
+    std::int64_t error_index = 0;  ///< index of `error`, under error_mu
+    std::exception_ptr error;
   };
 
   /// Pulls indices until the job is exhausted. `fn` stays valid for every
   /// claimed index i < n because run() cannot return before all of them
-  /// completed.
+  /// completed. A throwing task is recorded, never propagated: on a pool
+  /// worker it would end the process.
   void drain(Job& job) {
-    const bool saved = tls_in_region;
-    tls_in_region = true;
+    const RegionScope region;
     for (;;) {
       const std::int64_t i = job.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= job.n) break;
-      (*job.fn)(i);
+      if (!job.failed.load(std::memory_order_relaxed)) {
+        try {
+          (*job.fn)(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(job.error_mu);
+          if (!job.error || i < job.error_index) {
+            job.error = std::current_exception();
+            job.error_index = i;
+          }
+          job.failed.store(true, std::memory_order_relaxed);
+        }
+      }
       if (job.completed.fetch_add(1, std::memory_order_acq_rel) + 1 == job.n) {
         std::lock_guard<std::mutex> lock(mu_);
         cv_done_.notify_all();
       }
     }
-    tls_in_region = saved;
   }
 
   void worker_loop() {
@@ -158,10 +187,8 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
   const std::int64_t span = end - begin;
   ThreadPool& p = pool();
   if (span <= grain || p.size() == 1 || tls_in_region) {
-    const bool saved = tls_in_region;
-    tls_in_region = true;
+    const RegionScope region;
     body(begin, end);
-    tls_in_region = saved;
     return;
   }
   // Chunk count balances load (a few chunks per thread) without shrinking

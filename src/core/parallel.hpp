@@ -15,6 +15,12 @@
 // Nested parallel regions execute inline on the calling worker: a client
 // training task that reaches a GEMM runs that GEMM serially on its own
 // thread instead of deadlocking or oversubscribing the pool.
+//
+// Exceptions: a task that throws, on any thread, is caught by the pool.
+// Indices not yet started are then skipped, the region waits for every
+// started task to finish, and the exception of the lowest failed index is
+// rethrown to the caller of parallel_for / parallel_tasks. The caller's
+// thread leaves the region as it entered it.
 #pragma once
 
 #include <cstdint>
