@@ -1,5 +1,7 @@
 #include "fed/runtime/engine.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +16,18 @@ void RoundMethod::net_custom_op(std::uint32_t op, comm::FrameReader&,
                                 std::size_t, comm::FrameWriter&) {
   throw std::logic_error("this method has no net custom op " +
                          std::to_string(op));
+}
+
+std::vector<std::size_t> start_order(const RoundMethod& m,
+                                     const TaskSpec* tasks, std::size_t n) {
+  std::vector<double> cost(n);
+  for (std::size_t i = 0; i < n; ++i) cost[i] = m.task_cost(tasks[i]);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return cost[a] > cost[b];
+  });
+  return order;
 }
 
 RoundEngine::RoundEngine(FedEnv& env, const FlConfig& cfg)

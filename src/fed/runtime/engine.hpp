@@ -101,6 +101,13 @@ class RoundMethod {
   /// per-round server work (distillation, traces). `t` = server round index.
   virtual void finalize_round(std::int64_t t) = 0;
 
+  /// Predicted relative cost of training `task`, read after begin_dispatch
+  /// (on a worker, after net_state). A dispatch group starts its clients in
+  /// descending cost (start_order) so the longest do not start last; which
+  /// thread trains a client never changes its result (DESIGN.md §3).
+  /// Default: every client costs the same.
+  virtual double task_cost(const TaskSpec& /*task*/) const { return 1.0; }
+
   /// Model spec the latency simulation prices this method's ClientWork on.
   /// Baselines use the paper-shape cost spec; FedProphet prices on its
   /// trainable backbone (its atom ranges index the cascade partition).
@@ -155,6 +162,11 @@ struct RoundStats {
   /// by RoundEngine::run_round around the scheduler; DESIGN.md §11).
   double round_wall_s = 0.0;
 };
+
+/// The order a dispatch group of `n` tasks starts training in: positions
+/// 0..n-1 of `tasks` by descending m.task_cost, ties in slot order.
+std::vector<std::size_t> start_order(const RoundMethod& m,
+                                     const TaskSpec* tasks, std::size_t n);
 
 class RoundScheduler;
 

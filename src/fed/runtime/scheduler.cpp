@@ -91,9 +91,12 @@ RoundStats SyncScheduler::run_round(RoundEngine& eng, RoundMethod& m,
         // time, apply order — is unchanged and the round is bit-identical.
         st.measured_comm_s += remote->run_group(m, tasks, begin, end, uploads);
       } else {
+        // Longest clients start first; uploads stay indexed by slot.
+        const std::vector<std::size_t> order =
+            start_order(m, tasks.data() + begin, end - begin);
         core::parallel_tasks(static_cast<std::int64_t>(end - begin),
                              [&](std::int64_t ti) {
-                               const auto i = static_cast<std::size_t>(ti);
+                               const std::size_t i = order[ti];
                                uploads[i] = eng.run_client(m, tasks[begin + i]);
                              });
       }
@@ -195,9 +198,11 @@ void AsyncScheduler::dispatch(RoundEngine& eng, RoundMethod& m, std::int64_t t,
     obs::PhaseTimer train_phase(obs::Phase::kTrain);
     FP_TRACE_SCOPE_ARG("dispatch", "engine", "count", count);
     m.begin_dispatch(tasks);
+    const std::vector<std::size_t> order =
+        start_order(m, tasks.data(), tasks.size());
     core::parallel_tasks(static_cast<std::int64_t>(tasks.size()),
                          [&](std::int64_t ti) {
-                           const auto i = static_cast<std::size_t>(ti);
+                           const std::size_t i = order[ti];
                            uploads[i] = eng.run_client(m, tasks[i]);
                          });
   }

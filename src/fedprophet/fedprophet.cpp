@@ -96,6 +96,28 @@ void FedProphet::rebuild_atom_slices() {
   }
 }
 
+std::size_t FedProphet::assigned_module_end(const fed::TaskSpec& task) const {
+  // Differentiated Module Assignment (Eq. 14/15).
+  if (task.has_device) {
+    const auto avail_mem = static_cast<std::int64_t>(
+        static_cast<double>(task.device.avail_mem_bytes) *
+        cfg2_.device_mem_scale);
+    return assign_modules(model_.spec(), cascade_.partition(), stage_,
+                          cfg2_.fl.batch_size, avail_mem,
+                          task.device.avail_flops, perf_min_, cfg2_.dma);
+  }
+  // No device pool: with DMA everyone is a prophet.
+  return cfg2_.dma ? cascade_.num_modules() : stage_ + 1;
+}
+
+double FedProphet::task_cost(const fed::TaskSpec& task) const {
+  const auto& modules = cascade_.partition().modules;
+  const auto& last = modules[assigned_module_end(task) - 1];
+  return static_cast<double>(sys::module_forward_macs(
+      model_.spec(), modules[stage_].begin, last.end, cfg2_.fl.batch_size,
+      /*with_aux_head=*/!last.is_last));
+}
+
 fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   const std::size_t num_modules = cascade_.num_modules();
   const std::size_t k = task.client;
@@ -106,20 +128,7 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
                                       build_rng);
   for (std::size_t j = stage_; j < num_modules; ++j)
     local_cascade.load_aux(j, broadcast_aux_[j]);
-
-  // Differentiated Module Assignment (Eq. 14/15).
-  std::size_t module_end = stage_ + 1;
-  if (task.has_device) {
-    const auto avail_mem = static_cast<std::int64_t>(
-        static_cast<double>(task.device.avail_mem_bytes) *
-        cfg2_.device_mem_scale);
-    module_end =
-        assign_modules(model_.spec(), cascade_.partition(), stage_,
-                       cfg2_.fl.batch_size, avail_mem, task.device.avail_flops,
-                       perf_min_, cfg2_.dma);
-  } else if (cfg2_.dma) {
-    module_end = num_modules;  // no device pool: everyone is a prophet
-  }
+  const std::size_t module_end = assigned_module_end(task);
 
   // Budget-aware execution (mem subsystem): plan the trained block's peak
   // against the budget bound to this dispatch and fall back to activation

@@ -89,6 +89,11 @@ class FedProphet final : public fed::FederatedAlgorithm {
   void apply_update(const fed::TaskSpec& task, fed::Upload&& up,
                     fed::ApplyMode mode, float mix) override;
   void finalize_round(std::int64_t t) override;
+  /// Forward MACs of the block DMA assigns the task (stage_ and perf_min_
+  /// travel in net_state, so a worker prices a task as its root would).
+  double task_cost(const fed::TaskSpec& task) const override;
+  /// One past the last module DMA assigns the task (Eq. 14/15).
+  std::size_t assigned_module_end(const fed::TaskSpec& task) const;
 
   // Distributed runtime (DESIGN.md §10): state = stage + eps + perf_min +
   // lr + the broadcast (model and live aux heads); the upload payload is

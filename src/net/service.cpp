@@ -139,10 +139,12 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
           // upload is staged as bytes right away, so decoded payloads never
           // pile up across the group.
           std::vector<std::vector<std::uint8_t>> staged(n);
+          const std::vector<std::size_t> order =
+              fed::start_order(algo, tasks.data(), n);
           const double t0 = obs::now_s();
           core::parallel_tasks(static_cast<std::int64_t>(n),
                                [&](std::int64_t ti) {
-                                 const auto i = static_cast<std::size_t>(ti);
+                                 const std::size_t i = order[ti];
                                  comm::CaptureScope capture;
                                  fed::Upload up =
                                      algo.engine().run_client(algo, tasks[i]);

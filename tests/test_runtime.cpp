@@ -350,6 +350,118 @@ TEST(AsyncScheduler, StalenessWeightsFollowFedAsyncDecay) {
   }
 }
 
+// Records the order clients start training and their uploads land in; a
+// client's predicted cost is a function of its slot.
+class OrderProbe final : public fed::RoundMethod {
+ public:
+  static constexpr double kCost[] = {1.0, 3.0, 2.0, 3.0, 1.0, 5.0};
+  void begin_dispatch(const std::vector<fed::TaskSpec>&) override {}
+  double task_cost(const fed::TaskSpec& task) const override {
+    return kCost[task.slot];
+  }
+  fed::Upload train_client(const fed::TaskSpec& task) override {
+    trained.push_back(task.slot);
+    fed::Upload up;
+    up.weight = task.weight;
+    up.work.atom_begin = 0;
+    up.work.atom_end = 1;
+    return up;
+  }
+  void apply_update(const fed::TaskSpec& task, fed::Upload&&, fed::ApplyMode,
+                    float) override {
+    applied.push_back(task.slot);
+  }
+  void finalize_round(std::int64_t) override {}
+  void net_state(comm::StateIO&) override {}
+  void net_upload(fed::Upload&, comm::StateIO&) override {}
+  std::vector<std::size_t> trained, applied;
+};
+
+TEST(RoundEngine, ClientsStartLongestFirstAndApplyInSlotOrder) {
+  // One thread starts the clients in exactly the order the pool hands them
+  // out: descending cost, ties (slots 1 and 3, 0 and 4) in slot order.
+  core::set_num_threads(1);
+  const auto data = tiny_data();
+  auto fl = tiny_fl();
+  fl.clients_per_round = 6;
+  const std::vector<std::size_t> longest_first = {5, 1, 3, 2, 0, 4};
+  {
+    auto env = tiny_env(data, fl);
+    fed::RoundEngine engine(env, fl);
+    OrderProbe probe;
+    engine.run_round(probe, 0);
+    EXPECT_EQ(probe.trained, longest_first);
+    EXPECT_EQ(probe.applied, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  }
+  {
+    // The async scheduler's first dispatch fills all six slots at once.
+    fl.scheduler = fed::SchedulerKind::kAsync;
+    auto env = tiny_env(data, fl);
+    fed::RoundEngine engine(env, fl);
+    OrderProbe probe;
+    engine.run_round(probe, 0);
+    ASSERT_GE(probe.trained.size(), 6u);
+    EXPECT_EQ(std::vector<std::size_t>(probe.trained.begin(),
+                                       probe.trained.begin() + 6),
+              longest_first);
+  }
+}
+
+// FedProphet with paper-scale device memory on the tiny model: memory never
+// binds, so DMA's compute budget (Eq. 15) hands fast clients longer blocks
+// and a cohort's clients differ in cost.
+fedprophet::FedProphetConfig prophet_dma_config(const fed::FlConfig& fl) {
+  fedprophet::FedProphetConfig cfg;
+  cfg.fl = fl;
+  cfg.model_spec = models::tiny_vgg_spec(16, 4, 4);
+  cfg.rmin_bytes = sys::module_train_mem_bytes(cfg.model_spec, 0,
+                                               cfg.model_spec.atoms.size(),
+                                               fl.batch_size, false) /
+                   3;
+  cfg.rounds_per_module = 2;
+  cfg.eval_every = 2;
+  cfg.val_samples = 32;
+  cfg.device_mem_scale = 1.0;
+  return cfg;
+}
+
+// Captured before clients started longest first (every cohort in slot
+// order); the start order must not move a byte.
+constexpr std::uint64_t kFpDmaGoldenHash = 0x498f0d249d786595ull;
+
+TEST(SyncScheduler, FedProphetDmaKeepsGoldenLongestFirst) {
+  const auto data = tiny_data();
+  const auto fl = tiny_fl();
+  for (const int threads : {1, 4}) {
+    core::set_num_threads(threads);
+    auto env = tiny_env(data, fl);
+    fedprophet::FedProphet algo(env, prophet_dma_config(fl));
+    algo.train();
+    EXPECT_EQ(fnv1a(algo.global_model().save_all()), kFpDmaGoldenHash)
+        << "at " << threads << " threads";
+  }
+  core::set_num_threads(1);
+}
+
+TEST(RoundEngine, FedProphetDmaCohortHasUnequalCosts) {
+  // The golden above only exercises the start order if some cohort's
+  // clients differ in cost.
+  const auto data = tiny_data();
+  const auto fl = tiny_fl();
+  auto env = tiny_env(data, fl);
+  fedprophet::FedProphet algo(env, prophet_dma_config(fl));
+  fed::RoundMethod& method = algo;
+  bool unequal = false;
+  for (std::int64_t t = 0; t < 4 && !unequal; ++t) {
+    const auto tasks = algo.engine().sample_tasks(t, fl.clients_per_round);
+    method.begin_dispatch(tasks);
+    for (const auto& task : tasks)
+      unequal = unequal ||
+                method.task_cost(task) != method.task_cost(tasks.front());
+  }
+  EXPECT_TRUE(unequal);
+}
+
 TEST(RoundEngine, PersistentDeviceBindingKeepsClientOnItsDevice) {
   const auto data = tiny_data();
   const auto fl = tiny_fl();
