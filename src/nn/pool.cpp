@@ -1,7 +1,9 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 
@@ -136,9 +138,33 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
   if (cached_shape_.empty()) throw std::logic_error("MaxPool2d::backward before forward");
+  if (grad_out.numel() != static_cast<std::int64_t>(cached_argmax_.size()))
+    throw std::invalid_argument("MaxPool2d::backward: grad " +
+                                grad_out.shape_str() + " vs " +
+                                std::to_string(cached_argmax_.size()) +
+                                " pooled outputs");
   FP_TRACE_KERNEL("maxpool_bwd", "batch", cached_shape_[0]);
-  Tensor grad_in(cached_shape_);
+  const std::int64_t h = cached_shape_[2], w = cached_shape_[3];
   const float* go = grad_out.data();
+  if (kernel_ == 2 && stride_ == 2 && h % 2 == 0 && w % 2 == 0) {
+    // The windows tile the plane, so each input pixel has exactly one, and
+    // output rows [r0, r1) cover input rows [2 r0, 2 r1). One pass clears
+    // ~8 KB of input rows at a time and writes 0.0f + go at each of their
+    // windows' argmax while they are in L1: the sum the zero-fill and
+    // scatter-add below give, -0 included.
+    Tensor grad_in(cached_shape_, Tensor::Uninit{});
+    float* gi = grad_in.data();
+    const std::int64_t ow = w / 2, out_rows = grad_out.numel() / ow;
+    const std::int64_t step = std::max<std::int64_t>(1, 1024 / w);
+    for (std::int64_t r0 = 0; r0 < out_rows; r0 += step) {
+      const std::int64_t r1 = std::min(out_rows, r0 + step);
+      std::fill(gi + 2 * r0 * w, gi + 2 * r1 * w, 0.0f);
+      for (std::int64_t o = r0 * ow; o < r1 * ow; ++o)
+        gi[cached_argmax_[static_cast<std::size_t>(o)]] = 0.0f + go[o];
+    }
+    return grad_in;
+  }
+  Tensor grad_in(cached_shape_);
   float* gi = grad_in.data();
   for (std::int64_t i = 0; i < grad_out.numel(); ++i)
     gi[cached_argmax_[static_cast<std::size_t>(i)]] += go[i];

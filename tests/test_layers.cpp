@@ -702,6 +702,41 @@ TEST(NormActPoolParity, MaxPoolMatchesScalarOracle) {
         }
 }
 
+TEST(MaxPool2d, TiledBackwardMatchesTheScatter) {
+  // When 2x2/2 windows tile the plane, backward writes every input pixel
+  // once: 0.0f + go at the argmax, as the zero-fill and scatter-add gives
+  // it (-0 becomes +0, NaN and denormals pass), and 0 elsewhere.
+  Rng rng(45);
+  for (const auto& [h, w] : {std::pair<std::int64_t, std::int64_t>{2, 2},
+                             {4, 6},
+                             {8, 8},
+                             {32, 34}}) {
+    Tensor x({3, 5, h, w});
+    for (auto& v : x.span()) v = std::round(rng.gaussian(0.0f, 2.0f)) / 2.0f;
+    nn::MaxPool2d pool(2);
+    const Tensor y = pool.forward(x, true);
+    std::vector<std::int64_t> argmax;
+    max_pool_oracle(x, 2, 2, argmax);
+    Tensor go(y.shape());
+    const float specials[] = {-0.0f, 0.0f, kNaN, kDenormal, -kInf, -1.5f};
+    for (std::int64_t i = 0; i < go.numel(); ++i)
+      go[i] = i % 3 == 0 ? specials[(i / 3) % 6] : static_cast<float>(i);
+    Tensor want(x.shape());
+    for (std::int64_t i = 0; i < go.numel(); ++i)
+      want[argmax[static_cast<std::size_t>(i)]] += go[i];
+    EXPECT_TRUE(bytes_equal(pool.backward(go), want)) << x.shape_str();
+  }
+}
+
+TEST(MaxPool2d, BackwardRejectsAGradientOfTheWrongSize) {
+  // A larger grad_out would index past the cached argmax.
+  nn::MaxPool2d pool(2);
+  const Tensor y = pool.forward(Tensor({1, 2, 4, 4}), true);
+  EXPECT_THROW(pool.backward(Tensor({1, 2, 2, 3})), std::invalid_argument);
+  EXPECT_THROW(pool.backward(Tensor({2, 2, 2, 2})), std::invalid_argument);
+  EXPECT_EQ(pool.backward(Tensor(y.shape())).shape(), (std::vector<std::int64_t>{1, 2, 4, 4}));
+}
+
 TEST(MaxPool2d, WindowWithoutAMaximumRoutesGradientIntoItself) {
   // A window whose taps are all -inf or NaN never beats the initial -inf;
   // its gradient must stay inside the window (on its first tap), not land
@@ -733,7 +768,8 @@ TEST(MaxPool2d, WindowWithoutAMaximumRoutesGradientIntoItself) {
 
 TEST(UninitOutputs, PoisonedArenaGivesTheBytesOfAFreshScope) {
   // Outputs a kernel overwrites in full (Conv2d forward; BatchNorm xhat,
-  // out and grad_in; ReLU mask, out and grad_in; max-pool out) are not
+  // out and grad_in; ReLU mask, out and grad_in; max-pool out, and its
+  // grad_in when 2x2/2 windows tile the plane) are not
   // zero-filled. Run every layer's forward and backward over an arena slab
   // whose bytes are NaN and compare with a fresh scope.
   Rng rng(43);
