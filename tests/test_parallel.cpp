@@ -103,8 +103,9 @@ TEST_F(PoolExceptions, RegionAfterAThrowStillRunsChunked) {
 }
 
 TEST_F(PoolExceptions, NoTaskStartsAfterAFailure) {
-  // Index 0 fails at once; tasks claimed after it are skipped, so far fewer
-  // than all 1000 sleeping tasks run.
+  // Index 0 fails at once; tasks claimed after that are skipped, and none
+  // runs once the region has returned, so the count stays far below the
+  // 1000 sleeping tasks.
   std::atomic<int> ran{0};
   EXPECT_THROW(core::parallel_tasks(1000,
                                     [&](std::int64_t i) {
@@ -114,7 +115,10 @@ TEST_F(PoolExceptions, NoTaskStartsAfterAFailure) {
                                           std::chrono::milliseconds(1));
                                     }),
                std::runtime_error);
-  EXPECT_LT(ran.load(), 1000);
+  const int at_return = ran.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(ran.load(), at_return) << "tasks ran after the region returned";
+  EXPECT_LT(at_return, 100);
 }
 
 TEST(PoolExceptionsInline, LowestIndexOfASerialRegionWins) {
