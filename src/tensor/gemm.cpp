@@ -8,10 +8,11 @@
 //         for jr in NC by NR   -- micro-panel of packed B
 //           for ir in MC by MR -- micro-panel of packed A -> MRxNR microkernel
 //
-// Packing folds the four transpose variants into one kernel: op(A)/op(B)
-// element access happens only in pack_a/pack_b, and the microkernel always
-// consumes the same micro-panel layout: mr floats of A and nr floats of B
-// per k step, B's rows `ldb` apart.
+// Packing folds the four transpose variants into one kernel: op(A) element
+// access happens only in pack_a, op(B)'s in pack_b (or, read in place, in
+// the kernel), and the microkernel always consumes the same micro-panel
+// layout: mr floats of A and nr floats of B per k step, B's rows `ldb`
+// apart.
 //
 // When op(A) has few micro-rows (the conv forward, M = C_out), each packed
 // B panel would feed only a handful of microkernel calls, so the copy costs
