@@ -153,7 +153,7 @@ TEST(SyncScheduler, RegistryDrivenJFatMatchesPreRefactorGolden) {
   EXPECT_EQ(run.algo->sim_time().access_s, kJfatGoldenAccess);
 }
 
-TEST(SyncScheduler, RegistryDrivenFedProphetMatchesPreRefactorGolden) {
+exp::ExperimentSpec tiny_fedprophet_spec() {
   auto spec = tiny_exp_spec("FedProphet");
   const auto model = models::tiny_vgg_spec(16, 4, 4);
   const auto full = sys::module_train_mem_bytes(model, 0, model.atoms.size(),
@@ -164,7 +164,11 @@ TEST(SyncScheduler, RegistryDrivenFedProphetMatchesPreRefactorGolden) {
   spec.fp_val_samples = 32;
   spec.device_mem_scale =
       static_cast<double>(full) / (2.0 * static_cast<double>(1ull << 30));
-  auto setup = exp::build_setup(spec);
+  return spec;
+}
+
+TEST(SyncScheduler, RegistryDrivenFedProphetMatchesPreRefactorGolden) {
+  auto setup = exp::build_setup(tiny_fedprophet_spec());
   exp::MethodRun run = exp::method_registry().resolve("FedProphet")(setup);
   run.train();
   EXPECT_EQ(fnv1a(run.algo->global_model().save_all()), kFpGoldenHash)
@@ -228,6 +232,38 @@ TEST(SyncScheduler, RegistryDrivenBaselinesMatchGoldens) {
     EXPECT_EQ(fnv1a(run.algo->global_model().save_all()), g.hash) << cell;
     EXPECT_EQ(run.algo->sim_time().compute_s, g.compute_s) << cell;
     EXPECT_EQ(run.algo->sim_time().access_s, g.access_s) << cell;
+  }
+}
+
+// FedProphet off the identity wire and the sync scheduler: top-k atom and
+// aux-head uplinks delta-coded against their broadcast slices, async
+// refills blended into the current atoms, and int8 with a coded downlink.
+// The distributed equivalence tests compare two runs of the same code, so
+// these pins are what fixes the delta references and the blend path.
+struct FedProphetWireGolden {
+  const char* overrides;
+  std::uint64_t hash;
+  double compute_s;
+};
+
+constexpr FedProphetWireGolden kFedProphetWireGoldens[] = {
+    {"comm.codec=topk", 0x189089faa166c553ull, 0.0017925484216189708},
+    {"fl.scheduler=async", 0x8206fea2e687a1c8ull, 7.6124993662107733e-05},
+    {"comm.codec=int8 comm.compress_downlink=true", 0x6ae83a95ca79837dull,
+     0.0017925484216189708},
+};
+
+TEST(SyncScheduler, RegistryDrivenFedProphetOffTheIdentityWireMatchesGoldens) {
+  for (const FedProphetWireGolden& g : kFedProphetWireGoldens) {
+    auto spec = tiny_fedprophet_spec();
+    std::istringstream extra(g.overrides);
+    for (std::string kv; extra >> kv;) exp::apply_override(spec, kv);
+    auto setup = exp::build_setup(spec);
+    exp::MethodRun run = exp::method_registry().resolve("FedProphet")(setup);
+    run.train();
+    EXPECT_EQ(fnv1a(run.algo->global_model().save_all()), g.hash)
+        << g.overrides;
+    EXPECT_EQ(run.algo->sim_time().compute_s, g.compute_s) << g.overrides;
   }
 }
 
