@@ -649,10 +649,11 @@ void BM_PartialAverage(benchmark::State& state) {
   const auto spec = models::tiny_vgg_spec(16, 10, 8);
   models::BuiltModel global(spec, rng), trained(spec, rng);
   fed::PartialAccumulator acc(global);
+  const nn::ParamBlob upload = trained.save_all();
   for (auto _ : state) {
     acc.reset();
     for (std::size_t a = 0; a < global.num_atoms(); ++a)
-      acc.add_dense_atom(trained, a, 1.0f);
+      acc.add_dense_atom_blob(a, trained.atom_view(upload, a), 1.0f);
     acc.finalize_into(global);
     benchmark::DoNotOptimize(global.save_atom(0).data());
   }

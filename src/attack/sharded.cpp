@@ -123,9 +123,7 @@ std::vector<std::unique_ptr<models::BuiltModel>> eval_replicas(
   const int bank = model.active_bn_bank();
   const sys::ModelSpec& spec = model.spec();
   run_shards(count, [&](std::size_t i) {
-    Rng build_rng(0);  // replica init is overwritten by the blob
-    auto replica = std::make_unique<models::BuiltModel>(spec, build_rng);
-    replica->load_all(blob);
+    auto replica = std::make_unique<models::BuiltModel>(spec, blob);
     replica->use_bn_bank(bank);
     replicas[i] = std::move(replica);
   });

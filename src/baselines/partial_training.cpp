@@ -114,9 +114,7 @@ void PartialTrainingFAT::draw_plans() {
 
 fed::Upload PartialTrainingFAT::train_client(const fed::TaskSpec& task) {
   const std::size_t slot = task.slot;
-  Rng build_rng(0);  // replica init is overwritten by the broadcast slice
-  models::BuiltModel sliced(plans_[slot].sliced_spec, build_rng);
-  sliced.load_all(broadcast_[slot]);
+  models::BuiltModel sliced(plans_[slot].sliced_spec, broadcast_[slot]);
 
   fed::Upload up;
   up.bytes_down = broadcast_bytes_[slot];
@@ -145,7 +143,7 @@ fed::Upload PartialTrainingFAT::train_client(const fed::TaskSpec& task) {
   // Delta codecs reference the slice both ends hold.
   up.payload = Payload{slot, plans_[slot],
                        engine().channel().uplink(sliced.save_all(),
-                                                 &broadcast_[slot],
+                                                 broadcast_[slot],
                                                  &up.bytes_up)};
   return up;
 }
@@ -196,7 +194,7 @@ void PartialTrainingFAT::net_upload(fed::Upload& up, comm::StateIO& io) {
                              std::to_string(p.slot) + " of " +
                              std::to_string(plans_.size()));
   if (io.reading()) p.plan = plans_[p.slot];
-  io.msg(p.blob, &broadcast_[p.slot]);
+  io.msg(p.blob, broadcast_[p.slot]);
 }
 
 void PartialTrainingFAT::apply_update(const fed::TaskSpec& /*task*/,
@@ -208,7 +206,7 @@ void PartialTrainingFAT::apply_update(const fed::TaskSpec& /*task*/,
     // Elements inside the slice land as (1-mix)*old + mix*new; elements the
     // client never trained cancel to their previous value on finalize.
     for (std::size_t a = 0; a < model_.num_atoms(); ++a)
-      acc_.add_dense_atom(model_, a, 1.0f - mix);
+      acc_.add_dense_atom_blob(a, model_.save_atom(a), 1.0f - mix);
     weight = mix;
   }
   acc_.add_sliced(p.plan, model_, p.blob, weight);

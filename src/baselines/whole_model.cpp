@@ -107,9 +107,7 @@ void WholeModelFAT::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
 fed::Upload WholeModelFAT::train_client(const fed::TaskSpec& task) {
   const ClientPlan p = plan(task);
   const sys::ModelSpec& spec = wcfg_.family[p.arch];
-  Rng build_rng(0);  // replica init is overwritten by the broadcast blob
-  models::BuiltModel local(spec, build_rng);
-  local.load_all(broadcast_[p.arch]);
+  models::BuiltModel local(spec, broadcast_[p.arch]);
 
   fed::Upload up;
   up.weight = task.weight;
@@ -144,7 +142,7 @@ fed::Upload WholeModelFAT::train_client(const fed::TaskSpec& task) {
   // Uplink through the engine's channel: the server aggregates the update as
   // the codec decodes it (delta codecs reference the broadcast both ends hold).
   up.payload = Payload{p.arch, engine().channel().uplink(local.save_all(),
-                                                         &broadcast_[p.arch],
+                                                         broadcast_[p.arch],
                                                          &up.bytes_up)};
   return up;
 }
@@ -169,7 +167,7 @@ void WholeModelFAT::net_upload(fed::Upload& up, comm::StateIO& io) {
     throw std::runtime_error(name() + ": upload for architecture " +
                              std::to_string(p.arch) + " of " +
                              std::to_string(broadcast_.size()));
-  io.msg(p.blob, &broadcast_[p.arch]);
+  io.msg(p.blob, broadcast_[p.arch]);
 }
 
 void WholeModelFAT::apply_update(const fed::TaskSpec& /*task*/,

@@ -41,32 +41,6 @@ Tensor CascadeState::prefix_backward(std::size_t m, std::size_t begin_from,
   return model_->backward_range(begin_from, mod.end, g);
 }
 
-nn::ParamBlob CascadeState::save_module(std::size_t m) {
-  const auto& mod = partition_.modules.at(m);
-  nn::ParamBlob blob;
-  for (std::size_t a = mod.begin; a < mod.end; ++a) {
-    const auto piece = model_->save_atom(a);
-    blob.insert(blob.end(), piece.begin(), piece.end());
-  }
-  return blob;
-}
-
-void CascadeState::load_module(std::size_t m, const nn::ParamBlob& blob) {
-  const auto& mod = partition_.modules.at(m);
-  std::size_t offset = 0;
-  for (std::size_t a = mod.begin; a < mod.end; ++a) {
-    const std::size_t n = model_->save_atom(a).size();
-    if (offset + n > blob.size())
-      throw std::invalid_argument("load_module: blob too small");
-    nn::ParamBlob piece(blob.begin() + static_cast<std::ptrdiff_t>(offset),
-                        blob.begin() + static_cast<std::ptrdiff_t>(offset + n));
-    model_->load_atom(a, piece);
-    offset += n;
-  }
-  if (offset != blob.size())
-    throw std::invalid_argument("load_module: blob size mismatch");
-}
-
 nn::ParamBlob CascadeState::save_aux(std::size_t m) {
   if (!aux_heads_.at(m)) return {};
   return nn::save_blob(*aux_heads_[m]);

@@ -33,9 +33,7 @@ class CascadeState {
   Tensor prefix_backward(std::size_t m, std::size_t begin_from,
                          const Tensor& grad_logits);
 
-  /// Wire blobs of module m (its atoms, concatenated) and of its aux head.
-  nn::ParamBlob save_module(std::size_t m);
-  void load_module(std::size_t m, const nn::ParamBlob& blob);
+  /// Wire blob of module m's aux head (empty for the last module).
   nn::ParamBlob save_aux(std::size_t m);
   void load_aux(std::size_t m, const nn::ParamBlob& blob);
 

@@ -14,8 +14,8 @@ thread_local CaptureScope* g_capture = nullptr;
 
 /// Decodes any message by its own codec kind — messages are self-describing,
 /// so the receiver needs no channel or codec agreement. `ref` must be the
-/// reference blob the encoder used (nullptr for none).
-nn::ParamBlob decode(const WireMessage& msg, const nn::ParamBlob* ref) {
+/// reference blob the encoder used (empty for none).
+nn::ParamBlob decode(const WireMessage& msg, std::span<const float> ref) {
   obs::PhaseTimer encode_phase(obs::Phase::kEncode);
   FP_TRACE_SCOPE("decode", "comm");
   switch (msg.kind) {
@@ -49,11 +49,11 @@ nn::ParamBlob Channel::downlink(nn::ParamBlob blob,
   const bool dense = !cfg_.compress_downlink ||
                      codec_->kind() == CodecKind::kIdentity ||
                      codec_->kind() == CodecKind::kTopK;
-  return transfer(dense ? nullptr : codec_.get(), std::move(blob), nullptr,
+  return transfer(dense ? nullptr : codec_.get(), std::move(blob), {},
                   wire_bytes);
 }
 
-nn::ParamBlob Channel::uplink(nn::ParamBlob blob, const nn::ParamBlob* ref,
+nn::ParamBlob Channel::uplink(nn::ParamBlob blob, std::span<const float> ref,
                               std::int64_t* wire_bytes) const {
   obs::PhaseTimer encode_phase(obs::Phase::kEncode);
   FP_TRACE_SCOPE_ARG("uplink", "comm", "floats",
@@ -64,7 +64,7 @@ nn::ParamBlob Channel::uplink(nn::ParamBlob blob, const nn::ParamBlob* ref,
 }
 
 nn::ParamBlob Channel::transfer(const BlobCodec* codec, nn::ParamBlob blob,
-                                const nn::ParamBlob* ref,
+                                std::span<const float> ref,
                                 std::int64_t* wire_bytes) {
   if (g_capture) {
     WireMessage msg =
@@ -120,7 +120,7 @@ void StateIO::operator()(std::uint64_t& v) {
     out_->u64(v);
 }
 
-void StateIO::msg(nn::ParamBlob& blob, const nn::ParamBlob* ref) {
+void StateIO::msg(nn::ParamBlob& blob, std::span<const float> ref) {
   if (in_) {
     blob = decode(in_->wire_msg(), ref);
     return;

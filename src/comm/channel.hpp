@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "comm/codec.hpp"
@@ -63,10 +64,10 @@ class Channel {
 
   /// Client->server upload: returns the blob as the server decodes it and
   /// adds the framed wire size to *wire_bytes (if given). `ref` is the blob
-  /// both ends already share (the broadcast the client trained from); TopK
-  /// delta selection measures magnitudes against it and fills unsent
-  /// coordinates from it.
-  nn::ParamBlob uplink(nn::ParamBlob blob, const nn::ParamBlob* ref,
+  /// both ends already share (the broadcast the client trained from, empty
+  /// for none); TopK delta selection measures magnitudes against it and
+  /// fills unsent coordinates from it.
+  nn::ParamBlob uplink(nn::ParamBlob blob, std::span<const float> ref,
                        std::int64_t* wire_bytes) const;
 
  private:
@@ -74,7 +75,7 @@ class Channel {
   /// a CaptureScope bound it records the encoded message and returns what
   /// the receiver decodes from it: the same bits and bytes as the fused path.
   static nn::ParamBlob transfer(const BlobCodec* codec, nn::ParamBlob blob,
-                                const nn::ParamBlob* ref,
+                                std::span<const float> ref,
                                 std::int64_t* wire_bytes);
 
   CommConfig cfg_;
@@ -106,8 +107,8 @@ class StateIO {
 
   /// A blob that crossed the channel: the sending end emits the next
   /// captured message (which must encode blob.size() elements); the
-  /// receiving end decodes it against `ref` into `blob`.
-  void msg(nn::ParamBlob& blob, const nn::ParamBlob* ref = nullptr);
+  /// receiving end decodes it against `ref` (empty for none) into `blob`.
+  void msg(nn::ParamBlob& blob, std::span<const float> ref = {});
 
   /// Sending end: throws unless every captured message was emitted.
   void finish() const;

@@ -105,7 +105,7 @@ float half_to_float(std::uint16_t half) {
 // ---- IdentityCodec ----------------------------------------------------------
 
 WireMessage IdentityCodec::encode(const nn::ParamBlob& blob,
-                                  const nn::ParamBlob* /*ref*/) const {
+                                  std::span<const float> /*ref*/) const {
   WireMessage msg;
   msg.kind = CodecKind::kIdentity;
   msg.num_elems = blob.size();
@@ -116,7 +116,7 @@ WireMessage IdentityCodec::encode(const nn::ParamBlob& blob,
 }
 
 nn::ParamBlob IdentityCodec::decode(const WireMessage& msg,
-                                    const nn::ParamBlob* /*ref*/) const {
+                                    std::span<const float> /*ref*/) const {
   check_kind(msg, CodecKind::kIdentity);
   nn::ParamBlob blob(msg.num_elems);
   if (msg.payload.size() != blob.size() * sizeof(float))
@@ -129,7 +129,7 @@ nn::ParamBlob IdentityCodec::decode(const WireMessage& msg,
 // ---- Fp16Codec --------------------------------------------------------------
 
 WireMessage Fp16Codec::encode(const nn::ParamBlob& blob,
-                              const nn::ParamBlob* /*ref*/) const {
+                              std::span<const float> /*ref*/) const {
   WireMessage msg;
   msg.kind = CodecKind::kFp16;
   msg.num_elems = blob.size();
@@ -140,7 +140,7 @@ WireMessage Fp16Codec::encode(const nn::ParamBlob& blob,
 }
 
 nn::ParamBlob Fp16Codec::decode(const WireMessage& msg,
-                                const nn::ParamBlob* /*ref*/) const {
+                                std::span<const float> /*ref*/) const {
   check_kind(msg, CodecKind::kFp16);
   if (msg.payload.size() != msg.num_elems * sizeof(std::uint16_t))
     throw std::invalid_argument("Fp16Codec: payload size mismatch");
@@ -163,7 +163,7 @@ double Int8Codec::grid_step(const nn::ParamBlob& blob) {
 }
 
 WireMessage Int8Codec::encode(const nn::ParamBlob& blob,
-                              const nn::ParamBlob* /*ref*/) const {
+                              std::span<const float> /*ref*/) const {
   WireMessage msg;
   msg.kind = CodecKind::kInt8;
   msg.num_elems = blob.size();
@@ -182,7 +182,7 @@ WireMessage Int8Codec::encode(const nn::ParamBlob& blob,
 }
 
 nn::ParamBlob Int8Codec::decode(const WireMessage& msg,
-                                const nn::ParamBlob* /*ref*/) const {
+                                std::span<const float> /*ref*/) const {
   check_kind(msg, CodecKind::kInt8);
   nn::ParamBlob blob(msg.num_elems);
   if (blob.empty()) return blob;
@@ -207,9 +207,9 @@ std::size_t TopKCodec::kept_count(std::size_t n) const {
 }
 
 WireMessage TopKCodec::encode(const nn::ParamBlob& blob,
-                              const nn::ParamBlob* ref) const {
-  const bool use_delta = delta_ && ref != nullptr;
-  if (use_delta && ref->size() != blob.size())
+                              std::span<const float> ref) const {
+  const bool use_delta = delta_ && !ref.empty();
+  if (use_delta && ref.size() != blob.size())
     throw std::invalid_argument("TopKCodec: reference size mismatch");
   if (blob.size() > 0xffffffffull)
     throw std::invalid_argument("TopKCodec: blob too large for u32 indices");
@@ -225,7 +225,7 @@ WireMessage TopKCodec::encode(const nn::ParamBlob& blob,
   // break toward the lower index so the selection is a pure function of the
   // inputs (deterministic at any thread count).
   auto magnitude = [&](std::size_t i) {
-    const float v = use_delta ? blob[i] - (*ref)[i] : blob[i];
+    const float v = use_delta ? blob[i] - ref[i] : blob[i];
     return std::fabs(v);
   };
   std::vector<std::uint32_t> idx(blob.size());
@@ -251,15 +251,16 @@ WireMessage TopKCodec::encode(const nn::ParamBlob& blob,
 }
 
 nn::ParamBlob TopKCodec::decode(const WireMessage& msg,
-                                const nn::ParamBlob* ref) const {
+                                std::span<const float> ref) const {
   check_kind(msg, CodecKind::kTopK);
   if (msg.payload.size() % (sizeof(std::uint32_t) + sizeof(float)) != 0)
     throw std::invalid_argument("TopKCodec: payload size mismatch");
   nn::ParamBlob blob;
   if (msg.delta) {
-    if (ref == nullptr || ref->size() != msg.num_elems)
+    if (ref.size() != msg.num_elems)
       throw std::invalid_argument("TopKCodec: delta message needs reference");
-    blob = *ref;  // unsent coordinates keep the reference value
+    // Unsent coordinates keep the reference value.
+    blob.assign(ref.begin(), ref.end());
   } else {
     blob.assign(msg.num_elems, 0.0f);  // unsent coordinates densify to zero
   }

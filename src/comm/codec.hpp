@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/serialize.hpp"
@@ -74,41 +75,42 @@ class BlobCodec {
   const char* name() const { return codec_name(kind()); }
 
   /// Encodes `blob`. `ref` is the receiver-known reference blob (the
-  /// broadcast a client trained from); only TopK delta selection uses it.
+  /// broadcast a client trained from), empty for none; only TopK delta
+  /// selection uses it.
   virtual WireMessage encode(const nn::ParamBlob& blob,
-                             const nn::ParamBlob* ref = nullptr) const = 0;
+                             std::span<const float> ref = {}) const = 0;
 
   /// Decodes back to a dense blob. `ref` must be the same reference passed
   /// to encode (TopK delta messages fill unsent coordinates from it).
   virtual nn::ParamBlob decode(const WireMessage& msg,
-                               const nn::ParamBlob* ref = nullptr) const = 0;
+                               std::span<const float> ref = {}) const = 0;
 };
 
 class IdentityCodec final : public BlobCodec {
  public:
   CodecKind kind() const override { return CodecKind::kIdentity; }
   WireMessage encode(const nn::ParamBlob& blob,
-                     const nn::ParamBlob* ref = nullptr) const override;
+                     std::span<const float> ref = {}) const override;
   nn::ParamBlob decode(const WireMessage& msg,
-                       const nn::ParamBlob* ref = nullptr) const override;
+                       std::span<const float> ref = {}) const override;
 };
 
 class Fp16Codec final : public BlobCodec {
  public:
   CodecKind kind() const override { return CodecKind::kFp16; }
   WireMessage encode(const nn::ParamBlob& blob,
-                     const nn::ParamBlob* ref = nullptr) const override;
+                     std::span<const float> ref = {}) const override;
   nn::ParamBlob decode(const WireMessage& msg,
-                       const nn::ParamBlob* ref = nullptr) const override;
+                       std::span<const float> ref = {}) const override;
 };
 
 class Int8Codec final : public BlobCodec {
  public:
   CodecKind kind() const override { return CodecKind::kInt8; }
   WireMessage encode(const nn::ParamBlob& blob,
-                     const nn::ParamBlob* ref = nullptr) const override;
+                     std::span<const float> ref = {}) const override;
   nn::ParamBlob decode(const WireMessage& msg,
-                       const nn::ParamBlob* ref = nullptr) const override;
+                       std::span<const float> ref = {}) const override;
 
   /// The quantization grid step encode would use: (max - min) / 255. The
   /// max elementwise round-trip error is half of this.
@@ -122,9 +124,9 @@ class TopKCodec final : public BlobCodec {
 
   CodecKind kind() const override { return CodecKind::kTopK; }
   WireMessage encode(const nn::ParamBlob& blob,
-                     const nn::ParamBlob* ref = nullptr) const override;
+                     std::span<const float> ref = {}) const override;
   nn::ParamBlob decode(const WireMessage& msg,
-                       const nn::ParamBlob* ref = nullptr) const override;
+                       std::span<const float> ref = {}) const override;
 
   std::size_t kept_count(std::size_t n) const;
 

@@ -22,19 +22,11 @@ void BlobAverager::reset() {
   total_weight_ = 0.0f;
 }
 
-namespace {
-std::vector<Tensor*> atom_tensors(nn::Layer& atom) {
-  auto out = atom.parameters();
-  for (auto* b : atom.buffers()) out.push_back(b);
-  return out;
-}
-}  // namespace
-
 PartialAccumulator::PartialAccumulator(models::BuiltModel& global) {
   acc_.resize(global.num_atoms());
   count_.resize(global.num_atoms());
   for (std::size_t a = 0; a < global.num_atoms(); ++a) {
-    for (auto* t : atom_tensors(global.atom(a))) {
+    for (auto* t : nn::state_tensors(global.atom(a))) {
       acc_[a].emplace_back(t->shape());
       count_[a].emplace_back(t->shape());
     }
@@ -48,19 +40,8 @@ void PartialAccumulator::reset() {
     for (auto& t : atom) t.zero_();
 }
 
-void PartialAccumulator::add_dense_atom(models::BuiltModel& trained,
-                                        std::size_t atom, float weight) {
-  const auto tensors = atom_tensors(trained.atom(atom));
-  if (tensors.size() != acc_[atom].size())
-    throw std::logic_error("add_dense_atom: tensor count mismatch");
-  for (std::size_t i = 0; i < tensors.size(); ++i) {
-    acc_[atom][i].add_scaled_(*tensors[i], weight);
-    count_[atom][i].add_scalar_(weight);
-  }
-}
-
 void PartialAccumulator::add_dense_atom_blob(std::size_t atom,
-                                             const nn::ParamBlob& blob,
+                                             std::span<const float> blob,
                                              float weight) {
   std::size_t offset = 0;
   for (std::size_t i = 0; i < acc_[atom].size(); ++i) {
@@ -85,7 +66,7 @@ void PartialAccumulator::add_sliced(const models::SlicePlan& plan,
 
 void PartialAccumulator::finalize_into(models::BuiltModel& global) {
   for (std::size_t a = 0; a < global.num_atoms(); ++a) {
-    const auto tensors = atom_tensors(global.atom(a));
+    const auto tensors = nn::state_tensors(global.atom(a));
     for (std::size_t i = 0; i < tensors.size(); ++i) {
       Tensor& target = *tensors[i];
       const Tensor& acc = acc_[a][i];

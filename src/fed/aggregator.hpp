@@ -35,13 +35,11 @@ class PartialAccumulator {
 
   void reset();
 
-  /// Adds a full-width trained copy of atom `atom` (same architecture).
-  void add_dense_atom(models::BuiltModel& trained, std::size_t atom, float weight);
-
-  /// Same, from the atom's wire blob (save_atom format: parameters then
-  /// buffers). Lets parallel client workers upload blobs that the server
-  /// accumulates in deterministic client order.
-  void add_dense_atom_blob(std::size_t atom, const nn::ParamBlob& blob,
+  /// Adds a full-width trained copy of atom `atom` (same architecture),
+  /// given as its wire blob (save_atom format: parameters then buffers).
+  /// Lets parallel client workers upload blobs that the server accumulates
+  /// in deterministic client order.
+  void add_dense_atom_blob(std::size_t atom, std::span<const float> blob,
                            float weight);
 
   /// Adds a channel-sliced trained sub-model, given as its save_all blob;

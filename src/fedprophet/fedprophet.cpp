@@ -24,9 +24,6 @@ FedProphet::FedProphet(fed::FedEnv& env, FedProphetConfig cfg)
       acc_(model_) {
   acc_.reset();
   aux_acc_.resize(cascade_.num_modules());
-  atom_blob_elems_.reserve(model_.num_atoms());
-  for (std::size_t a = 0; a < model_.num_atoms(); ++a)
-    atom_blob_elems_.push_back(model_.save_atom(a).size());
 }
 
 data::BatchIterator& FedProphet::client_batches(std::size_t k) {
@@ -80,19 +77,6 @@ void FedProphet::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
     for (std::size_t j = stage_; j < num_modules; ++j)
       broadcast_aux_[j] =
           channel.downlink(cascade_.save_aux(j), &broadcast_bytes_);
-    rebuild_atom_slices();
-  }
-}
-
-void FedProphet::rebuild_atom_slices() {
-  // Per-atom slices of the broadcast (save_all concatenates atom blobs in
-  // order): the reference both ends share for delta-coded atom uplinks.
-  broadcast_atoms_.resize(atom_blob_elems_.size());
-  std::size_t off = 0;
-  for (std::size_t a = 0; a < atom_blob_elems_.size(); ++a) {
-    broadcast_atoms_[a].assign(broadcast_.begin() + off,
-                               broadcast_.begin() + off + atom_blob_elems_[a]);
-    off += atom_blob_elems_[a];
   }
 }
 
@@ -174,7 +158,7 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
 
   // Stage the upload: trained atoms (Eq. 16) and the last assigned
   // module's auxiliary head (Eq. 17), each routed through the wire codec
-  // with its broadcast slice as the shared delta reference.
+  // with its view of the broadcast as the shared delta reference.
   const auto& channel = engine().channel();
   up.weight = task.weight;
   up.bytes_down = broadcast_bytes_;
@@ -185,10 +169,11 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   p.atoms.reserve(p.atom_end - p.atom_begin);
   for (std::size_t a = p.atom_begin; a < p.atom_end; ++a)
     p.atoms.push_back(channel.uplink(local_model.save_atom(a),
-                                     &broadcast_atoms_[a], &up.bytes_up));
+                                     model_.atom_view(broadcast_, a),
+                                     &up.bytes_up));
   if (local_cascade.aux_head(module_end - 1))
     p.aux = channel.uplink(local_cascade.save_aux(module_end - 1),
-                           &broadcast_aux_[module_end - 1], &up.bytes_up);
+                           broadcast_aux_[module_end - 1], &up.bytes_up);
 
   up.payload = std::move(p);
   return up;
@@ -331,7 +316,6 @@ void FedProphet::net_state(comm::StateIO& io) {
   const std::size_t num_modules = cascade_.num_modules();
   if (io.reading()) broadcast_aux_.assign(num_modules, {});
   for (std::size_t j = stage_; j < num_modules; ++j) io.msg(broadcast_aux_[j]);
-  if (io.reading()) rebuild_atom_slices();
 }
 
 void FedProphet::net_upload(fed::Upload& up, comm::StateIO& io) {
@@ -344,8 +328,8 @@ void FedProphet::net_upload(fed::Upload& up, comm::StateIO& io) {
   io(has_aux);
   p.atoms.resize(p.atom_end - p.atom_begin);
   for (std::size_t a = p.atom_begin; a < p.atom_end; ++a)
-    io.msg(p.atoms[a - p.atom_begin], &broadcast_atoms_[a]);
-  if (has_aux) io.msg(p.aux, &broadcast_aux_[p.module_end - 1]);
+    io.msg(p.atoms[a - p.atom_begin], model_.atom_view(broadcast_, a));
+  if (has_aux) io.msg(p.aux, broadcast_aux_[p.module_end - 1]);
 }
 
 void FedProphet::net_custom_op(std::uint32_t op, comm::FrameReader& ctx,

@@ -119,8 +119,6 @@ class FedProphet final : public fed::FederatedAlgorithm {
   cascade::CascadeLocalTrainer::DzStats probe_dz(
       const nn::ParamBlob& model_blob, const nn::ParamBlob& aux_blob,
       std::size_t stage, float eps, std::size_t client);
-  /// Rebuilds broadcast_atoms_ as per-atom slices of broadcast_.
-  void rebuild_atom_slices();
 
   Rng init_rng_;  ///< seeds weight/aux-head init (per cfg.fl.seed)
   FedProphetConfig cfg2_;
@@ -133,8 +131,6 @@ class FedProphet final : public fed::FederatedAlgorithm {
   // Dispatch/aggregation state owned by the engine pipeline.
   nn::ParamBlob broadcast_;                   ///< as decoded by clients
   std::vector<nn::ParamBlob> broadcast_aux_;  ///< per-module aux-head blobs
-  std::vector<nn::ParamBlob> broadcast_atoms_;  ///< per-atom slices of broadcast_
-  std::vector<std::size_t> atom_blob_elems_;  ///< save_atom sizes (slicing)
   std::int64_t broadcast_bytes_ = 0;  ///< wire size of one client's download
   float round_lr_ = 0.0f;
   float round_eps_ = 0.0f;  ///< current_epsilon() at begin_dispatch

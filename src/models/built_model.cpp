@@ -1,6 +1,7 @@
 #include "models/built_model.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace fp::models {
 
@@ -47,8 +48,30 @@ std::vector<nn::LayerPtr> build_atoms(const sys::ModelSpec& spec, Rng& rng) {
   return atoms;
 }
 
-BuiltModel::BuiltModel(sys::ModelSpec spec, Rng& rng) : spec_(std::move(spec)) {
-  atoms_ = build_atoms(spec_, rng);
+namespace {
+std::vector<std::size_t> blob_offsets(const std::vector<nn::LayerPtr>& atoms) {
+  std::vector<std::size_t> offsets{0};
+  for (const auto& atom : atoms) {
+    std::size_t n = 0;
+    for (const Tensor* t : nn::state_tensors(*atom))
+      n += static_cast<std::size_t>(t->numel());
+    offsets.push_back(offsets.back() + n);
+  }
+  return offsets;
+}
+}  // namespace
+
+BuiltModel::BuiltModel(sys::ModelSpec spec, Rng& rng)
+    : spec_(std::move(spec)),
+      atoms_(build_atoms(spec_, rng)),
+      atom_offsets_(blob_offsets(atoms_)) {}
+
+BuiltModel::BuiltModel(sys::ModelSpec spec, std::span<const float> blob)
+    : spec_(std::move(spec)) {
+  Rng build_rng(0);
+  atoms_ = build_atoms(spec_, build_rng);
+  atom_offsets_ = blob_offsets(atoms_);
+  load_all(blob);
 }
 
 bool BuiltModel::ckpt_matches(std::size_t begin, std::size_t end) const {
@@ -179,36 +202,36 @@ void BuiltModel::zero_grad_range(std::size_t begin, std::size_t end) {
 
 nn::ParamBlob BuiltModel::save_all() {
   nn::ParamBlob blob;
-  for (std::size_t i = 0; i < atoms_.size(); ++i) {
-    const auto atom_blob = save_atom(i);
-    blob.insert(blob.end(), atom_blob.begin(), atom_blob.end());
-  }
+  blob.reserve(blob_size());
+  for (auto& atom : atoms_)
+    for (const Tensor* t : nn::state_tensors(*atom))
+      blob.insert(blob.end(), t->data(), t->data() + t->numel());
   return blob;
 }
 
-void BuiltModel::load_all(const nn::ParamBlob& blob) {
-  // Size-check the whole blob first so a mismatched checkpoint never leaves
-  // the model half-overwritten.
-  std::vector<std::size_t> sizes(atoms_.size());
-  std::size_t need = 0;
-  for (std::size_t i = 0; i < atoms_.size(); ++i) {
-    sizes[i] = save_atom(i).size();
-    need += sizes[i];
-  }
-  if (need != blob.size())
+void BuiltModel::check_blob_size(std::span<const float> blob,
+                                 const char* what) const {
+  if (blob.size() != blob_size())
     throw std::invalid_argument(
-        "load_all: blob holds " + std::to_string(blob.size()) +
+        std::string(what) + ": blob holds " + std::to_string(blob.size()) +
         " floats but model '" + spec_.name + "' (" +
         std::to_string(atoms_.size()) + " atoms) needs exactly " +
-        std::to_string(need));
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < atoms_.size(); ++i) {
-    const std::size_t n = sizes[i];
-    nn::ParamBlob piece(blob.begin() + static_cast<std::ptrdiff_t>(offset),
-                        blob.begin() + static_cast<std::ptrdiff_t>(offset + n));
-    load_atom(i, piece);
-    offset += n;
-  }
+        std::to_string(blob_size()));
+}
+
+std::span<const float> BuiltModel::atom_view(std::span<const float> blob,
+                                             std::size_t a) const {
+  check_blob_size(blob, "atom_view");
+  return blob.subspan(atom_offsets_.at(a),
+                      atom_offsets_[a + 1] - atom_offsets_[a]);
+}
+
+void BuiltModel::load_all(std::span<const float> blob) {
+  // Size-check the whole blob first so a mismatched checkpoint never leaves
+  // the model half-overwritten.
+  check_blob_size(blob, "load_all");
+  for (std::size_t a = 0; a < atoms_.size(); ++a)
+    load_atom(a, atom_view(blob, a));
 }
 
 void BuiltModel::use_bn_bank(int bank) {

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
@@ -30,6 +31,9 @@ std::vector<nn::LayerPtr> build_atoms(const sys::ModelSpec& spec, Rng& rng);
 class BuiltModel {
  public:
   BuiltModel(sys::ModelSpec spec, Rng& rng);
+  /// A replica holding `blob` (save_all layout). The initialization the
+  /// blob overwrites draws from Rng(0).
+  BuiltModel(sys::ModelSpec spec, std::span<const float> blob);
 
   const sys::ModelSpec& spec() const { return spec_; }
   std::size_t num_atoms() const { return atoms_.size(); }
@@ -73,12 +77,18 @@ class BuiltModel {
   /// Per-atom wire blobs (parameters + BN buffers), the unit of the
   /// partial-average aggregation (paper Eq. 16).
   nn::ParamBlob save_atom(std::size_t i) { return nn::save_blob(*atoms_.at(i)); }
-  void load_atom(std::size_t i, const nn::ParamBlob& blob) {
+  void load_atom(std::size_t i, std::span<const float> blob) {
     nn::load_blob(*atoms_.at(i), blob);
   }
   /// Whole-model blob (all atoms concatenated).
   nn::ParamBlob save_all();
-  void load_all(const nn::ParamBlob& blob);
+  void load_all(std::span<const float> blob);
+  /// Length of the save_all blob.
+  std::size_t blob_size() const { return atom_offsets_.back(); }
+  /// Atom `a`'s save_atom blob as a view into a whole-model blob. Throws
+  /// unless `blob` has blob_size() floats.
+  std::span<const float> atom_view(std::span<const float> blob,
+                                   std::size_t a) const;
 
   /// Switches every BatchNorm running-stat bank (FedRBN dual-BN support).
   void use_bn_bank(int bank);
@@ -98,11 +108,15 @@ class BuiltModel {
     bool train = false;
     std::vector<Tensor> seg_inputs;  ///< input of each non-final segment
   };
+  /// Throws, naming `what` and both sizes, unless `blob` has blob_size().
+  void check_blob_size(std::span<const float> blob, const char* what) const;
   bool ckpt_matches(std::size_t begin, std::size_t end) const;
   std::vector<std::size_t> segment_bounds(std::size_t end) const;
 
   sys::ModelSpec spec_;
   std::vector<nn::LayerPtr> atoms_;
+  /// Where each atom starts in the save_all blob; back() = blob_size().
+  std::vector<std::size_t> atom_offsets_;
   std::vector<std::size_t> ckpt_starts_;
   std::optional<CkptPass> ckpt_pass_;
 };

@@ -6,25 +6,23 @@
 
 namespace fp::nn {
 
-namespace {
-std::vector<Tensor*> all_tensors(Layer& layer) {
+std::vector<Tensor*> state_tensors(Layer& layer) {
   auto out = layer.parameters();
   for (auto* b : layer.buffers()) out.push_back(b);
   return out;
 }
-}  // namespace
 
 ParamBlob save_blob(Layer& layer) {
   ParamBlob blob;
-  for (auto* t : all_tensors(layer))
+  for (auto* t : state_tensors(layer))
     blob.insert(blob.end(), t->data(), t->data() + t->numel());
   return blob;
 }
 
-void load_blob(Layer& layer, const ParamBlob& blob) {
+void load_blob(Layer& layer, std::span<const float> blob) {
   // Shape-check the WHOLE blob before touching any tensor: a mismatched
   // checkpoint must not leave the layer half-overwritten.
-  const auto tensors = all_tensors(layer);
+  const auto tensors = state_tensors(layer);
   std::size_t need = 0;
   for (auto* t : tensors) need += static_cast<std::size_t>(t->numel());
   if (need != blob.size())

@@ -35,7 +35,7 @@ ServedModel make_served_model(exp::ExperimentSpec resolved,
   // only feeds the throwaway initialization.
   Rng rng(m.spec.fl.seed);
   m.model = std::make_unique<models::BuiltModel>(m.model_spec, rng);
-  const std::int64_t want = static_cast<std::int64_t>(m.model->save_all().size());
+  const auto want = static_cast<std::int64_t>(m.model->blob_size());
   if (static_cast<std::int64_t>(blob.size()) != want)
     throw std::runtime_error(
         "checkpoint does not fit model '" + m.spec.model + "': holds " +

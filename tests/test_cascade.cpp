@@ -118,17 +118,18 @@ TEST_F(CascadeFixture, PrefixLogitsHaveClassDimension) {
   }
 }
 
-TEST_F(CascadeFixture, ModuleBlobRoundTrip) {
-  const auto blob = cascade_->save_module(0);
-  EXPECT_FALSE(blob.empty());
-  cascade_->load_module(0, blob);
-  EXPECT_EQ(cascade_->save_module(0), blob);
+TEST_F(CascadeFixture, AuxHeadBlobRoundTrip) {
   const auto aux = cascade_->save_aux(0);
   EXPECT_FALSE(aux.empty());
   cascade_->load_aux(0, aux);
+  EXPECT_EQ(cascade_->save_aux(0), aux);
+  EXPECT_THROW(cascade_->load_aux(0, nn::ParamBlob(3)), std::invalid_argument);
   // Last module has no aux head: empty blob round-trips, others throw.
-  EXPECT_TRUE(cascade_->save_aux(cascade_->num_modules() - 1).empty());
-  EXPECT_THROW(cascade_->load_module(0, nn::ParamBlob(3)), std::invalid_argument);
+  const std::size_t last = cascade_->num_modules() - 1;
+  EXPECT_TRUE(cascade_->save_aux(last).empty());
+  cascade_->load_aux(last, {});
+  EXPECT_THROW(cascade_->load_aux(last, nn::ParamBlob(3)),
+               std::invalid_argument);
 }
 
 TEST_F(CascadeFixture, TrainerReducesEarlyExitLoss) {
@@ -211,12 +212,19 @@ TEST_F(CascadeFixture, SecondModuleTrainsOnFrozenFeatures) {
   cfg.pgd_steps = 2;
   cfg.eps_in = 0.5f;  // feature-space l2 ball
   CascadeLocalTrainer trainer(*cascade_, cfg);
-  // Snapshot module 0: training module 1 must not change it.
-  const auto mod0_before = cascade_->save_module(0);
+  // Snapshot module 0's atoms: training module 1 must not change them.
+  const ModuleRange& mod0 = cascade_->partition().modules[0];
+  const auto snapshot = [&] {
+    std::vector<nn::ParamBlob> atoms;
+    for (std::size_t a = mod0.begin; a < mod0.end; ++a)
+      atoms.push_back(model_->save_atom(a));
+    return atoms;
+  };
+  const auto mod0_before = snapshot();
   Rng rng(75);
   data::BatchIterator batches(data_.train, 16, rng);
   for (int i = 0; i < 3; ++i) trainer.train_batch(batches.next(), rng);
-  EXPECT_EQ(cascade_->save_module(0), mod0_before);
+  EXPECT_EQ(snapshot(), mod0_before);
 }
 
 TEST_F(CascadeFixture, EvaluatePrefixReturnsSaneAccuracies) {

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "baselines/whole_model.hpp"
 #include "blob_hash.hpp"
@@ -144,10 +145,20 @@ TEST(TopKCodec, DeltaModeSelectsByUpdateMagnitudeAndFillsFromReference) {
 
   comm::TopKCodec codec(4.0 / 300.0, /*delta=*/true);
   ASSERT_EQ(codec.kept_count(blob.size()), 4u);
-  const auto msg = codec.encode(blob, &ref);
+  const auto msg = codec.encode(blob, ref);
   EXPECT_TRUE(msg.delta);
-  const auto back = codec.decode(msg, &ref);
+  const auto back = codec.decode(msg, ref);
   ASSERT_EQ(back.size(), blob.size());
+  // The reference read in place from the middle of a larger blob (an atom's
+  // view into a broadcast) codes exactly as the copied-out vector does.
+  nn::ParamBlob whole = random_blob(50, 43);
+  whole.insert(whole.end(), ref.begin(), ref.end());
+  whole.resize(whole.size() + 30, 7.0f);
+  const std::span<const float> view(whole.data() + 50, ref.size());
+  const auto msg_view = codec.encode(blob, view);
+  EXPECT_EQ(msg_view.delta, msg.delta);
+  EXPECT_EQ(msg_view.payload, msg.payload);
+  EXPECT_EQ(codec.decode(msg_view, view), back);
   for (std::size_t i = 0; i < blob.size(); ++i) {
     const bool was_changed =
         std::find(std::begin(changed), std::end(changed), i) !=
@@ -169,11 +180,11 @@ TEST(Codecs, ConcurrentEncodesMatchSerialByteForByte) {
   codecs.push_back(std::make_unique<comm::Int8Codec>());
   codecs.push_back(std::make_unique<comm::TopKCodec>(0.05, true));
   for (const auto& codec : codecs) {
-    const auto serial = codec->encode(blob, &ref);
+    const auto serial = codec->encode(blob, ref);
     std::vector<comm::WireMessage> parallel(8);
     core::set_num_threads(4);
     core::parallel_tasks(8, [&](std::int64_t i) {
-      parallel[static_cast<std::size_t>(i)] = codec->encode(blob, &ref);
+      parallel[static_cast<std::size_t>(i)] = codec->encode(blob, ref);
     });
     core::set_num_threads(1);
     for (const auto& msg : parallel) {
@@ -220,7 +231,7 @@ TEST(Channel, IdentityUplinkIsPassThroughWithDenseByteCount) {
   comm::Channel channel(cfg);
   const auto blob = random_blob(123, 37);
   std::int64_t bytes = 0;
-  const auto out = channel.uplink(blob, nullptr, &bytes);
+  const auto out = channel.uplink(blob, {}, &bytes);
   EXPECT_EQ(out, blob);
   EXPECT_EQ(bytes, static_cast<std::int64_t>(123 * 4 +
                                              comm::WireMessage::kHeaderBytes));
@@ -243,7 +254,7 @@ TEST(Channel, TopKDownlinkStaysDenseEvenWhenCompressed) {
   std::int64_t up_bytes = 0;
   nn::ParamBlob update = blob;
   update[7] += 5.0f;
-  const auto decoded = channel.uplink(update, &blob, &up_bytes);
+  const auto decoded = channel.uplink(update, blob, &up_bytes);
   EXPECT_LT(up_bytes, down_bytes);
   EXPECT_EQ(decoded[7], update[7]);
 }

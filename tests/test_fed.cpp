@@ -48,13 +48,14 @@ TEST(PartialAccumulator, DenseAverageOfTwoClients) {
   models::BuiltModel global(spec, rng), a(spec, rng), b(spec, rng);
   PartialAccumulator acc(global);
   acc.reset();
-  for (std::size_t at = 0; at < global.num_atoms(); ++at) {
-    acc.add_dense_atom(a, at, 1.0f);
-    acc.add_dense_atom(b, at, 1.0f);
-  }
-  acc.finalize_into(global);
+  // Uploads read in place: each atom is a view into the client's whole blob.
   const auto ga = a.save_all();
   const auto gb = b.save_all();
+  for (std::size_t at = 0; at < global.num_atoms(); ++at) {
+    acc.add_dense_atom_blob(at, a.atom_view(ga, at), 1.0f);
+    acc.add_dense_atom_blob(at, b.atom_view(gb, at), 1.0f);
+  }
+  acc.finalize_into(global);
   const auto gg = global.save_all();
   for (std::size_t i = 0; i < gg.size(); ++i)
     EXPECT_NEAR(gg[i], 0.5f * (ga[i] + gb[i]), 1e-6f);
@@ -67,7 +68,7 @@ TEST(PartialAccumulator, UntouchedAtomsKeepValues) {
   const auto before = global.save_atom(global.num_atoms() - 1);
   PartialAccumulator acc(global);
   acc.reset();
-  acc.add_dense_atom(trained, 0, 1.0f);  // only atom 0 contributed
+  acc.add_dense_atom_blob(0, trained.save_atom(0), 1.0f);  // atom 0 only
   acc.finalize_into(global);
   EXPECT_EQ(global.save_atom(global.num_atoms() - 1), before);
   EXPECT_EQ(global.save_atom(0), trained.save_atom(0));
@@ -79,8 +80,8 @@ TEST(PartialAccumulator, WeightsFollowDataFractions) {
   models::BuiltModel global(spec, rng), a(spec, rng), b(spec, rng);
   PartialAccumulator acc(global);
   acc.reset();
-  acc.add_dense_atom(a, 0, 3.0f);
-  acc.add_dense_atom(b, 0, 1.0f);
+  acc.add_dense_atom_blob(0, a.save_atom(0), 3.0f);
+  acc.add_dense_atom_blob(0, b.save_atom(0), 1.0f);
   acc.finalize_into(global);
   const auto ga = a.save_atom(0);
   const auto gb = b.save_atom(0);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <stdexcept>
+
 #include "models/built_model.hpp"
 #include "models/zoo.hpp"
 #include "nn/norm.hpp"
@@ -87,20 +91,41 @@ TEST(BuiltModel, SaveLoadAllRoundTrip) {
   const auto blob = a.save_all();
   b.load_all(blob);
   EXPECT_EQ(b.save_all(), blob);
+  BuiltModel c(spec, blob);  // a replica built straight from the blob
+  EXPECT_EQ(c.save_all(), blob);
   const Tensor x = Tensor::randn({1, 3, 16, 16}, rng);
   const Tensor ya = a.forward(x, false);
   const Tensor yb = b.forward(x, false);
-  for (std::int64_t i = 0; i < ya.numel(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
+  const Tensor yc = c.forward(x, false);
+  for (std::int64_t i = 0; i < ya.numel(); ++i) {
+    EXPECT_FLOAT_EQ(ya[i], yb[i]);
+    EXPECT_FLOAT_EQ(ya[i], yc[i]);
+  }
 }
 
 TEST(BuiltModel, AtomBlobsPartitionTheFullBlob) {
-  Rng rng(35);
-  const auto spec = tiny_cnn_spec(16, 10, 4);
-  BuiltModel model(spec, rng);
-  std::size_t total = 0;
-  for (std::size_t a = 0; a < model.num_atoms(); ++a)
-    total += model.save_atom(a).size();
-  EXPECT_EQ(total, model.save_all().size());
+  // Plain atoms, VGG atoms with BatchNorm buffers, and residual atoms whose
+  // projection shortcut adds a conv and a BatchNorm after the main path.
+  for (const auto& spec : {tiny_cnn_spec(16, 10, 4), tiny_vgg_spec(16, 10, 4),
+                           tiny_resnet_spec(16, 10, 4)}) {
+    Rng rng(35);
+    BuiltModel model(spec, rng);
+    const nn::ParamBlob blob = model.save_all();
+    ASSERT_EQ(model.blob_size(), blob.size()) << spec.name;
+    std::size_t offset = 0;
+    for (std::size_t a = 0; a < model.num_atoms(); ++a) {
+      const nn::ParamBlob atom = model.save_atom(a);
+      const std::span<const float> view = model.atom_view(blob, a);
+      EXPECT_EQ(view.data(), blob.data() + offset) << spec.name << " atom " << a;
+      ASSERT_EQ(view.size(), atom.size()) << spec.name << " atom " << a;
+      EXPECT_TRUE(std::equal(view.begin(), view.end(), atom.begin()))
+          << spec.name << " atom " << a;
+      offset += atom.size();
+    }
+    EXPECT_EQ(offset, blob.size()) << spec.name;
+    EXPECT_THROW(model.atom_view(nn::ParamBlob(blob.size() - 1), 0),
+                 std::invalid_argument);
+  }
 }
 
 TEST(BuiltModel, BnBankSwitchPropagates) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 
 #include "blob_hash.hpp"
@@ -156,6 +157,22 @@ TEST(Serialize, LoadBlobMismatchReportsCountsAndLeavesLayerUntouched) {
   EXPECT_EQ(nn::save_blob(lin), before);
 }
 
+TEST(Serialize, LoadBlobReadsAViewInPlace) {
+  // A blob read from the middle of a larger buffer loads the same bytes as
+  // the piece copied out of it.
+  Rng rng(19);
+  nn::Linear src(6, 3, rng), from_view(6, 3, rng), from_copy(6, 3, rng);
+  const nn::ParamBlob piece = nn::save_blob(src);
+  nn::ParamBlob buffer(11, -1.0f);
+  buffer.insert(buffer.end(), piece.begin(), piece.end());
+  buffer.resize(buffer.size() + 5, -2.0f);
+  nn::load_blob(from_view, std::span<const float>(buffer).subspan(11, piece.size()));
+  nn::load_blob(from_copy, nn::ParamBlob(buffer.begin() + 11,
+                                         buffer.begin() + 11 + piece.size()));
+  EXPECT_EQ(nn::save_blob(from_view), piece);
+  EXPECT_EQ(nn::save_blob(from_copy), piece);
+}
+
 TEST(Serialize, ModelLoadAllMismatchNamesModel) {
   const TestModel t = resolve_test_model();
   Rng rng(5);
@@ -165,6 +182,9 @@ TEST(Serialize, ModelLoadAllMismatchNamesModel) {
       [&] { model.load_all(nn::ParamBlob(3, 0.f)); });
   EXPECT_NE(msg.find(t.model_spec.name), std::string::npos) << msg;
   EXPECT_NE(msg.find("3 floats"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("exactly " + std::to_string(before.size())),
+            std::string::npos)
+      << msg;
   EXPECT_EQ(model.save_all(), before);
 }
 
