@@ -26,8 +26,10 @@
 // attributes and selected once at startup with __builtin_cpu_supports:
 //   AVX-512F 14x32 and 8x48, AVX2+FMA 6x16, portable 6x16 (baseline
 //   fallback).
-// The blocking constants travel with the kernel so each variant keeps its
-// packed panels inside L1/L2. On AVX-512 each call picks the tile that pads
+// The mc/nc blocking travels with the kernel so each variant keeps its
+// packed panels inside L1/L2; every kernel blocks K by the same KC, so the
+// summation order, and every output byte, does not depend on which kernel
+// the host picks. On AVX-512 each call picks the tile that pads
 // fewer rows of op(A): 8x48 for M = 8, 16, 32, 72, 144, 288 (the conv
 // shapes), 14x32 for M = 27.
 //
@@ -40,8 +42,8 @@
 // Determinism: each C element accumulates in k-ascending order across KC
 // panels, entirely within one (ic, jr) tile owned by one chunk; the thread
 // count and the tile shape only change which microkernel call computes an
-// element, never its summation order (KC is the same for both AVX-512
-// tiles and K is never split). See core/parallel.hpp for the pool-wide
+// element, never its summation order (KC is the same for every kernel and
+// K is never split). See core/parallel.hpp for the pool-wide
 // contract.
 #include <algorithm>
 #include <cstdint>
@@ -71,9 +73,14 @@ using MicroKernel = void (*)(std::int64_t kb, const float* pa, const float* pb,
                              float alpha, std::int64_t rows, std::int64_t cols,
                              bool store);
 
+/// Depth of one rank-KC update, shared by every kernel: one packed A
+/// micro-panel (14*176*4 ~ 10 KB) plus one packed B micro-panel
+/// (32*176*4 ~ 22 KB, 48*176*4 ~ 33 KB) fit a 48 KB L1d.
+constexpr std::int64_t kKC = 176;
+
 struct KernelConfig {
   std::int64_t mr, nr;  ///< microkernel tile
-  std::int64_t kc, mc, nc;  ///< cache blocking (L1 / L2 / L3 resident panels)
+  std::int64_t mc, nc;  ///< cache blocking (L2 / L3 resident panels)
   MicroKernel kernel;  ///< packed B
   /// Row-major op(B) read in place: whole nr-wide panels, and the ragged
   /// last panel (null when the tile always packs B).
@@ -312,24 +319,22 @@ struct KernelSet {
 KernelSet pick_kernels() {
 #ifdef FP_GEMM_X86
   if (__builtin_cpu_supports("avx512f"))
-    // kc keeps one packed A micro-panel (14*176*4 ~ 10 KB) plus one packed B
-    // micro-panel (32*176*4 ~ 22 KB, 48*176*4 ~ 33 KB) inside a 48 KB L1d.
-    // Both tiles share kc (the summation order) and mc (the row split).
-    return {{14, 32, /*kc=*/176, /*mc=*/14 * 8, /*nc=*/2048,
+    // Both tiles share mc (the row split).
+    return {{14, 32, /*mc=*/14 * 8, /*nc=*/2048,
              &kernel_avx512<14, 2, BRead::kPacked>,
              &kernel_avx512<14, 2, BRead::kInPlace>,
              &kernel_avx512<14, 2, BRead::kInPlaceTail>},
-            {8, 48, /*kc=*/176, /*mc=*/14 * 8, /*nc=*/48 * 43,
+            {8, 48, /*mc=*/14 * 8, /*nc=*/48 * 43,
              &kernel_avx512<8, 3, BRead::kPacked>,
              &kernel_avx512<8, 3, BRead::kInPlace>,
              &kernel_avx512<8, 3, BRead::kInPlaceTail>},
             true};
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return {{GEN_MR, GEN_NR, /*kc=*/256, /*mc=*/72, /*nc=*/2048, &kernel_avx2},
+    return {{GEN_MR, GEN_NR, /*mc=*/72, /*nc=*/2048, &kernel_avx2},
             {},
             false};
 #endif
-  return {{GEN_MR, GEN_NR, /*kc=*/256, /*mc=*/72, /*nc=*/2048, &kernel_generic},
+  return {{GEN_MR, GEN_NR, /*mc=*/72, /*nc=*/2048, &kernel_generic},
           {},
           false};
 }
@@ -433,8 +438,8 @@ void gemm(bool transpose_a, bool transpose_b, std::int64_t m, std::int64_t n,
 
   for (std::int64_t jc = 0; jc < n; jc += cfg.nc) {
     const std::int64_t nb = std::min(cfg.nc, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += cfg.kc) {
-      const std::int64_t kb = std::min(cfg.kc, k - pc);
+    for (std::int64_t pc = 0; pc < k; pc += kKC) {
+      const std::int64_t kb = std::min(kKC, k - pc);
       const bool store = beta == 0.0f && pc == 0;
       BPanel bp{b + pc * n + jc, n, cfg.nr, cfg.in_place, cfg.in_place_tail};
       if (!b_in_place) {

@@ -153,13 +153,14 @@ TEST(BlockedGemm, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The KC depth of this host's GEMM kernel, or 0 when the kernel does not
-// fuse its multiply-adds (the portable fallback), so no fma oracle holds.
+// The KC depth every GEMM kernel blocks K by, or 0 when this host's kernel
+// does not fuse its multiply-adds (the portable fallback), so no fma oracle
+// holds.
 std::int64_t fused_kernel_kc() {
 #if defined(__x86_64__) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx512f")) return 176;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return 256;
+  if (__builtin_cpu_supports("avx512f") ||
+      (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")))
+    return 176;
 #endif
   return 0;
 }
