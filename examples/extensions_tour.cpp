@@ -39,7 +39,7 @@ int main() {
   const std::string ckpt = "/tmp/fedprophet_backbone.ckpt";
   nn::save_checkpoint(ckpt, model.save_all());
   std::printf("checkpoint written: %s (%zu params+buffers)\n", ckpt.c_str(),
-              model.save_all().size());
+              model.blob_size());
   model.load_all(nn::load_checkpoint(ckpt));
   std::printf("checkpoint round-trip verified (checksummed format)\n\n");
 

@@ -27,11 +27,10 @@
 //   AVX-512F 14x32 and 8x48, AVX2+FMA 6x16, portable 6x16 (baseline
 //   fallback).
 // The mc/nc blocking travels with the kernel so each variant keeps its
-// packed panels inside L1/L2; every kernel blocks K by the same KC, so the
-// summation order, and every output byte, does not depend on which kernel
-// the host picks. On AVX-512 each call picks the tile that pads
-// fewer rows of op(A): 8x48 for M = 8, 16, 32, 72, 144, 288 (the conv
-// shapes), 14x32 for M = 27.
+// packed panels inside L2/L3; every kernel blocks K by one KC, so no output
+// byte depends on the kernel the host picks. On AVX-512 each call picks the
+// tile that pads fewer rows of op(A): 8x48 for M = 8, 16, 32, 72, 144, 288
+// (the conv shapes), 14x32 for M = 27.
 //
 // beta == 0 never reads C: the first KC panel stores alpha*acc + 0 (the sum
 // the zero-filled C of a memset would have given, -0 included) and later

@@ -36,16 +36,21 @@ class PoolExceptions : public ::testing::Test {
 TEST_F(PoolExceptions, WorkerThrowReachesTheCaller) {
   // The caller's task holds until a pool worker has started one, and every
   // worker task throws: the exception must be rethrown by parallel_tasks,
-  // not end the process on the worker.
+  // not end the process on the worker. A worker throws only once the
+  // caller runs a task: a throw before the caller claims an index would
+  // skip every index left, and the caller would never run one.
   const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_started{false};
   std::atomic<bool> worker_started{false};
   bool caller_saw_worker = false;
   try {
     core::parallel_tasks(8, [&](std::int64_t i) {
       if (std::this_thread::get_id() == caller) {
+        caller_started = true;
         caller_saw_worker = caller_saw_worker || wait_for(worker_started);
         return;
       }
+      if (!wait_for(caller_started)) return;
       worker_started = true;
       throw std::runtime_error("worker task " + std::to_string(i));
     });

@@ -155,22 +155,20 @@ TEST(Serialize, LoadBlobMismatchReportsCountsAndLeavesLayerUntouched) {
   EXPECT_NE(msg.find("exactly"), std::string::npos) << msg;
   // The size check runs before any copy: a bad blob is all-or-nothing.
   EXPECT_EQ(nn::save_blob(lin), before);
-}
 
-TEST(Serialize, LoadBlobReadsAViewInPlace) {
-  // A blob read from the middle of a larger buffer loads the same bytes as
-  // the piece copied out of it.
-  Rng rng(19);
-  nn::Linear src(6, 3, rng), from_view(6, 3, rng), from_copy(6, 3, rng);
+  // The check counts the view, not the buffer around it: a blob read in
+  // place from the middle of a larger buffer loads the same bytes as the
+  // piece copied out of it.
+  nn::Linear src(6, 3, rng), from_copy(6, 3, rng);
   const nn::ParamBlob piece = nn::save_blob(src);
   nn::ParamBlob buffer(11, -1.0f);
   buffer.insert(buffer.end(), piece.begin(), piece.end());
   buffer.resize(buffer.size() + 5, -2.0f);
-  nn::load_blob(from_view, std::span<const float>(buffer).subspan(11, piece.size()));
+  nn::load_blob(lin, std::span<const float>(buffer).subspan(11, piece.size()));
   nn::load_blob(from_copy, nn::ParamBlob(buffer.begin() + 11,
                                          buffer.begin() + 11 + piece.size()));
-  EXPECT_EQ(nn::save_blob(from_view), piece);
-  EXPECT_EQ(nn::save_blob(from_copy), piece);
+  EXPECT_EQ(nn::save_blob(lin), nn::save_blob(from_copy));
+  EXPECT_EQ(nn::save_blob(lin), piece);
 }
 
 TEST(Serialize, ModelLoadAllMismatchNamesModel) {
