@@ -267,6 +267,78 @@ TEST(SyncScheduler, RegistryDrivenFedProphetOffTheIdentityWireMatchesGoldens) {
   }
 }
 
+// Every accuracy a run reports, pinned as correct-sample counts over the
+// evaluated samples: the final Clean / PGD / AA evaluation, each history
+// record's clean and adversarial accuracy, and FedProphet's per-stage final
+// prefix accuracies. FedRBN's are its bank split (clean on bank 0, attacks on
+// bank 1). Accuracies are count / n in double, so the pins are exact.
+struct AccuracyGolden {
+  const char* method;
+  const char* overrides;
+  int final_n;
+  int final_counts[3];  ///< clean, PGD, AA
+  int history_n;
+  std::vector<std::pair<int, int>> history;  ///< clean, adversarial
+  std::vector<std::pair<int, int>> stages;   ///< FedProphet final_clean/adv
+};
+
+double frac(int count, int n) {
+  return static_cast<double>(count) / static_cast<double>(n);
+}
+
+TEST(SyncScheduler, RegistryDrivenAccuraciesMatchGoldens) {
+  // Four rounds of eight local steps at eps 0.01 move the tiny nets off
+  // constant predictions, so clean, PGD and AA differ and FedRBN's banks
+  // disagree (its round-3 snapshot reads 51 clean on bank 0).
+  const AccuracyGolden goldens[] = {
+      {"jFAT", "eval.every=1 fl.rounds=4 fl.local_iters=8 fl.epsilon0=0.01",
+       80, {37, 36, 36}, 80, {{20, 20}, {20, 20}, {38, 33}, {37, 36}}, {}},
+      {"FedRBN",
+       "eval.every=1 env.public_set=1 fl.rounds=4 fl.local_iters=8 "
+       "fl.epsilon0=0.01",
+       80, {37, 28, 28}, 80, {{27, 20}, {38, 20}, {51, 22}, {37, 28}}, {}},
+      {"FedProphet", "fl.local_iters=8 fl.epsilon0=0.01", 80, {39, 23, 23},
+       32, {{8, 8}, {8, 8}, {15, 14}, {15, 7}},
+       {{8, 8}, {8, 8}, {15, 14}, {15, 7}}},
+  };
+  for (const int threads : {1, 4}) {
+    core::set_num_threads(threads);
+    for (const AccuracyGolden& g : goldens) {
+      auto spec = std::string(g.method) == "FedProphet"
+                      ? tiny_fedprophet_spec()
+                      : tiny_exp_spec(g.method);
+      std::istringstream extra(g.overrides);
+      for (std::string kv; extra >> kv;) exp::apply_override(spec, kv);
+      auto setup = exp::build_setup(spec);
+      exp::MethodRun run = exp::method_registry().resolve(g.method)(setup);
+      const exp::RunResult r = exp::run_built(setup, run);
+      const std::string cell =
+          std::string(g.method) + " at " + std::to_string(threads) + " threads";
+      EXPECT_EQ(r.metrics.clean_acc, frac(g.final_counts[0], g.final_n)) << cell;
+      EXPECT_EQ(r.metrics.pgd_acc, frac(g.final_counts[1], g.final_n)) << cell;
+      EXPECT_EQ(r.metrics.aa_acc, frac(g.final_counts[2], g.final_n)) << cell;
+      ASSERT_EQ(r.history.size(), g.history.size()) << cell;
+      for (std::size_t i = 0; i < g.history.size(); ++i) {
+        EXPECT_EQ(r.history[i].clean_acc, frac(g.history[i].first, g.history_n))
+            << cell << " history " << i;
+        EXPECT_EQ(r.history[i].adv_acc, frac(g.history[i].second, g.history_n))
+            << cell << " history " << i;
+      }
+      if (g.stages.empty()) continue;
+      const auto& stages =
+          dynamic_cast<fedprophet::FedProphet&>(*run.algo).stages();
+      ASSERT_EQ(stages.size(), g.stages.size()) << cell;
+      for (std::size_t i = 0; i < g.stages.size(); ++i) {
+        EXPECT_EQ(stages[i].final_clean, frac(g.stages[i].first, g.history_n))
+            << cell << " stage " << i;
+        EXPECT_EQ(stages[i].final_adv, frac(g.stages[i].second, g.history_n))
+            << cell << " stage " << i;
+      }
+    }
+  }
+  core::set_num_threads(1);
+}
+
 TEST(AsyncScheduler, ReplayIsSeedDeterministicAcrossThreadCounts) {
   const auto data = tiny_data();
   auto fl = tiny_fl();
