@@ -253,7 +253,7 @@ void fig9() {
       FedProphetCell cell(std::move(spec));
       const auto num_modules = cell.algo.partition().num_modules();
       cell.run.train();
-      const auto r = cell.run.evaluate(exp::eval_config(cell.setup.spec));
+      const auto r = cell.algo.evaluate(exp::eval_config(cell.setup.spec));
       std::printf("%10.2f %9zu %11.1f%% %11.1f%%\n", frac, num_modules,
                   100 * r.clean_acc, 100 * r.pgd_acc);
       std::fflush(stdout);

@@ -75,7 +75,7 @@ int main() {
         stage.mean_dz);
 
   // 5. Final three-metric evaluation (the eval.* keys above).
-  const auto result = run.evaluate(exp::eval_config(setup.spec));
+  const auto result = algo.evaluate(exp::eval_config(setup.spec));
   std::printf("\nfinal: clean %.1f%%  PGD %.1f%%  AA-lite %.1f%%\n",
               100 * result.clean_acc, 100 * result.pgd_acc, 100 * result.aa_acc);
   std::printf("simulated training time: %.3g s (compute %.3g s, access %.3g s)\n",

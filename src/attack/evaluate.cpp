@@ -14,12 +14,6 @@ std::int64_t eval_count(const data::Dataset& test, std::int64_t max_samples) {
   return max_samples > 0 ? std::min(max_samples, test.size()) : test.size();
 }
 
-/// The replica set of one evaluation call over the first n samples.
-ShardedNet shard_eval(models::BuiltModel& model, std::int64_t n,
-                      std::int64_t batch_size) {
-  return shard_model(model, eval_shards(std::min(batch_size, n)));
-}
-
 /// Marks correctly classified samples (eval mode). This forward is pure
 /// inference, so it runs under the caller's compute mode (int8 / Winograd
 /// when configured); attack-generation forwards do not.
@@ -95,30 +89,30 @@ LossGradFn model_dlr_lossgrad(models::BuiltModel& model) {
   };
 }
 
-double evaluate_clean(models::BuiltModel& model, const data::Dataset& test,
-                      std::int64_t batch_size, std::int64_t max_samples,
-                      const compute::ComputeConfig& compute) {
-  obs::PhaseTimer eval_phase(obs::Phase::kEval);
-  const std::int64_t n = eval_count(test, max_samples);
-  return clean_accuracy(shard_eval(model, n, batch_size), test, n, batch_size,
-                        compute);
+std::size_t eval_shards(const data::Dataset& test,
+                        const RobustEvalConfig& cfg) {
+  return eval_shards(std::min(cfg.batch_size, eval_count(test, cfg.max_samples)));
 }
 
-double evaluate_pgd(models::BuiltModel& model, const data::Dataset& test,
+double evaluate_clean(const ShardedNet& net, const data::Dataset& test,
+                      const RobustEvalConfig& cfg) {
+  obs::PhaseTimer eval_phase(obs::Phase::kEval);
+  return clean_accuracy(net, test, eval_count(test, cfg.max_samples),
+                        cfg.batch_size, cfg.compute);
+}
+
+double evaluate_pgd(const ShardedNet& net, const data::Dataset& test,
                     const RobustEvalConfig& cfg) {
   obs::PhaseTimer eval_phase(obs::Phase::kEval);
-  const std::int64_t n = eval_count(test, cfg.max_samples);
-  return pgd_accuracy(shard_eval(model, n, cfg.batch_size), test, n, cfg);
+  return pgd_accuracy(net, test, eval_count(test, cfg.max_samples), cfg);
 }
 
-RobustEvalResult evaluate_robustness(models::BuiltModel& model,
+RobustEvalResult evaluate_robustness(const ShardedNet& net,
                                      const data::Dataset& test,
                                      const RobustEvalConfig& cfg) {
   obs::PhaseTimer eval_phase(obs::Phase::kEval);
   FP_TRACE_SCOPE("evaluate_robustness", "eval");
   const std::int64_t n = eval_count(test, cfg.max_samples);
-  // One replica set serves all three metrics and is freed on return.
-  const ShardedNet net = shard_eval(model, n, cfg.batch_size);
   RobustEvalResult result;
   // One clean pass: its masks also seed AA's survival below.
   std::vector<std::vector<bool>> clean;
@@ -159,6 +153,31 @@ RobustEvalResult evaluate_robustness(models::BuiltModel& model,
   }
   result.aa_acc = static_cast<double>(robust) / static_cast<double>(n);
   return result;
+}
+
+double evaluate_clean(models::BuiltModel& model, const data::Dataset& test,
+                      std::int64_t batch_size, std::int64_t max_samples,
+                      const compute::ComputeConfig& compute) {
+  RobustEvalConfig cfg;
+  cfg.batch_size = batch_size;
+  cfg.max_samples = max_samples;
+  cfg.compute = compute;
+  obs::PhaseTimer eval_phase(obs::Phase::kEval);
+  return evaluate_clean(shard_model(model, eval_shards(test, cfg)), test, cfg);
+}
+
+double evaluate_pgd(models::BuiltModel& model, const data::Dataset& test,
+                    const RobustEvalConfig& cfg) {
+  obs::PhaseTimer eval_phase(obs::Phase::kEval);
+  return evaluate_pgd(shard_model(model, eval_shards(test, cfg)), test, cfg);
+}
+
+RobustEvalResult evaluate_robustness(models::BuiltModel& model,
+                                     const data::Dataset& test,
+                                     const RobustEvalConfig& cfg) {
+  obs::PhaseTimer eval_phase(obs::Phase::kEval);
+  return evaluate_robustness(shard_model(model, eval_shards(test, cfg)), test,
+                             cfg);
 }
 
 }  // namespace fp::attack

@@ -3,15 +3,18 @@
 // as robust only if it survives every attack) — the paper's three metrics
 // (Clean Acc. / PGD Acc. / AA Acc., §7.1).
 //
-// Each evaluate_* call shards every batch's rows over the pool
-// (attack/sharded.hpp, DESIGN.md §2.5): the model itself plus one eval-mode
-// replica per extra thread, built for the call and freed on return, run the
+// Every accuracy the program reports comes from these loops: the final
+// evaluation, history snapshots (fed::FederatedAlgorithm, which also splits
+// FedRBN's BN banks) and FedProphet's prefix validation. Each shards every
+// batch's rows over the pool (attack/sharded.hpp, DESIGN.md §2.5): the
+// network itself plus one eval-mode replica per extra thread run the
 // classification forwards and every attack step's forward and backward.
 // The loss, the Rng and AA's survival mask stay on the calling thread, so
 // the accuracies are bit-identical for any FP_NUM_THREADS.
 #pragma once
 
 #include "attack/attacks.hpp"
+#include "attack/sharded.hpp"
 #include "data/dataset.hpp"
 #include "models/built_model.hpp"
 #include "tensor/compute_mode.hpp"
@@ -46,17 +49,34 @@ struct RobustEvalResult {
   double aa_acc = 0.0;
 };
 
-/// Clean accuracy only (cheap). `compute` selects the inference kernels
-/// (default: fp32 blocked, the historical behaviour).
+/// Row shards one evaluation of `test` under `cfg` cuts each batch into:
+/// eval_shards (attack/sharded.hpp) of its largest batch.
+std::size_t eval_shards(const data::Dataset& test, const RobustEvalConfig& cfg);
+
+/// The evaluation loops, over the first cfg.max_samples samples of `test`
+/// in batches of cfg.batch_size, on a replica set the caller built: a full
+/// model's shard_model or a cascade prefix's cascade::shard_prefix, with
+/// eval_shards(test, cfg) shards. Each runs under the eval phase timer.
+/// Clean predictions draw no Rng, so the clean pass may run before or after
+/// the PGD pass with the same result.
+double evaluate_clean(const ShardedNet& net, const data::Dataset& test,
+                      const RobustEvalConfig& cfg);
+/// PGD-k adversarial accuracy (cfg.pgd_steps, cfg.epsilon, Rng(cfg.seed)).
+double evaluate_pgd(const ShardedNet& net, const data::Dataset& test,
+                    const RobustEvalConfig& cfg);
+/// The three metrics. AA's survival starts from the clean pass's masks.
+RobustEvalResult evaluate_robustness(const ShardedNet& net,
+                                     const data::Dataset& test,
+                                     const RobustEvalConfig& cfg);
+
+/// The same loops on `model`'s own replica set, built for the call and
+/// freed on return. `compute` selects the inference kernels (default: fp32
+/// blocked, the historical behaviour).
 double evaluate_clean(models::BuiltModel& model, const data::Dataset& test,
                       std::int64_t batch_size = 100, std::int64_t max_samples = -1,
                       const compute::ComputeConfig& compute = {});
-
-/// PGD-k adversarial accuracy.
 double evaluate_pgd(models::BuiltModel& model, const data::Dataset& test,
                     const RobustEvalConfig& cfg);
-
-/// Full three-metric evaluation.
 RobustEvalResult evaluate_robustness(models::BuiltModel& model,
                                      const data::Dataset& test,
                                      const RobustEvalConfig& cfg);

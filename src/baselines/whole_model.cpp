@@ -80,11 +80,6 @@ WholeModelFAT::ClientPlan WholeModelFAT::plan(const fed::TaskSpec& task) const {
   return p;
 }
 
-void WholeModelFAT::use_eval_bank(bool adversarial) {
-  if (wcfg_.rule == WholeModelRule::kFedRbn)
-    global_model().use_bn_bank(adversarial ? 1 : 0);
-}
-
 void WholeModelFAT::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
   clients_.begin_round(tasks);
   // The snapshots survive across dispatch groups until finalize_round

@@ -75,9 +75,11 @@ class WholeModelFAT final : public fed::FederatedAlgorithm {
                        : 0.0;
   }
 
-  /// FedRBN: the clean BN bank for clean inputs, the adversarial bank for
-  /// attacked ones.
-  void use_eval_bank(bool adversarial) override;
+  /// FedRBN: the clean BN bank (0) for clean inputs, the adversarial bank
+  /// (1) for attacked ones.
+  int eval_bank(bool adversarial) const override {
+    return wcfg_.rule == WholeModelRule::kFedRbn && adversarial ? 1 : 0;
+  }
 
  private:
   /// What one client trains: a pure function of its TaskSpec.

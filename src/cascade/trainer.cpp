@@ -186,35 +186,4 @@ attack::ShardedNet shard_prefix(CascadeState& cascade, std::size_t m,
   return attack::ShardedNet(std::move(nets));
 }
 
-PrefixAccuracy evaluate_prefix(CascadeState& cascade, std::size_t m,
-                               const data::Dataset& dataset,
-                               const PrefixEvalConfig& cfg) {
-  Rng rng(cfg.seed);
-  const std::int64_t n = cfg.max_samples > 0
-                             ? std::min(cfg.max_samples, dataset.size())
-                             : dataset.size();
-  attack::PgdConfig a;
-  a.epsilon = cfg.epsilon0;
-  a.steps = cfg.pgd_steps;
-  // One replica set for this call, freed on return. The classification
-  // forwards run under the configured compute mode; the attack stays fp32.
-  const attack::ShardedNet net =
-      shard_prefix(cascade, m, attack::eval_shards(std::min(cfg.batch_size, n)));
-  const auto fn = net.lossgrad(cross_entropy, cross_entropy_grad);
-  std::int64_t clean_ok = 0, adv_ok = 0;
-  for (std::int64_t start = 0; start < n; start += cfg.batch_size) {
-    const auto b =
-        data::take_batch(dataset, start, std::min(cfg.batch_size, n - start));
-    const auto clean_pred = net.predict(b.x, cfg.compute);
-    const Tensor x_adv = attack::pgd(fn, b.x, b.y, a, rng);
-    const auto adv_pred = net.predict(x_adv, cfg.compute);
-    for (std::size_t i = 0; i < clean_pred.size(); ++i) {
-      clean_ok += clean_pred[i] == b.y[i];
-      adv_ok += adv_pred[i] == b.y[i];
-    }
-  }
-  return {static_cast<double>(clean_ok) / static_cast<double>(n),
-          static_cast<double>(adv_ok) / static_cast<double>(n)};
-}
-
 }  // namespace fp::cascade

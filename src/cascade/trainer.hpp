@@ -71,33 +71,12 @@ class CascadeLocalTrainer {
   nn::Sgd optimizer_;
 };
 
-/// Validation accuracy of the cascaded prefix ending at module m: clean and
-/// under a PGD attack on the raw input (the C_m / A_m the clients report to
-/// the server's training coordinator).
-struct PrefixAccuracy {
-  double clean = 0.0;
-  double adv = 0.0;
-};
-
-struct PrefixEvalConfig {
-  float epsilon0 = 8.0f / 255.0f;
-  int pgd_steps = 10;
-  std::int64_t batch_size = 100;
-  std::int64_t max_samples = 512;
-  std::uint64_t seed = 17;
-  /// Kernels for the pure-inference classification forwards; the PGD attack
-  /// generation stays fp32 (its forwards feed a backward).
-  compute::ComputeConfig compute;
-};
-
 /// The eval-mode prefix ending at module m over `shards` row shards:
 /// `cascade` itself as shard 0, and shards - 1 replicas of its model, each
-/// with module m's aux head (attack/sharded.hpp).
+/// with module m's aux head (attack/sharded.hpp). FedProphet's validation
+/// (the C_m / A_m its coordinator reads) runs attack/evaluate's clean and
+/// PGD loops on it.
 attack::ShardedNet shard_prefix(CascadeState& cascade, std::size_t m,
                                 std::size_t shards);
-
-PrefixAccuracy evaluate_prefix(CascadeState& cascade, std::size_t m,
-                               const data::Dataset& dataset,
-                               const PrefixEvalConfig& cfg);
 
 }  // namespace fp::cascade

@@ -23,14 +23,6 @@ sys::Heterogeneity het_of(const ExperimentSpec& spec) {
                                             : sys::Heterogeneity::kBalanced;
 }
 
-/// The default evaluation hook: three-metric robustness of the global model.
-std::function<attack::RobustEvalResult(const attack::RobustEvalConfig&)>
-default_eval(fed::FederatedAlgorithm* algo, fed::FedEnv& env) {
-  return [algo, &env](const attack::RobustEvalConfig& e) {
-    return attack::evaluate_robustness(algo->global_model(), env.test, e);
-  };
-}
-
 MethodRun make_whole_model(Setup& s, baselines::WholeModelRule rule) {
   using baselines::WholeModelRule;
   baselines::WholeModelConfig cfg;
@@ -47,29 +39,6 @@ MethodRun make_whole_model(Setup& s, baselines::WholeModelRule rule) {
   MethodRun run;
   auto algo = std::make_unique<baselines::WholeModelFAT>(s.env, cfg);
   run.train = [a = algo.get(), ev = s.spec.eval_every] { a->run(ev); };
-  run.evaluate = default_eval(algo.get(), s.env);
-  if (rule == WholeModelRule::kFedRbn) {
-    // Which BN bank to serve is an evaluation-time choice, not part of the
-    // checkpoint — FedRBN has no single deployable global model.
-    run.single_global_model = false;
-    // Dual-BN evaluation: clean bank for clean accuracy, adversarial bank
-    // for the attacks.
-    run.evaluate = [a = algo.get(), &env = s.env](
-                       const attack::RobustEvalConfig& e) {
-      attack::RobustEvalResult m;
-      a->use_eval_bank(false);
-      m.clean_acc = attack::evaluate_clean(a->global_model(), env.test,
-                                           e.batch_size, e.max_samples,
-                                           e.compute);
-      a->use_eval_bank(true);
-      const auto adv =
-          attack::evaluate_robustness(a->global_model(), env.test, e);
-      m.pgd_acc = adv.pgd_acc;
-      m.aa_acc = adv.aa_acc;
-      a->use_eval_bank(false);
-      return m;
-    };
-  }
   run.algo = std::move(algo);
   return run;
 }
@@ -85,7 +54,6 @@ MethodRun make_partial(Setup& s, models::SliceScheme scheme) {
   MethodRun run;
   auto algo = std::make_unique<baselines::PartialTrainingFAT>(s.env, cfg);
   run.train = [a = algo.get(), ev = s.spec.eval_every] { a->run(ev); };
-  run.evaluate = default_eval(algo.get(), s.env);
   run.algo = std::move(algo);
   return run;
 }
@@ -109,7 +77,6 @@ MethodRun make_fedprophet(Setup& s) {
   MethodRun run;
   auto algo = std::make_unique<fedprophet::FedProphet>(s.env, cfg);
   run.train = [a = algo.get()] { a->train(); };
-  run.evaluate = default_eval(algo.get(), s.env);
   run.algo = std::move(algo);
   return run;
 }
@@ -337,12 +304,11 @@ RunResult run_built(Setup& setup, MethodRun& run, const std::string& label) {
   r.measured_comm_s = stats.measured_comm_s;
   r.exported_csv = export_run_artifacts(setup.spec, r.name, r.history);
   {
-    // Outermost eval bracket: method-specific evaluation glue (dual-BN bank
-    // switching, cascade assembly) counts too; the attack entry points'
-    // nested timers are depth-guarded and don't double-count.
+    // The eval phase timers nested inside are depth-guarded and don't
+    // double-count.
     obs::PhaseTimer eval_phase(obs::Phase::kEval);
     FP_TRACE_SCOPE("evaluate", "engine");
-    r.metrics = run.evaluate(eval_config(setup.spec));
+    r.metrics = run.algo->evaluate(eval_config(setup.spec));
   }
   r.wall_s = obs::now_s() - wall0;
   r.phases = obs::phase_snapshot();

@@ -51,18 +51,11 @@ std::int64_t planned_full_peak(const sys::ModelSpec& model,
                                std::int64_t batch_size);
 
 /// A constructed, ready-to-train method instance. `train` runs the method's
-/// full protocol (run() or FedProphet's cascade train()); `evaluate` applies
-/// the method's evaluation convention (e.g. FedRBN's dual-BN banks).
+/// full protocol (run() or FedProphet's cascade train()); evaluation and
+/// whether one global model is deployable belong to `algo`.
 struct MethodRun {
   std::unique_ptr<fed::FederatedAlgorithm> algo;
   std::function<void()> train;
-  std::function<attack::RobustEvalResult(const attack::RobustEvalConfig&)>
-      evaluate;
-  /// Whether algo->global_model() alone is the deployable artifact. FedRBN
-  /// sets this false: its dual-BN banks make a bank choice part of the
-  /// model, so `fp_run --save-model` refuses rather than exporting an
-  /// ambiguous checkpoint.
-  bool single_global_model = true;
 };
 
 using MethodFactory = std::function<MethodRun(Setup&)>;

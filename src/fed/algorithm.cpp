@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+
 namespace fp::fed {
 
 FederatedAlgorithm::FederatedAlgorithm(FedEnv& env, FlConfig cfg,
@@ -42,6 +44,48 @@ void FederatedAlgorithm::run(std::int64_t eval_every) {
     history_.push_back(evaluate_snapshot(cfg_.rounds));
 }
 
+attack::RobustEvalResult FederatedAlgorithm::evaluate(
+    const attack::RobustEvalConfig& cfg) {
+  return evaluate_banks(cfg, /*with_aa=*/true);
+}
+
+attack::RobustEvalResult FederatedAlgorithm::evaluate_banks(
+    const attack::RobustEvalConfig& cfg, bool with_aa) {
+  obs::PhaseTimer eval_phase(obs::Phase::kEval);
+  models::BuiltModel& model = global_model();
+  const data::Dataset& test = env_->test;
+  const std::size_t shards = attack::eval_shards(test, cfg);
+  const int clean_bank = eval_bank(false);
+  const int adv_bank = eval_bank(true);
+  if (clean_bank == adv_bank) {
+    const attack::ShardedNet net = attack::shard_model(model, shards);
+    if (with_aa) return attack::evaluate_robustness(net, test, cfg);
+    return {attack::evaluate_clean(net, test, cfg),
+            attack::evaluate_pgd(net, test, cfg), 0.0};
+  }
+  // Dual-BN: clean accuracy on the clean bank's replicas, the attacks on
+  // the adversarial bank's. AA's survival starts from the adversarial
+  // bank's own clean masks, so evaluate_robustness keeps its clean pass.
+  attack::RobustEvalResult r;
+  model.use_bn_bank(clean_bank);
+  r.clean_acc =
+      attack::evaluate_clean(attack::shard_model(model, shards), test, cfg);
+  model.use_bn_bank(adv_bank);
+  {
+    const attack::ShardedNet net = attack::shard_model(model, shards);
+    if (with_aa) {
+      const attack::RobustEvalResult adv =
+          attack::evaluate_robustness(net, test, cfg);
+      r.pgd_acc = adv.pgd_acc;
+      r.aa_acc = adv.aa_acc;
+    } else {
+      r.pgd_acc = attack::evaluate_pgd(net, test, cfg);
+    }
+  }
+  model.use_bn_bank(clean_bank);
+  return r;
+}
+
 RoundRecord FederatedAlgorithm::evaluate_snapshot(std::int64_t round,
                                                   std::int64_t max_samples,
                                                   int pgd_steps) {
@@ -50,15 +94,11 @@ RoundRecord FederatedAlgorithm::evaluate_snapshot(std::int64_t round,
   ecfg.pgd_steps = pgd_steps;
   ecfg.max_samples = max_samples;
   ecfg.compute = cfg_.compute;
+  const attack::RobustEvalResult accs = evaluate_banks(ecfg, /*with_aa=*/false);
   RoundRecord rec;
   rec.round = round;
-  use_eval_bank(false);
-  rec.clean_acc = attack::evaluate_clean(global_model(), env_->test,
-                                         ecfg.batch_size, max_samples,
-                                         ecfg.compute);
-  use_eval_bank(true);
-  rec.adv_acc = attack::evaluate_pgd(global_model(), env_->test, ecfg);
-  use_eval_bank(false);
+  rec.clean_acc = accs.clean_acc;
+  rec.adv_acc = accs.pgd_acc;
   rec.sim_time_s = sim_time_.total();
   rec.bytes_up = total_stats_.bytes_up;
   rec.bytes_down = total_stats_.bytes_down;

@@ -5,7 +5,8 @@
 // -> aggregate -> simulated-time pipeline under the configured scheduler
 // (synchronous barrier rounds or async event-driven aggregation). This class
 // also provides the learning-rate schedule, history bookkeeping, and the
-// periodic global evaluation used by run().
+// evaluation of the global model: the periodic snapshots run() records and
+// the final three-metric evaluation, both on attack/evaluate's loops.
 #pragma once
 
 #include <memory>
@@ -51,15 +52,26 @@ class FederatedAlgorithm : public RoundMethod {
   /// (time stays zero here — the running clock is sim_time()).
   const RoundStats& total_stats() const { return total_stats_; }
 
+  /// The paper's three metrics (Clean / PGD / AA) of the global model on
+  /// the test set.
+  attack::RobustEvalResult evaluate(const attack::RobustEvalConfig& cfg);
+
   /// Clean + PGD accuracy snapshot of the global model on the test set.
   RoundRecord evaluate_snapshot(std::int64_t round,
                                 std::int64_t max_samples = 256,
                                 int pgd_steps = 10);
 
-  /// Selects the statistics the global model is evaluated with: the ones
-  /// for attacked inputs when `adversarial`. Dual-BN methods (FedRBN) switch
-  /// their BN bank; every other method has one set and does nothing.
-  virtual void use_eval_bank(bool /*adversarial*/) {}
+  /// The BatchNorm bank the global model classifies with: the one for
+  /// attacked inputs when `adversarial`. Dual-BN methods (FedRBN) answer
+  /// 0 for clean and 1 for attacked inputs; every other method has one bank.
+  virtual int eval_bank(bool /*adversarial*/) const { return 0; }
+
+  /// Whether global_model() alone is the deployable artifact: false when
+  /// clean and attacked inputs take different banks, since then a bank
+  /// choice is part of the model.
+  bool single_global_model() const {
+    return eval_bank(false) == eval_bank(true);
+  }
 
  protected:
   /// Single source of the schedule: the engine's lr_at also fills TaskSpec.lr.
@@ -75,6 +87,11 @@ class FederatedAlgorithm : public RoundMethod {
   RoundStats total_stats_;
 
  private:
+  /// evaluate()'s metrics on one replica set per bank: clean accuracy on
+  /// eval_bank(false), the attacks on eval_bank(true). AA only `with_aa`.
+  attack::RobustEvalResult evaluate_banks(const attack::RobustEvalConfig& cfg,
+                                          bool with_aa);
+
   std::unique_ptr<RoundEngine> engine_;
 };
 

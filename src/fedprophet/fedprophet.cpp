@@ -4,8 +4,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "attack/evaluate.hpp"
 #include "core/parallel.hpp"
 #include "fed/budget_exec.hpp"
+#include "obs/metrics.hpp"
 
 namespace fp::fedprophet {
 
@@ -24,6 +26,18 @@ FedProphet::FedProphet(fed::FedEnv& env, FedProphetConfig cfg)
       acc_(model_) {
   acc_.reset();
   aux_acc_.resize(cascade_.num_modules());
+}
+
+FedProphet::ClientReplica::ClientReplica(const FedProphet& server,
+                                         std::span<const float> model_blob,
+                                         std::size_t first_aux,
+                                         std::span<const nn::ParamBlob> aux)
+    : build_rng(0),  // replica init is overwritten by the loaded blobs
+      model(server.model_.spec(), build_rng),
+      cascade(model, server.cascade_.partition(), build_rng) {
+  model.load_all(model_blob);
+  for (std::size_t j = 0; j < aux.size(); ++j)
+    cascade.load_aux(first_aux + j, aux[j]);
 }
 
 data::BatchIterator& FedProphet::client_batches(std::size_t k) {
@@ -105,13 +119,8 @@ double FedProphet::task_cost(const fed::TaskSpec& task) const {
 fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   const std::size_t num_modules = cascade_.num_modules();
   const std::size_t k = task.client;
-  Rng build_rng(0);  // replica init is overwritten by the global snapshot
-  models::BuiltModel local_model(model_.spec(), build_rng);
-  local_model.load_all(broadcast_);
-  cascade::CascadeState local_cascade(local_model, cascade_.partition(),
-                                      build_rng);
-  for (std::size_t j = stage_; j < num_modules; ++j)
-    local_cascade.load_aux(j, broadcast_aux_[j]);
+  ClientReplica replica(*this, broadcast_, stage_,
+                        std::span(broadcast_aux_).subspan(stage_));
   const std::size_t module_end = assigned_module_end(task);
 
   // Budget-aware execution (mem subsystem): plan the trained block's peak
@@ -138,7 +147,7 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
     fed::apply_budgeted_execution(model_.spec(), plan_begin, plan_end,
                                   cfg2_.fl.batch_size, plan_aux,
                                   cfg2_.fl.pgd_steps > 0, aux_params,
-                                  local_model, /*pricing_scale=*/1.0,
+                                  replica.model, /*pricing_scale=*/1.0,
                                   &up.work);
   }
 
@@ -151,7 +160,7 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   tcfg.sgd = cfg2_.fl.sgd;
   tcfg.sgd.lr = round_lr_;
   tcfg.compute = cfg2_.fl.compute;
-  cascade::CascadeLocalTrainer trainer(local_cascade, tcfg);
+  cascade::CascadeLocalTrainer trainer(replica.cascade, tcfg);
   auto& batches = client_batches(k);
   for (std::int64_t it = 0; it < cfg2_.fl.local_iters; ++it)
     trainer.train_batch(batches.next(), clients_.rng(k));
@@ -168,11 +177,11 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   p.module_end = module_end;
   p.atoms.reserve(p.atom_end - p.atom_begin);
   for (std::size_t a = p.atom_begin; a < p.atom_end; ++a)
-    p.atoms.push_back(channel.uplink(local_model.save_atom(a),
+    p.atoms.push_back(channel.uplink(replica.model.save_atom(a),
                                      model_.atom_view(broadcast_, a),
                                      &up.bytes_up));
-  if (local_cascade.aux_head(module_end - 1))
-    p.aux = channel.uplink(local_cascade.save_aux(module_end - 1),
+  if (replica.cascade.aux_head(module_end - 1))
+    p.aux = channel.uplink(replica.cascade.save_aux(module_end - 1),
                            broadcast_aux_[module_end - 1], &up.bytes_up);
 
   up.payload = std::move(p);
@@ -286,12 +295,7 @@ cascade::CascadeLocalTrainer::DzStats FedProphet::probe_dz(
   // Rebuild the root's exact post-stage state and run the ||Delta z|| probe
   // on this client's data stream. The batch iterator and RNG advance once
   // per probed client, whether the probe runs here or on the owning worker.
-  Rng build_rng(0);
-  models::BuiltModel local_model(model_.spec(), build_rng);
-  local_model.load_all(model_blob);
-  cascade::CascadeState local_cascade(local_model, cascade_.partition(),
-                                      build_rng);
-  local_cascade.load_aux(stage, aux_blob);
+  ClientReplica replica(*this, model_blob, stage, std::span(&aux_blob, 1));
   cascade::LocalTrainConfig tcfg;
   tcfg.module_begin = stage;
   tcfg.module_end = stage + 1;
@@ -299,7 +303,7 @@ cascade::CascadeLocalTrainer::DzStats FedProphet::probe_dz(
   tcfg.eps_in = eps;
   tcfg.pgd_steps = cfg2_.fl.pgd_steps;
   tcfg.compute = cfg2_.fl.compute;
-  cascade::CascadeLocalTrainer trainer(local_cascade, tcfg);
+  cascade::CascadeLocalTrainer trainer(replica.cascade, tcfg);
   return trainer.measure_output_perturbation(client_batches(client).next(),
                                              clients_.rng(client));
 }
@@ -346,6 +350,21 @@ void FedProphet::net_custom_op(std::uint32_t op, comm::FrameReader& ctx,
   out.f64(stats.mean_per_dim);
 }
 
+std::pair<double, double> FedProphet::validate_prefix() {
+  obs::PhaseTimer eval_phase(obs::Phase::kEval);
+  attack::RobustEvalConfig ecfg;
+  ecfg.epsilon = cfg2_.fl.epsilon0;
+  ecfg.pgd_steps = 10;
+  ecfg.max_samples = cfg2_.val_samples;
+  ecfg.seed = 17;
+  ecfg.compute = cfg2_.fl.compute;
+  const data::Dataset& val = env_->test;
+  const attack::ShardedNet net =
+      cascade::shard_prefix(cascade_, stage_, attack::eval_shards(val, ecfg));
+  return {attack::evaluate_clean(net, val, ecfg),
+          attack::evaluate_pgd(net, val, ecfg)};
+}
+
 void FedProphet::train() {
   for (stage_ = 0; stage_ < cascade_.num_modules(); ++stage_) {
     stages_.push_back({});
@@ -362,22 +381,17 @@ void FedProphet::train() {
           cfg2_.eval_every > 0 && ((r + 1) % cfg2_.eval_every == 0 ||
                                    r + 1 == cfg2_.rounds_per_module);
       if (!do_eval) continue;
-      cascade::PrefixEvalConfig ecfg;
-      ecfg.epsilon0 = cfg2_.fl.epsilon0;
-      ecfg.max_samples = cfg2_.val_samples;
-      ecfg.compute = cfg2_.fl.compute;
-      const auto accs = cascade::evaluate_prefix(cascade_, stage_, env_->test, ecfg);
-      last_clean_ = accs.clean;
-      last_adv_ = accs.adv;
-      apa_.update(accs.clean, accs.adv, prev_final_ratio_);
-      history_.push_back({global_round_, accs.clean, accs.adv,
-                          sim_time_.total(), eps_trace_.back(),
-                          total_stats_.bytes_up, total_stats_.bytes_down,
-                          total_stats_.peak_mem_bytes,
+      const auto [clean, adv] = validate_prefix();
+      last_clean_ = clean;
+      last_adv_ = adv;
+      apa_.update(clean, adv, prev_final_ratio_);
+      history_.push_back({global_round_, clean, adv, sim_time_.total(),
+                          eps_trace_.back(), total_stats_.bytes_up,
+                          total_stats_.bytes_down, total_stats_.peak_mem_bytes,
                           total_stats_.unique_participants,
                           total_stats_.agg_bytes_saved,
                           total_stats_.measured_comm_s});
-      const double score = accs.clean + accs.adv;
+      const double score = clean + adv;
       if (score > best_score + 1e-6) {
         best_score = score;
         evals_since_best = 0;

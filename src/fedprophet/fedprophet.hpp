@@ -13,6 +13,8 @@
 
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 
 #include "cascade/trainer.hpp"
 #include "fed/algorithm.hpp"
@@ -108,6 +110,23 @@ class FedProphet final : public fed::FederatedAlgorithm {
   const sys::ModelSpec& time_spec(const fed::FedEnv&) const override {
     return model_.spec();
   }
+
+  /// A client's private replica of the server state: the backbone loaded
+  /// from `model_blob` and a cascade over it with module first_aux + j's
+  /// aux head loaded from aux[j]. Clients train on it concurrently without
+  /// touching the server's model.
+  struct ClientReplica {
+    ClientReplica(const FedProphet& server, std::span<const float> model_blob,
+                  std::size_t first_aux, std::span<const nn::ParamBlob> aux);
+    Rng build_rng;
+    models::BuiltModel model;
+    cascade::CascadeState cascade;
+  };
+
+  /// Clean and PGD-10 accuracy of the prefix ending at the current module
+  /// on the first val_samples test samples (the C_m / A_m APA reads), on
+  /// attack/evaluate's loops over cascade::shard_prefix.
+  std::pair<double, double> validate_prefix();
 
   data::BatchIterator& client_batches(std::size_t k);
   float current_epsilon() const;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "attack/evaluate.hpp"
 #include "cascade/cascade.hpp"
 #include "cascade/partitioner.hpp"
 #include "cascade/trainer.hpp"
@@ -227,15 +228,18 @@ TEST_F(CascadeFixture, SecondModuleTrainsOnFrozenFeatures) {
   EXPECT_EQ(snapshot(), mod0_before);
 }
 
-TEST_F(CascadeFixture, EvaluatePrefixReturnsSaneAccuracies) {
-  PrefixEvalConfig cfg;
+TEST_F(CascadeFixture, PrefixValidationReturnsSaneAccuracies) {
+  attack::RobustEvalConfig cfg;
   cfg.max_samples = 64;
   cfg.pgd_steps = 3;
-  const auto acc = evaluate_prefix(*cascade_, 0, data_.test, cfg);
-  EXPECT_GE(acc.clean, 0.0);
-  EXPECT_LE(acc.clean, 1.0);
-  EXPECT_GE(acc.adv, 0.0);
-  EXPECT_LE(acc.adv, acc.clean + 0.35);  // adv can't wildly exceed clean
+  const attack::ShardedNet net =
+      shard_prefix(*cascade_, 0, attack::eval_shards(data_.test, cfg));
+  const double clean = attack::evaluate_clean(net, data_.test, cfg);
+  const double adv = attack::evaluate_pgd(net, data_.test, cfg);
+  EXPECT_GE(clean, 0.0);
+  EXPECT_LE(clean, 1.0);
+  EXPECT_GE(adv, 0.0);
+  EXPECT_LE(adv, clean + 0.35);  // adv can't wildly exceed clean
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "attack/evaluate.hpp"
 #include "baselines/whole_model.hpp"
@@ -145,20 +146,24 @@ TEST(Determinism, RobustAndPrefixEvaluationBitIdenticalAcrossThreadCounts) {
   rcfg.pgd_steps = rcfg.aa_steps = 3;
   rcfg.batch_size = 32;
   rcfg.max_samples = 80;
-  cascade::PrefixEvalConfig pcfg;
-  pcfg.pgd_steps = 3;
-  pcfg.batch_size = 32;
-  pcfg.max_samples = 80;
+  // FedProphet's prefix validation: clean and PGD on shard_prefix.
+  attack::RobustEvalConfig pcfg = rcfg;
+  pcfg.seed = 17;
+  const auto prefix_accs = [&](std::size_t m) {
+    const attack::ShardedNet net = cascade::shard_prefix(
+        cascade, m, attack::eval_shards(data.test, pcfg));
+    return std::pair(attack::evaluate_clean(net, data.test, pcfg),
+                     attack::evaluate_pgd(net, data.test, pcfg));
+  };
 
   attack::RobustEvalResult robust[2];
-  cascade::PrefixAccuracy prefix[2][2];
+  std::pair<double, double> prefix[2][2];
   const int thread_counts[2] = {1, 4};
   for (int run = 0; run < 2; ++run) {
     core::set_num_threads(thread_counts[run]);
     robust[run] = attack::evaluate_robustness(*model, data.test, rcfg);
-    prefix[run][0] = cascade::evaluate_prefix(cascade, 0, data.test, pcfg);
-    prefix[run][1] = cascade::evaluate_prefix(
-        cascade, cascade.num_modules() - 1, data.test, pcfg);
+    prefix[run][0] = prefix_accs(0);
+    prefix[run][1] = prefix_accs(cascade.num_modules() - 1);
   }
   core::set_num_threads(1);
   expect_same_double(robust[0].clean_acc, robust[1].clean_acc, "clean");
@@ -166,8 +171,8 @@ TEST(Determinism, RobustAndPrefixEvaluationBitIdenticalAcrossThreadCounts) {
   expect_same_double(robust[0].aa_acc, robust[1].aa_acc, "aa");
   EXPECT_LT(robust[0].pgd_acc, robust[0].clean_acc);  // the attack bites
   for (int m = 0; m < 2; ++m) {
-    expect_same_double(prefix[0][m].clean, prefix[1][m].clean, "prefix clean");
-    expect_same_double(prefix[0][m].adv, prefix[1][m].adv, "prefix adv");
+    expect_same_double(prefix[0][m].first, prefix[1][m].first, "prefix clean");
+    expect_same_double(prefix[0][m].second, prefix[1][m].second, "prefix adv");
   }
 }
 
@@ -196,7 +201,7 @@ TEST(Determinism, FedRbnAdversarialBankEvaluationBitIdenticalAcrossThreadCounts)
     e.pgd_steps = e.aa_steps = 3;
     e.batch_size = 32;
     e.max_samples = 80;
-    results[run] = method.evaluate(e);
+    results[run] = method.algo->evaluate(e);
   }
   core::set_num_threads(1);
   expect_same_double(results[0].clean_acc, results[1].clean_acc, "clean");

@@ -333,7 +333,8 @@ int main(int argc, char** argv) {
     const fp::exp::MethodFactory& factory =
         fp::exp::method_registry().resolve(setup.spec.method);
     fp::exp::MethodRun run = factory(setup);
-    if ((!save_model_path.empty() || api_mode) && !run.single_global_model) {
+    if ((!save_model_path.empty() || api_mode) &&
+        !run.algo->single_global_model()) {
       std::fprintf(stderr,
                    "fp_run: method '%s' has no single deployable global model "
                    "(--save-model/--api need one); pick another method\n",
