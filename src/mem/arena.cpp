@@ -44,14 +44,27 @@ struct Arena::Impl {
   char* slab = nullptr;
   std::size_t capacity = 0;
   std::size_t top = 0;  ///< bump offset into the slab
-  /// Freed slab blocks not yet reclaimed: end offset -> start offset. When
-  /// the block ending at `top` is freed (directly or via coalescing) the bump
-  /// pointer rewinds over it.
+  /// Freed slab blocks below `top`, coalesced with their freed neighbours:
+  /// end offset -> start offset. A free that reaches `top` rewinds the bump
+  /// pointer instead; allocate reuses the first block that fits.
   std::map<std::size_t, std::size_t> freed;
   std::int64_t live = 0;
   std::int64_t peak = 0;
   std::int64_t overflow = 0;
   int refs = 1;  ///< owner scope's reference
+
+  /// The low end of the first freed block at least `block` bytes long, or
+  /// nullptr when none fits.
+  char* reuse(std::size_t block) {
+    for (auto it = freed.begin(); it != freed.end(); ++it) {
+      if (it->first - it->second < block) continue;
+      char* base = slab + it->second;
+      it->second += block;
+      if (it->second == it->first) freed.erase(it);
+      return base;
+    }
+    return nullptr;
+  }
 
   bool owns(const void* p) const {
     const char* c = static_cast<const char*>(p);
@@ -78,12 +91,13 @@ void* Arena::allocate(std::size_t bytes) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->live += static_cast<std::int64_t>(bytes);
   impl_->peak = std::max(impl_->peak, impl_->live);
-  void* base;
-  if (impl_->slab && impl_->top + block <= impl_->capacity) {
+  char* base = impl_->reuse(block);
+  if (!base && impl_->slab && impl_->top + block <= impl_->capacity) {
     base = impl_->slab + impl_->top;
     impl_->top += block;
-  } else {
-    base = ::operator new(block, std::align_val_t(kAlign));
+  }
+  if (!base) {
+    base = static_cast<char*>(::operator new(block, std::align_val_t(kAlign)));
     impl_->overflow += static_cast<std::int64_t>(bytes);
   }
   auto* h = new (base) Header{this, bytes};
@@ -98,14 +112,23 @@ void Arena::deallocate(void* p, std::size_t bytes) {
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->live -= static_cast<std::int64_t>(bytes);
     if (impl_->owns(base)) {
-      const auto start = static_cast<std::size_t>(base - impl_->slab);
-      impl_->freed.emplace(start + block, start);
-      // Rewind the bump pointer over every freed block touching the top.
-      for (auto it = impl_->freed.find(impl_->top);
-           it != impl_->freed.end(); it = impl_->freed.find(impl_->top)) {
-        impl_->top = it->second;
-        impl_->freed.erase(it);
+      auto& freed = impl_->freed;
+      std::size_t start = static_cast<std::size_t>(base - impl_->slab);
+      std::size_t end = start + block;
+      // Coalesce with the freed blocks just below and just above.
+      if (auto below = freed.find(start); below != freed.end()) {
+        start = below->second;
+        freed.erase(below);
       }
+      if (auto above = freed.upper_bound(end);
+          above != freed.end() && above->second == end) {
+        end = above->first;
+        freed.erase(above);
+      }
+      if (end == impl_->top)
+        impl_->top = start;  // the top is free: rewind the bump pointer
+      else
+        freed.emplace(end, start);
     } else {
       ::operator delete(base, std::align_val_t(kAlign));
     }
@@ -126,8 +149,6 @@ std::int64_t Arena::overflow_bytes() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->overflow;
 }
-
-std::size_t Arena::slab_capacity() const { return impl_->capacity; }
 
 void Arena::retain() {
   std::lock_guard<std::mutex> lock(impl_->mu);
@@ -204,11 +225,6 @@ bool checkpointing_enabled() {
 std::int64_t current_live_bytes() {
   ThreadCtx* ctx = tls_ctx();
   return ctx ? ctx->arena->live_bytes() : 0;
-}
-
-std::int64_t current_peak_bytes() {
-  ThreadCtx* ctx = tls_ctx();
-  return ctx ? ctx->arena->peak_bytes() : 0;
 }
 
 }  // namespace fp::mem

@@ -2,11 +2,13 @@
 //
 // The arena owns one 64-byte-aligned slab and hands out bump allocations
 // from it; frees are accounted immediately (live/high-water bookkeeping is
-// exact) and slab space is reclaimed by coalescing freed blocks back into
-// the bump pointer as soon as the top of the slab becomes free (LIFO-with-
-// lazy-rewind, the allocation pattern of a training step is almost entirely
-// stack-like). Requests that do not fit the slab fall back to the heap and
-// are tracked the same way, so running over budget degrades gracefully and
+// exact). A freed block coalesces with its freed neighbours; when it reaches
+// the top of the slab the bump pointer rewinds over it (the allocation
+// pattern of a training step is almost entirely stack-like), and otherwise
+// the next allocation that fits reuses it, so a layer that allocates its
+// new cache before freeing the old one does not walk the bump pointer up the
+// slab. Requests that fit nowhere in the slab fall back to the heap and are
+// tracked the same way, so running over budget degrades gracefully and
 // shows up in the measurements instead of crashing.
 //
 // TrackedAlloc<T> is the std::vector allocator that routes every Tensor
@@ -42,7 +44,6 @@ class Arena {
   std::int64_t peak_bytes() const;
   /// Payload bytes that did not fit the slab and were served from the heap.
   std::int64_t overflow_bytes() const;
-  std::size_t slab_capacity() const;
 
   /// Intrusive refcount: the owning scope holds one reference, every live
   /// allocation holds one. The arena deletes itself at zero.
@@ -108,8 +109,7 @@ bool scope_active();
 const Budget* current_budget();
 /// True when the bound scope permits activation checkpointing.
 bool checkpointing_enabled();
-/// Live/peak of the bound scope's arena (0 when none).
+/// Live bytes of the bound scope's arena (0 when none).
 std::int64_t current_live_bytes();
-std::int64_t current_peak_bytes();
 
 }  // namespace fp::mem

