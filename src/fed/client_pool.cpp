@@ -148,9 +148,4 @@ std::size_t ClientPool::resident_iterators() const {
   return n;
 }
 
-std::size_t ClientPool::resident_shards() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return cache_.size();
-}
-
 }  // namespace fp::fed

@@ -52,8 +52,6 @@ class ClientPool {
   bool session_mode() const { return session_; }
   /// Currently engaged batch iterators (eager states or open sessions).
   std::size_t resident_iterators() const;
-  /// Synthesized shards held by the session-mode LRU cache.
-  std::size_t resident_shards() const;
 
  private:
   struct State {

@@ -156,14 +156,4 @@ std::int64_t ModelSpec::total_params() const {
   return n;
 }
 
-std::int64_t ModelSpec::total_forward_macs() const {
-  std::int64_t macs = 0;
-  TensorShape s = input;
-  for (const auto& atom : atoms) {
-    macs += atom_forward_macs(atom, s);
-    s = atom_out_shape(atom, s);
-  }
-  return macs;
-}
-
 }  // namespace fp::sys

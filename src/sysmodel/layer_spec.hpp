@@ -89,7 +89,6 @@ struct ModelSpec {
   /// Activation shape entering atom `i` (input for i == 0).
   TensorShape shape_before(std::size_t i) const;
   std::int64_t total_params() const;
-  std::int64_t total_forward_macs() const;
 };
 
 }  // namespace fp::sys
