@@ -49,16 +49,13 @@ struct RobustEvalResult {
   double aa_acc = 0.0;
 };
 
-/// Row shards one evaluation of `test` under `cfg` cuts each batch into:
-/// eval_shards (attack/sharded.hpp) of its largest batch.
+/// Row shards of one evaluation of `test`: eval_shards of its largest batch.
 std::size_t eval_shards(const data::Dataset& test, const RobustEvalConfig& cfg);
 
-/// The evaluation loops, over the first cfg.max_samples samples of `test`
-/// in batches of cfg.batch_size, on a replica set the caller built: a full
-/// model's shard_model or a cascade prefix's cascade::shard_prefix, with
-/// eval_shards(test, cfg) shards. Each runs under the eval phase timer.
-/// Clean predictions draw no Rng, so the clean pass may run before or after
-/// the PGD pass with the same result.
+/// The loops, over the first cfg.max_samples samples of `test`, on a
+/// replica set the caller built with eval_shards(test, cfg) shards (a
+/// model's shard_model or cascade::shard_prefix), under the eval phase
+/// timer. Clean predictions draw no Rng, so pass order does not matter.
 double evaluate_clean(const ShardedNet& net, const data::Dataset& test,
                       const RobustEvalConfig& cfg);
 /// PGD-k adversarial accuracy (cfg.pgd_steps, cfg.epsilon, Rng(cfg.seed)).
@@ -69,9 +66,7 @@ RobustEvalResult evaluate_robustness(const ShardedNet& net,
                                      const data::Dataset& test,
                                      const RobustEvalConfig& cfg);
 
-/// The same loops on `model`'s own replica set, built for the call and
-/// freed on return. `compute` selects the inference kernels (default: fp32
-/// blocked, the historical behaviour).
+/// The same loops on a replica set of `model` built for the call.
 double evaluate_clean(models::BuiltModel& model, const data::Dataset& test,
                       std::int64_t batch_size = 100, std::int64_t max_samples = -1,
                       const compute::ComputeConfig& compute = {});

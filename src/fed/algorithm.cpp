@@ -54,35 +54,28 @@ attack::RobustEvalResult FederatedAlgorithm::evaluate_banks(
   obs::PhaseTimer eval_phase(obs::Phase::kEval);
   models::BuiltModel& model = global_model();
   const data::Dataset& test = env_->test;
-  const std::size_t shards = attack::eval_shards(test, cfg);
-  const int clean_bank = eval_bank(false);
-  const int adv_bank = eval_bank(true);
-  if (clean_bank == adv_bank) {
-    const attack::ShardedNet net = attack::shard_model(model, shards);
-    if (with_aa) return attack::evaluate_robustness(net, test, cfg);
-    return {attack::evaluate_clean(net, test, cfg),
-            attack::evaluate_pgd(net, test, cfg), 0.0};
-  }
-  // Dual-BN: clean accuracy on the clean bank's replicas, the attacks on
-  // the adversarial bank's. AA's survival starts from the adversarial
-  // bank's own clean masks, so evaluate_robustness keeps its clean pass.
+  const bool split = !single_global_model();
+  const auto bank_net = [&](bool adversarial) {
+    model.use_bn_bank(eval_bank(adversarial));
+    return attack::shard_model(model, attack::eval_shards(test, cfg));
+  };
   attack::RobustEvalResult r;
-  model.use_bn_bank(clean_bank);
-  r.clean_acc =
-      attack::evaluate_clean(attack::shard_model(model, shards), test, cfg);
-  model.use_bn_bank(adv_bank);
-  {
-    const attack::ShardedNet net = attack::shard_model(model, shards);
-    if (with_aa) {
-      const attack::RobustEvalResult adv =
-          attack::evaluate_robustness(net, test, cfg);
-      r.pgd_acc = adv.pgd_acc;
-      r.aa_acc = adv.aa_acc;
-    } else {
-      r.pgd_acc = attack::evaluate_pgd(net, test, cfg);
-    }
+  attack::ShardedNet net = bank_net(false);
+  if (split || !with_aa) r.clean_acc = attack::evaluate_clean(net, test, cfg);
+  // A dual-BN method attacks its adversarial bank's replicas. AA's survival
+  // starts from that bank's own clean masks, so evaluate_robustness keeps
+  // its clean pass.
+  if (split) net = bank_net(true);
+  if (with_aa) {
+    const attack::RobustEvalResult adv =
+        attack::evaluate_robustness(net, test, cfg);
+    if (!split) r.clean_acc = adv.clean_acc;
+    r.pgd_acc = adv.pgd_acc;
+    r.aa_acc = adv.aa_acc;
+  } else {
+    r.pgd_acc = attack::evaluate_pgd(net, test, cfg);
   }
-  model.use_bn_bank(clean_bank);
+  model.use_bn_bank(eval_bank(false));
   return r;
 }
 

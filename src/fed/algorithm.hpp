@@ -61,14 +61,12 @@ class FederatedAlgorithm : public RoundMethod {
                                 std::int64_t max_samples = 256,
                                 int pgd_steps = 10);
 
-  /// The BatchNorm bank the global model classifies with: the one for
-  /// attacked inputs when `adversarial`. Dual-BN methods (FedRBN) answer
-  /// 0 for clean and 1 for attacked inputs; every other method has one bank.
+  /// The BatchNorm bank the global model classifies clean (or attacked)
+  /// inputs with. Only dual-BN FedRBN answers 1 for attacked inputs.
   virtual int eval_bank(bool /*adversarial*/) const { return 0; }
 
-  /// Whether global_model() alone is the deployable artifact: false when
-  /// clean and attacked inputs take different banks, since then a bank
-  /// choice is part of the model.
+  /// Whether global_model() alone is the deployable artifact: not when a
+  /// bank choice is part of the model.
   bool single_global_model() const {
     return eval_bank(false) == eval_bank(true);
   }
@@ -87,8 +85,8 @@ class FederatedAlgorithm : public RoundMethod {
   RoundStats total_stats_;
 
  private:
-  /// evaluate()'s metrics on one replica set per bank: clean accuracy on
-  /// eval_bank(false), the attacks on eval_bank(true). AA only `with_aa`.
+  /// Clean accuracy on eval_bank(false), PGD (and AA `with_aa`) on
+  /// eval_bank(true): one replica set per bank.
   attack::RobustEvalResult evaluate_banks(const attack::RobustEvalConfig& cfg,
                                           bool with_aa);
 

@@ -111,10 +111,8 @@ class FedProphet final : public fed::FederatedAlgorithm {
     return model_.spec();
   }
 
-  /// A client's private replica of the server state: the backbone loaded
-  /// from `model_blob` and a cascade over it with module first_aux + j's
-  /// aux head loaded from aux[j]. Clients train on it concurrently without
-  /// touching the server's model.
+  /// A client's private replica: the backbone from `model_blob`, and a
+  /// cascade over it with module first_aux + j's aux head from aux[j].
   struct ClientReplica {
     ClientReplica(const FedProphet& server, std::span<const float> model_blob,
                   std::size_t first_aux, std::span<const nn::ParamBlob> aux);
@@ -123,9 +121,8 @@ class FedProphet final : public fed::FederatedAlgorithm {
     cascade::CascadeState cascade;
   };
 
-  /// Clean and PGD-10 accuracy of the prefix ending at the current module
-  /// on the first val_samples test samples (the C_m / A_m APA reads), on
-  /// attack/evaluate's loops over cascade::shard_prefix.
+  /// Clean and PGD-10 accuracy (C_m, A_m) of the prefix ending at the
+  /// current module on the first val_samples test samples.
   std::pair<double, double> validate_prefix();
 
   data::BatchIterator& client_batches(std::size_t k);

@@ -345,15 +345,6 @@ MemPlan plan_module_memory(const sys::ModelSpec& model, const PlanRequest& req) 
   return plan;
 }
 
-std::int64_t resident_cache_bytes(const sys::ModelSpec& model, std::size_t begin,
-                                  std::size_t end, std::int64_t batch) {
-  if (begin >= end) return 0;
-  std::int64_t bytes = 0;
-  for (const auto& u : build_units(model, begin, end, batch, /*runtime=*/true))
-    bytes += u.cache_fwd_bytes;
-  return bytes;
-}
-
 std::int64_t replica_resident_bytes(const sys::ModelSpec& model,
                                     std::size_t atom_begin, std::size_t atom_end,
                                     std::int64_t batch,

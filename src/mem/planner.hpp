@@ -75,12 +75,6 @@ struct PlanRequest {
 
 MemPlan plan_module_memory(const sys::ModelSpec& model, const PlanRequest& req);
 
-/// Steady-state cache + scratch bytes a forward pass through atoms
-/// [begin, end) leaves resident — what the frozen-prefix forward of cascade
-/// training pins for the whole step.
-std::int64_t resident_cache_bytes(const sys::ModelSpec& model, std::size_t begin,
-                                  std::size_t end, std::int64_t batch);
-
 /// Whole-timeline resident bytes of a full-model replica training atoms
 /// [begin, end): the out-of-range weights + gradients, loaded auxiliary-head
 /// state, the raw input batch, and a flowing-activation allowance for the

@@ -25,10 +25,6 @@ void set_log_level(LogLevel level) {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 bool parse_log_level(const char* s, LogLevel* out) {
   if (std::strcmp(s, "quiet") == 0) *out = LogLevel::kQuiet;
   else if (std::strcmp(s, "info") == 0) *out = LogLevel::kInfo;

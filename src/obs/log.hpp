@@ -12,7 +12,6 @@ namespace fp::obs {
 enum class LogLevel : int { kQuiet = 0, kInfo = 1, kDebug = 2 };
 
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// Parses "quiet"/"info"/"debug"; returns false (level untouched) otherwise.
 bool parse_log_level(const char* s, LogLevel* out);

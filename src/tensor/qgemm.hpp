@@ -62,9 +62,6 @@ struct QuantizedMat {
   std::vector<float> scales;
   std::vector<std::int32_t> sums;
 
-  const std::int8_t* row_codes(std::int64_t i) const {
-    return codes.data() + i * k_padded;
-  }
   float scale(std::int64_t i) const { return scales[static_cast<std::size_t>(i)]; }
   std::int32_t sum(std::int64_t i) const { return sums[static_cast<std::size_t>(i)]; }
 };
