@@ -116,6 +116,8 @@ class FedProphet final : public fed::FederatedAlgorithm {
   struct ClientReplica {
     ClientReplica(const FedProphet& server, std::span<const float> model_blob,
                   std::size_t first_aux, std::span<const nn::ParamBlob> aux);
+    ClientReplica(const ClientReplica&) = delete;  // `cascade` points at `model`
+    ClientReplica& operator=(const ClientReplica&) = delete;
     Rng build_rng;
     models::BuiltModel model;
     cascade::CascadeState cascade;
