@@ -288,8 +288,9 @@ double frac(int count, int n) {
 
 TEST(SyncScheduler, RegistryDrivenAccuraciesMatchGoldens) {
   // Four rounds of eight local steps at eps 0.01 move the tiny nets off
-  // constant predictions, so clean, PGD and AA differ and FedRBN's banks
-  // disagree (its round-3 snapshot reads 51 clean on bank 0).
+  // constant predictions, so clean, PGD and AA differ, and scoring FedRBN's
+  // clean accuracy on bank 1 instead of bank 0 changes its final and
+  // history pins.
   const AccuracyGolden goldens[] = {
       {"jFAT", "eval.every=1 fl.rounds=4 fl.local_iters=8 fl.epsilon0=0.01",
        80, {37, 36, 36}, 80, {{20, 20}, {20, 20}, {38, 33}, {37, 36}}, {}},
